@@ -14,9 +14,9 @@
 //                                    extents, no derivation to speak of.
 //
 // Derive-bound world: the Appendix B genealogy federation at 400
-// families — all join work, instant extents. Speedup here tracks
-// physical cores; on a single-core host the curve is flat and the
-// counters (still bit-identical derived facts) are the point.
+// families — all join work, instant extents. The pool only overlaps
+// fetches and the fixpoint runs on the calling thread, so the curve is
+// flat by design: the sweep shows that attaching a pool costs nothing.
 //
 //   BM_DeriveBoundFixpoint/threads:N   the bench_eval fixpoint with a
 //                                      worker pool attached.

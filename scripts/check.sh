@@ -6,8 +6,8 @@
 #               and run the tests under the sanitizers (benchmarks skipped:
 #               sanitized timings are meaningless).
 #   --tsan      build into build-tsan/ with OOINT_SANITIZE=thread and run
-#               the concurrency-relevant suites (thread pool, parallel
-#               evaluation, federation, fault injection, conformance) with
+#               the concurrency-relevant suites (thread pool, overlapped
+#               fetching, federation, fault injection, conformance) with
 #               the parallel runtime forced to 4 workers, then smoke-run
 #               bench_parallel so the overlapped-fetch path executes under
 #               the race detector.
@@ -84,9 +84,9 @@ else
   ctest --test-dir "$BUILD_DIR" --output-on-failure
 fi
 if [[ "${1:-}" == "--tsan" ]]; then
-  # One short pass over the thread sweeps: the overlapped fetches, the
-  # parallel rounds and the concurrent serving path all run under the
-  # race detector (timings are meaningless and discarded).
+  # One short pass over the thread sweeps: the overlapped fetches and
+  # the concurrent serving path run under the race detector (timings
+  # are meaningless and discarded).
   "$BUILD_DIR"/bench/bench_parallel --benchmark_min_time=0.01
 fi
 if [[ "$RUN_BENCH" == 1 ]]; then
@@ -102,8 +102,9 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # exceeds its budget or bounded top-k stops beating whole-answer
   # materialization on held bytes (bench/bench_serving.cc).
   "$BUILD_DIR"/bench/bench_serving --p99_check
-  # Join-kernel regression guard: fails when the vectorized kernels'
-  # speedup over the retired probe loop drops below the checked-in
-  # floor on the derive-bound reach closure (bench/bench_join.cc).
+  # Join-kernel regression guard: fails when the derive-bound reach
+  # closure derives other than its checked-in fact count under either
+  # planner mode, or when its deterministic join counters exceed their
+  # budgets (bench/bench_join.cc).
   "$BUILD_DIR"/bench/bench_join --regression_check
 fi

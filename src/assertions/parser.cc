@@ -1,5 +1,6 @@
 #include "assertions/parser.h"
 
+#include <cstdint>
 #include <vector>
 
 #include "common/lexer.h"
@@ -115,11 +116,16 @@ class Parser {
     switch (tok.kind) {
       case TokKind::kString:
         return Value::String(tok.text);
-      case TokKind::kNumber:
+      case TokKind::kNumber: {
         if (tok.text.find('.') != std::string::npos) {
-          return Value::Real(std::stod(tok.text));
+          OOINT_ASSIGN_OR_RETURN(const double real,
+                                 cursor_.NumberAt<double>(tok));
+          return Value::Real(real);
         }
-        return Value::Integer(std::stoll(tok.text));
+        OOINT_ASSIGN_OR_RETURN(const std::int64_t integer,
+                               cursor_.NumberAt<std::int64_t>(tok));
+        return Value::Integer(integer);
+      }
       case TokKind::kIdent:
         if (tok.text == "true") return Value::Boolean(true);
         if (tok.text == "false") return Value::Boolean(false);

@@ -1,7 +1,9 @@
 #ifndef OOINT_COMMON_LEXER_H_
 #define OOINT_COMMON_LEXER_H_
 
+#include <charconv>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/result.h"
@@ -71,6 +73,20 @@ class TokenCursor {
 
   /// A ParseError status pinned to `token`'s position.
   Status ErrorAt(const Token& token, const std::string& message) const;
+
+  /// The kNumber `token` as a `T` (an integer type, or double for
+  /// literals with a fractional part). A literal outside T's range is a
+  /// ParseError at the token, never an exception.
+  template <typename T>
+  Result<T> NumberAt(const Token& token) const {
+    T value{};
+    const char* last = token.text.data() + token.text.size();
+    const auto [end, ec] = std::from_chars(token.text.data(), last, value);
+    if (ec != std::errc() || end != last) {
+      return ErrorAt(token, "number out of range");
+    }
+    return value;
+  }
 
   /// Consumes a token of `kind` or fails.
   Status Expect(TokKind kind);

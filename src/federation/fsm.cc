@@ -426,22 +426,4 @@ Result<FederatedEvaluator> Fsm::MakeFederatedEvaluator(
   return fed;
 }
 
-std::vector<Fsm::AgentExtentResult> Fsm::FetchExtentsAsync(
-    const std::vector<AgentExtentRequest>& requests, ThreadPool* pool) {
-  std::vector<ExtentRequest> lowered;
-  lowered.reserve(requests.size());
-  for (const AgentExtentRequest& request : requests) {
-    lowered.push_back({request.connection, request.class_name});
-  }
-  const std::vector<ExtentReply> replies =
-      FetchExtentsOverlapped(lowered, pool);
-  std::vector<AgentExtentResult> results(replies.size());
-  for (size_t i = 0; i < replies.size(); ++i) {
-    results[i].status = replies[i].status;
-    results[i].objects = replies[i].objects;
-    results[i].wall_ms = replies[i].wall_ms;
-  }
-  return results;
-}
-
 }  // namespace ooint

@@ -69,12 +69,13 @@ struct FederationOptions {
   /// Optional deterministic fault schedule (testing/chaos drills).
   /// Borrowed; must outlive the evaluator built from these options.
   FaultInjector* injector = nullptr;
-  /// Worker threads of the federation runtime. 1 (the default) keeps
-  /// every code path exactly as the serial runtime: no pool is created,
-  /// fetches run in binding order, fixpoint rounds run single-threaded.
-  /// More than 1 overlaps extent fetches across agents and parallelizes
-  /// each semi-naive round; derived fact sets are identical either way
-  /// (see DESIGN.md "Parallel execution model").
+  /// Worker threads of the federation runtime. 1 (the default) creates
+  /// no pool: each extent is fetched in place, in binding order. More
+  /// than 1 prefetches every extent up front, overlapping the fetches
+  /// (and retry/backoff waits) of distinct agents. The fixpoint always
+  /// runs on the calling thread, so derived facts and evaluator
+  /// counters are identical either way (see DESIGN.md "Parallel
+  /// execution model").
   int num_threads = 1;
   /// End-to-end deadline, in *virtual* milliseconds, each query gets
   /// (see DESIGN.md "Overload-robust serving"). kNoDeadline — the
@@ -192,28 +193,6 @@ class Fsm {
   /// evaluator's degraded() record says what was skipped.
   Result<FederatedEvaluator> MakeFederatedEvaluator(
       const GlobalSchema& global, const FederationOptions& options = {}) const;
-
-  /// One extent fetch against one agent connection.
-  struct AgentExtentRequest {
-    AgentConnection* connection = nullptr;
-    std::string class_name;
-  };
-  /// Outcome of one request; `wall_ms` is the real time that fetch took.
-  struct AgentExtentResult {
-    Status status;
-    std::vector<const Object*> objects;
-    double wall_ms = 0;
-  };
-
-  /// Issues every request's FetchExtent concurrently on `pool`,
-  /// overlapping the retry/backoff waits of distinct agents. Requests
-  /// against the same connection stay serial and in request order, so
-  /// each agent's fault schedule, jitter stream and breaker evolution
-  /// are exactly what a serial loop would produce. Results come back in
-  /// request order regardless of completion order. A null (or
-  /// single-thread) pool degrades to the serial loop.
-  static std::vector<AgentExtentResult> FetchExtentsAsync(
-      const std::vector<AgentExtentRequest>& requests, ThreadPool* pool);
 
  private:
   /// Shared tail of the evaluator builders: concept bindings, rules,

@@ -1,5 +1,7 @@
 #include "federation/query_parser.h"
 
+#include <cstdint>
+
 #include "common/lexer.h"
 #include "common/string_util.h"
 
@@ -41,9 +43,13 @@ Result<ParsedQuery> ParseQuery(const std::string& text) {
           break;
         case TokKind::kNumber:
           if (tok.text.find('.') != std::string::npos) {
-            parsed.query.Where(attr, Value::Real(std::stod(tok.text)));
+            OOINT_ASSIGN_OR_RETURN(const double real,
+                                   cursor.NumberAt<double>(tok));
+            parsed.query.Where(attr, Value::Real(real));
           } else {
-            parsed.query.Where(attr, Value::Integer(std::stoll(tok.text)));
+            OOINT_ASSIGN_OR_RETURN(const std::int64_t integer,
+                                   cursor.NumberAt<std::int64_t>(tok));
+            parsed.query.Where(attr, Value::Integer(integer));
           }
           break;
         case TokKind::kIdent:

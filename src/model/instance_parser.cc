@@ -1,5 +1,6 @@
 #include "model/instance_parser.h"
 
+#include <cstdint>
 #include <map>
 
 #include "common/lexer.h"
@@ -100,9 +101,13 @@ class Parser {
       case TokKind::kNumber: {
         cursor_.Next();
         if (tok.text.find('.') != std::string::npos) {
-          return Value::Real(std::stod(tok.text));
+          OOINT_ASSIGN_OR_RETURN(const double real,
+                                 cursor_.NumberAt<double>(tok));
+          return Value::Real(real);
         }
-        return Value::Integer(std::stoll(tok.text));
+        OOINT_ASSIGN_OR_RETURN(const std::int64_t integer,
+                               cursor_.NumberAt<std::int64_t>(tok));
+        return Value::Integer(integer);
       }
       case TokKind::kLBrace: {
         cursor_.Next();
@@ -128,23 +133,11 @@ class Parser {
           cursor_.Next();
           OOINT_RETURN_IF_ERROR(cursor_.Expect(TokKind::kLParen));
           Date date;
-          const Token& y = cursor_.Next();
-          if (y.kind != TokKind::kNumber) {
-            return cursor_.ErrorAt(y, "expected year");
-          }
-          date.year = std::stoi(y.text);
+          OOINT_ASSIGN_OR_RETURN(date.year, ParseDatePart("year"));
           OOINT_RETURN_IF_ERROR(cursor_.Expect(TokKind::kComma));
-          const Token& m = cursor_.Next();
-          if (m.kind != TokKind::kNumber) {
-            return cursor_.ErrorAt(m, "expected month");
-          }
-          date.month = std::stoi(m.text);
+          OOINT_ASSIGN_OR_RETURN(date.month, ParseDatePart("month"));
           OOINT_RETURN_IF_ERROR(cursor_.Expect(TokKind::kComma));
-          const Token& d = cursor_.Next();
-          if (d.kind != TokKind::kNumber) {
-            return cursor_.ErrorAt(d, "expected day");
-          }
-          date.day = std::stoi(d.text);
+          OOINT_ASSIGN_OR_RETURN(date.day, ParseDatePart("day"));
           OOINT_RETURN_IF_ERROR(cursor_.Expect(TokKind::kRParen));
           return Value::OfDate(date);
         }
@@ -157,6 +150,15 @@ class Parser {
       default:
         return cursor_.ErrorAt(tok, "expected a value");
     }
+  }
+
+  /// One integer component of a date(year, month, day) literal.
+  Result<int> ParseDatePart(const char* what) {
+    const Token& tok = cursor_.Next();
+    if (tok.kind != TokKind::kNumber) {
+      return cursor_.ErrorAt(tok, StrCat("expected ", what));
+    }
+    return cursor_.NumberAt<int>(tok);
   }
 
   TokenCursor cursor_;

@@ -144,8 +144,9 @@ class PostingsPool;
 /// valid across inserts for the lifetime of the store (unlike the old
 /// `const std::vector<uint32_t>*`, which a rehash or push_back could
 /// invalidate). Reads must not race a literally concurrent Append on
-/// the same store; the evaluator's phase structure (frozen store during
-/// parallel solves, serial merges) already guarantees that.
+/// the same store; the evaluator appends only from the thread running
+/// its fixpoint (or a delta batch), which callers serialize against
+/// readers.
 class PostingsCursor {
  public:
   /// Empty cursor (no hits).

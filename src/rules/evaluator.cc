@@ -14,26 +14,6 @@ namespace ooint {
 
 namespace {
 
-/// True when every variable occurring in `literal` is bound.
-bool AllVarsBound(const Literal& literal, const Bindings& bindings) {
-  std::vector<std::string> vars;
-  CollectVariables(literal, &vars);
-  for (const std::string& v : vars) {
-    if (bindings.find(v) == bindings.end()) return false;
-  }
-  return true;
-}
-
-int BoundVarCount(const Literal& literal, const Bindings& bindings) {
-  std::vector<std::string> vars;
-  CollectVariables(literal, &vars);
-  int bound = 0;
-  for (const std::string& v : vars) {
-    if (bindings.find(v) != bindings.end()) ++bound;
-  }
-  return bound;
-}
-
 /// The always-available, in-process implementation of ExtentSource.
 class DirectStoreSource : public ExtentSource {
  public:
@@ -68,6 +48,29 @@ Status DeadlineStatus(const CancelToken& token, const char* where) {
              " (", token.spent_ms(), "ms spent)"));
 }
 
+/// One extent read, timed. An expired token is a fast unwind: the
+/// fetch is not issued at all — no retries burned, no breaker movement.
+ExtentReply FetchOne(const ExtentRequest& request, const CancelToken& token) {
+  ExtentReply reply;
+  if (token.Expired()) {
+    reply.status = DeadlineStatus(token, "before extent fetch");
+    return reply;
+  }
+  reply.issued = true;
+  const auto start = std::chrono::steady_clock::now();
+  Result<std::vector<const Object*>> extent =
+      request.source->FetchExtent(request.class_name, token);
+  reply.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+  if (extent.ok()) {
+    reply.objects = std::move(extent).value();
+  } else {
+    reply.status = extent.status();
+  }
+  return reply;
+}
+
 }  // namespace
 
 std::vector<ExtentReply> FetchExtentsOverlapped(
@@ -75,24 +78,7 @@ std::vector<ExtentReply> FetchExtentsOverlapped(
     const CancelToken& token) {
   std::vector<ExtentReply> replies(requests.size());
   auto fetch_one = [&requests, &replies, &token](size_t i) {
-    if (token.Expired()) {
-      // Fast unwind: once the query is out of time, remaining fetches
-      // are not issued at all — no retries burned, no breaker movement.
-      replies[i].status = DeadlineStatus(token, "before extent fetch");
-      return;
-    }
-    replies[i].issued = true;
-    const auto start = std::chrono::steady_clock::now();
-    Result<std::vector<const Object*>> extent =
-        requests[i].source->FetchExtent(requests[i].class_name, token);
-    replies[i].wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    if (extent.ok()) {
-      replies[i].objects = std::move(extent).value();
-    } else {
-      replies[i].status = extent.status();
-    }
+    replies[i] = FetchOne(requests[i], token);
   };
   if (pool == nullptr || pool->size() < 2 || requests.size() < 2) {
     for (size_t i = 0; i < requests.size(); ++i) fetch_one(i);
@@ -251,97 +237,58 @@ Status Evaluator::LoadBaseFacts() {
   for (const Fact& seed : seed_facts_) {
     if (InsertFact(seed) != kNoFact) ++stats_.base_facts;
   }
-  const bool overlap =
-      pool_ != nullptr && pool_->size() > 1 && bindings_decl_.size() > 1;
-  if (overlap) {
-    // Concurrent fetch: all bindings issued at once, grouped per source
-    // (so each source's retry/backoff/fault stream stays serial and
-    // ordered), then merged in declaration order — the store receives
-    // base facts in exactly the serial order.
-    std::vector<ExtentRequest> requests;
-    requests.reserve(bindings_decl_.size());
-    for (const ConceptBinding& binding : bindings_decl_) {
-      requests.push_back(
-          {sources_[binding.source_index].source, binding.class_name});
-    }
+  std::vector<ExtentRequest> requests;
+  requests.reserve(bindings_decl_.size());
+  for (const ConceptBinding& binding : bindings_decl_) {
+    requests.push_back(
+        {sources_[binding.source_index].source, binding.class_name});
+  }
+  // With a pool, every extent is prefetched up front, overlapped across
+  // sources (each source's retry/backoff/fault stream stays serial and
+  // ordered). Without one, each extent is fetched in place just before
+  // it loads, so kStrict stops fetching at the first failure. Either
+  // way the replies are taken in declaration order below, and the store
+  // receives base facts in exactly that order.
+  const bool prefetch =
+      pool_ != nullptr && pool_->size() > 1 && requests.size() > 1;
+  std::vector<ExtentReply> replies;
+  if (prefetch) {
     const auto batch_start = std::chrono::steady_clock::now();
-    std::vector<ExtentReply> replies =
-        FetchExtentsOverlapped(requests, pool_.get(), token_);
+    replies = FetchExtentsOverlapped(requests, pool_.get(), token_);
     stats_.fetch_wall_ms += std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - batch_start)
                                 .count();
-    for (size_t i = 0; i < replies.size(); ++i) {
-      const ConceptBinding& binding = bindings_decl_[i];
-      const Source& source = sources_[binding.source_index];
-      if (replies[i].issued) {
-        ++stats_.extents_fetched;
-        stats_.fetch_ms_sum += replies[i].wall_ms;
-      }
-      if (!replies[i].status.ok()) {
-        // Attribution rule: a failure processed while the query's token
-        // is expired is the *query's* loss (truncation), whatever the
-        // proximate status — the clock ran out, retries stopped, and no
-        // agent should be condemned for it. Otherwise it is the agent's
-        // fault (skip).
-        if (!replies[i].issued || token_.Expired()) {
-          if (failure_policy_ == FailurePolicy::kStrict) {
-            return DeadlineStatus(token_, "during base extent loading");
-          }
-          truncated.push_back(binding.concept_name);
-          continue;
-        }
-        if (failure_policy_ == FailurePolicy::kStrict) {
-          return replies[i].status;
-        }
-        if (!degraded_.SkippedAgentNamed(source.schema_name)) {
-          degraded_.skipped.push_back({source.schema_name, replies[i].status});
-        }
-        direct.emplace(binding.concept_name, false);
-        continue;
-      }
-      for (const Object* object : replies[i].objects) {
-        if (object == nullptr) continue;
-        if (InsertFact(Fact::FromObject(binding.concept_name, *object)) !=
-            kNoFact) {
-          ++stats_.base_facts;
-        }
-      }
-    }
-    if (!direct.empty()) PropagateIncompleteness(direct);
-    if (!truncated.empty()) MarkTruncated(std::move(truncated));
-    return Status::OK();
   }
-  for (const ConceptBinding& binding : bindings_decl_) {
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const ConceptBinding& binding = bindings_decl_[i];
     const Source& source = sources_[binding.source_index];
-    if (token_.Expired()) {
-      // Out of time: the remaining extents are not fetched at all.
-      if (failure_policy_ == FailurePolicy::kStrict) {
-        return DeadlineStatus(token_, "during base extent loading");
-      }
-      truncated.push_back(binding.concept_name);
-      continue;
+    const ExtentReply reply =
+        prefetch ? std::move(replies[i]) : FetchOne(requests[i], token_);
+    if (reply.issued) {
+      ++stats_.extents_fetched;
+      if (prefetch) stats_.fetch_ms_sum += reply.wall_ms;
     }
-    ++stats_.extents_fetched;
-    Result<std::vector<const Object*>> extent =
-        source.source->FetchExtent(binding.class_name, token_);
-    if (!extent.ok()) {
-      // Same attribution rule as the overlapped path: expired token =>
-      // the query's truncation, not the agent's fault.
-      if (token_.Expired()) {
+    if (!reply.status.ok()) {
+      // Attribution rule: a failure processed while the query's token
+      // is expired (or a fetch never issued because it already was) is
+      // the *query's* loss (truncation), whatever the proximate status
+      // — the clock ran out, retries stopped, and no agent should be
+      // condemned for it. Otherwise it is the agent's fault (skip).
+      if (!reply.issued || token_.Expired()) {
         if (failure_policy_ == FailurePolicy::kStrict) {
           return DeadlineStatus(token_, "during base extent loading");
         }
         truncated.push_back(binding.concept_name);
         continue;
       }
-      if (failure_policy_ == FailurePolicy::kStrict) return extent.status();
+      if (failure_policy_ == FailurePolicy::kStrict) return reply.status;
       if (!degraded_.SkippedAgentNamed(source.schema_name)) {
-        degraded_.skipped.push_back({source.schema_name, extent.status()});
+        degraded_.skipped.push_back({source.schema_name, reply.status});
       }
       direct.emplace(binding.concept_name, false);
       continue;
     }
-    for (const Object* object : extent.value()) {
+    for (const Object* object : reply.objects) {
       if (object == nullptr) continue;
       if (InsertFact(Fact::FromObject(binding.concept_name, *object)) !=
           kNoFact) {
@@ -514,10 +461,9 @@ Status Evaluator::EvaluateImpl() {
 
   // Per-rule join plans: the positions of positive fact literals (the
   // delta-restrictable ones), with their concepts interned up front,
-  // plus the cost-based body orders. Plans are cached per (rule,
-  // stratum): the stratum boundary is where extent estimates shift
-  // most, and recomputing there keeps them fresh without per-round
-  // planner work.
+  // plus the body orders. Plans are cached per (rule, stratum): the
+  // stratum boundary is where extent estimates shift most, and
+  // recomputing there keeps them fresh without per-round planner work.
   struct RulePlan {
     const Rule* rule;
     std::vector<std::pair<size_t, ConceptId>> positive;
@@ -534,7 +480,7 @@ Status Evaluator::EvaluateImpl() {
     for (const Rule& rule : rules_) {
       const std::vector<std::string> heads = rule.HeadConceptNames();
       if (heads.empty() || strata[heads.front()] != stratum) continue;
-      RulePlan plan{&rule, {}};
+      RulePlan plan{&rule, {}, {}, {}};
       for (size_t i = 0; i < rule.body.size(); ++i) {
         const Literal& literal = rule.body[i];
         if (literal.negated) continue;
@@ -546,29 +492,18 @@ Status Evaluator::EvaluateImpl() {
               i, store_.InternConcept(literal.pred_name));
         }
       }
-      active.push_back(std::move(plan));
-    }
-
-    // Plan rule bodies serially, before any parallel round reads them.
-    // The naive oracle and kFixedSip run unplanned; the kernel switch
-    // doubles as the "historical engine" baseline toggle for benches.
-    const bool plan_bodies = strategy_ != EvalStrategy::kNaive &&
-                             use_join_kernel_ &&
-                             planner_mode_ == PlannerMode::kCostBased;
-    if (plan_bodies) {
-      // Only the first (unrestricted) round's plans are computable now;
+      // Only the first (unrestricted) round's plan is computable now;
       // delta plans wait for the seed round to populate extents (a
       // stratum's own facts are invisible at stratum start, so their
       // estimates here would all be zero).
-      for (RulePlan& plan : active) {
-        plan.first_plan = ComputePlan(*plan.rule, -1, -1);
-      }
+      plan.first_plan = ComputePlan(rule, -1, -1);
+      active.push_back(std::move(plan));
     }
 
     if (strategy_ == EvalStrategy::kNaive) {
       // Textbook fixpoint: every rule over the whole universe, strict
-      // left-to-right joins, linear scans. Kept as the differential
-      // oracle for the semi-naive path.
+      // left-to-right joins (ComputePlan's written order), linear
+      // scans. Kept as the differential oracle for the semi-naive path.
       bool changed = true;
       while (changed) {
         // Each naive iteration is one bounded unit of derivation work
@@ -583,7 +518,7 @@ Status Evaluator::EvaluateImpl() {
         for (const RulePlan& plan : active) {
           JoinContext ctx;
           ctx.rule = plan.rule;
-          ctx.reorder = false;
+          ctx.plan = &plan.first_plan;
           ctx.use_index = false;
           size_t inserted = 0;
           OOINT_RETURN_IF_ERROR(ApplyRule(matcher, ctx, &inserted));
@@ -595,19 +530,6 @@ Status Evaluator::EvaluateImpl() {
       // [prev[c], cur[c]) over c's extent ordinals; the first round of a
       // stratum seeds the delta with every fact visible so far (base
       // facts plus lower strata) and evaluates rules unrestricted.
-      //
-      // With a multi-thread pool each round splits into a parallel
-      // *solve* phase (tasks join against the frozen round-start store,
-      // ticking task-local counters) and a serial *merge* phase that
-      // inserts every task's solutions in deterministic task order. A
-      // fact the serial engine derives mid-round becomes visible one
-      // round later here; the fixpoint closes over the same monotone
-      // operator either way, so the final fact sets are identical.
-      const bool parallel = pool_ != nullptr && pool_->size() > 1;
-      // kFixedSip: strict left-to-right with indexes still on — sound
-      // for every body the left-to-right naive oracle can evaluate.
-      const bool fixed_sip = planner_mode_ == PlannerMode::kFixedSip;
-      // Serial drivers share one scratch; parallel tasks each own one.
       JoinScratch scratch;
       std::vector<std::uint32_t> prev;
       bool first = true;
@@ -636,11 +558,10 @@ Status Evaluator::EvaluateImpl() {
         if (!first && delta_total == 0) break;
         ++stats_.iterations;
 
-        // Delta plans, computed lazily at the first delta round (serial
-        // code between rounds) and cached for the rest of the stratum:
-        // by now the seed round has run, so the estimates see the real
-        // post-seed cardinalities.
-        if (plan_bodies && !first) {
+        // Delta plans, computed lazily at the first delta round and
+        // cached for the rest of the stratum: by now the seed round has
+        // run, so the estimates see the real post-seed cardinalities.
+        if (!first) {
           for (RulePlan& plan : active) {
             if (plan.positive.empty() || !plan.delta_plans.empty()) continue;
             plan.delta_plans.reserve(plan.positive.size());
@@ -651,100 +572,12 @@ Status Evaluator::EvaluateImpl() {
           }
         }
 
-        if (parallel) {
-          // Build the round's task list: one task per delta window
-          // chunk. Chunking only depends on the round-start counts and
-          // the pool size, so the task list (and the merge order) is
-          // deterministic for a given num_threads.
-          struct RoundTask {
-            const RulePlan* plan = nullptr;
-            JoinContext ctx;
-            JoinScratch scratch;
-            std::vector<Solution> solutions;
-            Stats local;
-            Status status;
-          };
-          std::vector<RoundTask> round;
-          const std::uint32_t kMinChunk = 16;
-          const std::uint32_t target_tasks =
-              static_cast<std::uint32_t>(2 * pool_->size());
-          auto chunked = [&](const RulePlan& plan, size_t literal,
-                             const BodyPlan* body_plan, std::uint32_t begin,
-                             std::uint32_t end) {
-            const std::uint32_t len = end - begin;
-            std::uint32_t chunk = (len + target_tasks - 1) / target_tasks;
-            if (chunk < kMinChunk) chunk = kMinChunk;
-            for (std::uint32_t at = begin; at < end; at += chunk) {
-              RoundTask task;
-              task.plan = &plan;
-              task.ctx.rule = plan.rule;
-              task.ctx.plan = body_plan;
-              if (fixed_sip) task.ctx.reorder = false;
-              task.ctx.delta_literal = static_cast<int>(literal);
-              task.ctx.delta_begin = at;
-              task.ctx.delta_end = std::min(end, at + chunk);
-              round.push_back(std::move(task));
-            }
-          };
-          for (const RulePlan& plan : active) {
-            if (first) {
-              if (plan.positive.empty()) {
-                RoundTask task;
-                task.plan = &plan;
-                task.ctx.rule = plan.rule;
-                if (plan_bodies) task.ctx.plan = &plan.first_plan;
-                if (fixed_sip) task.ctx.reorder = false;
-                round.push_back(std::move(task));
-                continue;
-              }
-              // The first round is unrestricted; chunk over the first
-              // positive literal's whole extent instead of a delta. An
-              // empty extent means the rule cannot fire at all.
-              const auto& [index, concept_id] = plan.positive.front();
-              chunked(plan, index, plan_bodies ? &plan.first_plan : nullptr,
-                      0, cur[concept_id]);
-              continue;
-            }
-            for (size_t k = 0; k < plan.positive.size(); ++k) {
-              const auto& [index, concept_id] = plan.positive[k];
-              if (prev[concept_id] >= cur[concept_id]) continue;
-              chunked(plan, index,
-                      plan_bodies ? &plan.delta_plans[k] : nullptr,
-                      prev[concept_id], cur[concept_id]);
-            }
-          }
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(round.size());
-          // Pointer wiring only after `round` stops growing: stats and
-          // scratch live inside the vector's elements.
-          for (RoundTask& task : round) {
-            task.ctx.stats = &task.local;
-            task.ctx.scratch = &task.scratch;
-            tasks.emplace_back([this, &matcher, &task] {
-              task.status = SolveRule(matcher, task.ctx, &task.solutions);
-            });
-          }
-          pool_->RunAll(std::move(tasks));
-          for (RoundTask& task : round) {
-            OOINT_RETURN_IF_ERROR(task.status);
-            ++stats_.rule_applications;
-            stats_.AddJoinCounters(task.local);
-            size_t inserted = 0;
-            OOINT_RETURN_IF_ERROR(InsertSolutions(*task.plan->rule, matcher,
-                                                  task.solutions, &inserted));
-          }
-          prev = std::move(cur);
-          first = false;
-          continue;
-        }
-
         for (const RulePlan& plan : active) {
           if (first) {
             JoinContext ctx;
             ctx.rule = plan.rule;
+            ctx.plan = &plan.first_plan;
             ctx.scratch = &scratch;
-            if (plan_bodies) ctx.plan = &plan.first_plan;
-            if (fixed_sip) ctx.reorder = false;
             size_t inserted = 0;
             OOINT_RETURN_IF_ERROR(ApplyRule(matcher, ctx, &inserted));
             continue;
@@ -760,9 +593,8 @@ Status Evaluator::EvaluateImpl() {
             if (begin >= end) continue;
             JoinContext ctx;
             ctx.rule = plan.rule;
+            ctx.plan = &plan.delta_plans[k];
             ctx.scratch = &scratch;
-            if (plan_bodies) ctx.plan = &plan.delta_plans[k];
-            if (fixed_sip) ctx.reorder = false;
             ctx.delta_literal = static_cast<int>(index);
             ctx.delta_begin = begin;
             ctx.delta_end = end;
@@ -801,11 +633,17 @@ std::vector<const Fact*> Evaluator::FactsOf(
 }
 
 BodyPlan Evaluator::ComputePlan(const Rule& rule, int delta_literal,
-                                int pivot_literal) const {
+                                int pivot_literal,
+                                std::set<std::string> initial_bound) const {
   PlannerInput in;
   in.rule = &rule;
+  if (strategy_ == EvalStrategy::kNaive ||
+      planner_mode_ == PlannerMode::kFixedSip) {
+    return PlanBody(in, PlannerMode::kFixedSip);
+  }
   in.delta_literal = delta_literal;
   in.pivot_literal = pivot_literal;
+  in.initial_bound = std::move(initial_bound);
   in.extent_cost.assign(rule.body.size(), -1.0);
   for (size_t i = 0; i < rule.body.size(); ++i) {
     const Literal& literal = rule.body[i];
@@ -824,7 +662,7 @@ BodyPlan Evaluator::ComputePlan(const Rule& rule, int delta_literal,
   }
   BodyPlan plan = PlanBody(in, PlannerMode::kCostBased);
   // stats_ is written directly: plans are only computed in serial
-  // sections (stratum starts, query/demand setup).
+  // sections (stratum starts, the incremental driver).
   if (plan.reordered) ++stats_.plan_reorders;
   return plan;
 }
@@ -837,8 +675,8 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
   const std::string& name = literal.kind == Literal::Kind::kOTerm
                                 ? literal.oterm.class_name
                                 : literal.pred_name;
-  // Counter sink: task-local under parallel solve / concurrent Query,
-  // the evaluator's own (mutable) stats otherwise.
+  // Counter sink: query-local under concurrent Query, the evaluator's
+  // own (mutable) stats otherwise.
   Stats& counters = ctx.stats != nullptr ? *ctx.stats : stats_;
   *concept_id = store_.FindConcept(name);
   if (*concept_id == kNoConcept) return;
@@ -867,9 +705,6 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
   std::vector<PostingsCursor>& cursors = scratch.cursors;
   cursors.clear();
   size_t best_index = 0;
-
-  bool have_best = false;
-  PostingsCursor best;
   if (ctx.use_index) {
     // OID probes are exact only without a data-mapping registry (mapped
     // OIDs compare equal without being bytewise equal); value probes are
@@ -882,17 +717,13 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
     };
     auto consider = [&](const std::string& attr, const Value& v) {
       if (!probeable(v)) return;
-      // An empty cursor on a bound position is an empty join (the old
-      // "no hash bucket" outcome); otherwise the smallest posting list
-      // seeds the candidates, first-considered on ties — and with the
-      // kernels on, every other probeable cursor is intersected in.
-      PostingsCursor hits = store_.Probe(*concept_id, attr, v);
+      // An empty cursor on a bound position is an empty join; otherwise
+      // the smallest posting list seeds the candidates, first-considered
+      // on ties, and every other probeable cursor is intersected in.
+      cursors.push_back(store_.Probe(*concept_id, attr, v));
       ++counters.index_probes;
-      if (use_join_kernel_) cursors.push_back(hits);
-      if (!have_best || hits.count() < best.count()) {
-        have_best = true;
-        best = hits;
-        best_index = cursors.empty() ? 0 : cursors.size() - 1;
+      if (cursors.back().count() < cursors[best_index].count()) {
+        best_index = cursors.size() - 1;
       }
     };
     if (literal.kind == Literal::Kind::kOTerm) {
@@ -932,26 +763,15 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
     }
   }
 
-  if (have_best) {
-    if (!use_join_kernel_) {
-      // Historical probe loop: decode only the smallest cursor,
-      // tuple-at-a-time; the matcher re-checks every other bound pair.
-      std::uint32_t ordinal = 0;
-      while (best.Next(&ordinal)) {
-        ++counters.cursor_steps;
-        if (ordinal >= end) break;
-        if (ordinal >= begin) candidates->push_back(ordinal);
-      }
-      return;
-    }
-    // Kernel path: bulk-decode the smallest cursor's window, then
-    // intersect every other probeable cursor in. Each intersection
-    // removes only ordinals the matcher would reject anyway (a posting
-    // list contains every true match for its (attr, value) key; hash
-    // collisions are re-verified downstream), and it preserves order
-    // and duplicates, so the surviving candidate sequence — and hence
-    // the derived fact stream — is identical to the probe loop's.
-    counters.cursor_steps += DecodeWindow(best, begin, end, candidates);
+  if (!cursors.empty()) {
+    // Bulk-decode the smallest cursor's window, then intersect every
+    // other probeable cursor in. Each intersection removes only
+    // ordinals the matcher would reject anyway (a posting list contains
+    // every true match for its (attr, value) key; hash collisions are
+    // re-verified downstream), and it preserves order and duplicates, so
+    // the derived fact stream is the one a per-candidate check yields.
+    counters.cursor_steps +=
+        DecodeWindow(cursors[best_index], begin, end, candidates);
     if (cursors.size() > 1 && !candidates->empty()) {
       JoinKernelStats ks;
       for (size_t i = 0; i < cursors.size(); ++i) {
@@ -976,82 +796,19 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
 }
 
 Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
-                            std::vector<char>* done, size_t remaining,
-                            Solution solution,
+                            size_t depth, Solution solution,
                             std::vector<Solution>* solutions) const {
-  if (remaining == 0) {
+  const std::vector<Literal>& body = ctx.rule->body;
+  if (depth == body.size()) {
     solutions->push_back(std::move(solution));
     return Status::OK();
   }
-  const std::vector<Literal>& body = ctx.rule->body;
-  const size_t depth = body.size() - remaining;
-
-  // Pick the next literal. A precomputed plan replays the choice with
-  // zero per-row work (a successful match binds every variable of its
-  // literal, so the bound sets — and thus the dynamic heuristic below —
-  // are a static function of the consumed prefix). Otherwise the naive
-  // oracle keeps the written order, or the historical dynamic pick
-  // runs: (1) an already-decidable filter (a comparison with both
-  // sides bound, an equality able to bind its one unbound side, or a
-  // fully bound negated literal) runs immediately, (2) among positive
-  // fact literals the one with the most bound variables wins (the delta
-  // literal breaks ties — its window is the smallest extent), (3) any
-  // leftover keeps the old left-to-right semantics.
-  size_t pick = body.size();
-  if (ctx.plan != nullptr && ctx.plan->order.size() == body.size()) {
-    pick = ctx.plan->order[depth];
-  } else if (!ctx.reorder) {
-    for (size_t i = 0; i < body.size(); ++i) {
-      if (!(*done)[i]) {
-        pick = i;
-        break;
-      }
-    }
-  } else {
-    for (size_t i = 0; i < body.size() && pick == body.size(); ++i) {
-      if ((*done)[i]) continue;
-      const Literal& literal = body[i];
-      if (literal.kind == Literal::Kind::kCompare) {
-        Value tmp;
-        const bool lhs_ok = ResolveArg(literal.cmp_lhs, solution.bindings, &tmp);
-        const bool rhs_ok = ResolveArg(literal.cmp_rhs, solution.bindings, &tmp);
-        if ((lhs_ok && rhs_ok) ||
-            (literal.cmp_op == CompareOp::kEq && !literal.negated &&
-             (lhs_ok || rhs_ok))) {
-          pick = i;
-        }
-      } else if (literal.negated) {
-        if (AllVarsBound(literal, solution.bindings)) pick = i;
-      }
-    }
-    if (pick == body.size()) {
-      int best_score = -1;
-      for (size_t i = 0; i < body.size(); ++i) {
-        if ((*done)[i]) continue;
-        const Literal& literal = body[i];
-        if (literal.kind == Literal::Kind::kCompare || literal.negated) {
-          continue;
-        }
-        int score = 2 * BoundVarCount(literal, solution.bindings);
-        if (static_cast<int>(i) == ctx.delta_literal) ++score;
-        if (score > best_score) {
-          best_score = score;
-          pick = i;
-        }
-      }
-    }
-    if (pick == body.size()) {
-      for (size_t i = 0; i < body.size(); ++i) {
-        if (!(*done)[i]) {
-          pick = i;
-          break;
-        }
-      }
-    }
-  }
-
+  // The plan fixes the literal of every depth: a successful match binds
+  // every variable of its literal, so which variables are bound is a
+  // static function of the consumed prefix, and the planner's symbolic
+  // replay chose the order with zero per-row work.
+  const size_t pick = ctx.plan->order[depth];
   const Literal& literal = body[pick];
-  (*done)[pick] = 1;
   // Candidate buffer: the scratch pool's depth slot when the driver
   // wired one (reused across every solution row at this depth; the pool
   // is pre-sized so the reference survives deeper frames), else a local
@@ -1066,8 +823,7 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
     return local_candidates;
   };
   auto recurse = [&](Solution next) {
-    return SolveBody(matcher, ctx, done, remaining - 1, std::move(next),
-                     solutions);
+    return SolveBody(matcher, ctx, depth + 1, std::move(next), solutions);
   };
   // Incremental world filter: whether this position may see the fact.
   auto admitted = [&](ConceptId concept_id, std::uint32_t ordinal) {
@@ -1209,7 +965,6 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
       break;
     }
   }
-  (*done)[pick] = 0;
   return status;
 }
 
@@ -1229,9 +984,7 @@ Status Evaluator::SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
   if (ctx.scratch != nullptr) ctx.scratch->EnsureDepths(rule.body.size());
   Solution init;
   init.matched.assign(rule.body.size(), FactView());
-  std::vector<char> done(rule.body.size(), 0);
-  return SolveBody(matcher, ctx, &done, rule.body.size(), std::move(init),
-                   solutions);
+  return SolveBody(matcher, ctx, 0, std::move(init), solutions);
 }
 
 Result<Evaluator::HeadFact> Evaluator::BuildHeadFact(
@@ -1536,10 +1289,9 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   sub->strategy_ = strategy_;
   sub->failure_policy_ = failure_policy_;
   sub->planner_mode_ = planner_mode_;  // demand joins plan like the parent
-  sub->use_join_kernel_ = use_join_kernel_;
   sub->mappings_ = mappings_;
   sub->token_ = token;  // the query's deadline bounds the sub-fixpoint
-  sub->pool_ = pool_;  // demand fixpoints parallelize like the parent
+  sub->pool_ = pool_;  // demand fetches overlap like the parent's
   for (const Source& source : sources_) {
     sub->AddBorrowedSource(source.schema_name, source.source);
   }

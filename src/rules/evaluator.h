@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -173,9 +174,9 @@ struct DegradedInfo {
 ///
 /// The fixpoint is semi-naive: per-concept_id delta windows track the facts
 /// each round added, and every rule application constrains one positive
-/// body literal to the delta while the join order is chosen bound-first
-/// against the FactStore's (concept_id, attribute, value) and OID hash
-/// indexes (see DESIGN.md "Evaluation strategy").
+/// body literal to the delta while replaying a precomputed body plan
+/// (rules/planner.h) against the FactStore's (concept_id, attribute,
+/// value) and OID indexes (see DESIGN.md "Evaluation strategy").
 ///
 /// Equality between two OID values consults the DataMappingRegistry when
 /// one is configured — the paper's "oi1 = oi2 (in terms of data
@@ -225,14 +226,12 @@ class Evaluator {
   EvalStrategy strategy() const { return strategy_; }
 
   /// Shares a worker pool with the evaluator. With a pool of two or
-  /// more threads, Evaluate() overlaps extent fetches across distinct
-  /// sources and runs each semi-naive round's rule applications in
-  /// parallel (solve phases read a frozen store snapshot; all insertion
-  /// happens in a serial, deterministically ordered merge — see
-  /// DESIGN.md "Parallel execution model"). Derived fact sets are
-  /// identical to the serial engine's. A null or single-thread pool is
-  /// today's serial behaviour; the kNaive oracle always runs serially.
-  /// EvaluateDemand's sub-evaluators inherit the pool.
+  /// more threads, Evaluate() prefetches every extent up front,
+  /// overlapping the fetches of distinct sources (see DESIGN.md
+  /// "Parallel execution model"); the fixpoint itself always runs on
+  /// the calling thread, so facts and Stats counters are the serial
+  /// engine's. A null or single-thread pool fetches each extent in
+  /// place. EvaluateDemand's sub-evaluators inherit the pool.
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) {
     pool_ = std::move(pool);
   }
@@ -250,12 +249,6 @@ class Evaluator {
   /// conformance family-12 foil. Demand sub-evaluators inherit it.
   void set_planner_mode(PlannerMode mode) { planner_mode_ = mode; }
   PlannerMode planner_mode() const { return planner_mode_; }
-
-  /// Toggles the batch join kernels (rules/join_kernel.h). Off, literal
-  /// expansion falls back to the historical per-fact probe loop — the
-  /// bench_join baseline. Derived fact sets are identical either way.
-  void set_join_kernel_enabled(bool enabled) { use_join_kernel_ = enabled; }
-  bool join_kernel_enabled() const { return use_join_kernel_; }
 
   /// End-to-end deadline / cancellation for the next Evaluate(). The
   /// token is checked before every extent fetch and at every fixpoint
@@ -332,14 +325,14 @@ class Evaluator {
     /// Extent reads actually issued against sources (one per bound
     /// concept that was not relevance-pruned).
     size_t extents_fetched = 0;
-    /// Overlapped-fetch accounting (zero on the serial path): the sum
-    /// of per-request wall times vs. the wall time of the whole batch.
+    /// Overlapped-fetch accounting (zero when extents are fetched in
+    /// place): the sum of per-request wall times vs. the wall time of
+    /// the whole prefetch batch.
     /// Their difference is the latency the overlap hid.
     double fetch_ms_sum = 0;
     double fetch_wall_ms = 0;
 
-    /// Accumulates another Stats' join counters (task-local and
-    /// query-local merges).
+    /// Accumulates another Stats' join counters (query-local merges).
     void AddJoinCounters(const Stats& other) {
       index_probes += other.index_probes;
       index_scans += other.index_scans;
@@ -452,29 +445,27 @@ class Evaluator {
     FactId pivot_fact = kNoFact;
   };
 
-  /// Per-ApplyRule join context: which body literal (if any) is
-  /// restricted to the delta window of its concept_id, and whether the
-  /// naive oracle semantics (left-to-right, scan-only) are requested.
+  /// Per-ApplyRule join context: the body order to replay, which body
+  /// literal (if any) is restricted to the delta window of its
+  /// concept_id, and whether the naive oracle's scan-only semantics are
+  /// requested.
   struct JoinContext {
     const Rule* rule = nullptr;
+    /// The body order (rules/planner.h; see ComputePlan). Required by
+    /// SolveBody, which consumes literal plan->order[d] at depth d.
+    const BodyPlan* plan = nullptr;
     int delta_literal = -1;
     std::uint32_t delta_begin = 0;
     std::uint32_t delta_end = 0;
-    bool reorder = true;
     bool use_index = true;
     /// Where probe/scan counters tick. Null means the evaluator's own
-    /// stats_; parallel solve tasks and concurrent queries point this
-    /// at a task-local Stats merged after the barrier, so const join
-    /// code never writes shared state from worker threads.
+    /// stats_; concurrent queries point this at a query-local Stats
+    /// merged under a lock, so const join code never writes shared
+    /// state from several threads, and the incremental engine at its
+    /// own sink.
     Stats* stats = nullptr;
     /// Incremental world/pivot hooks; null for the classic fixpoint.
     const IncrementalHooks* inc = nullptr;
-    /// Precomputed body order (rules/planner.h), replayed instead of
-    /// the per-row dynamic pick. Null falls back to the dynamic
-    /// heuristic (and `reorder`/`use_index` keep their old meaning).
-    /// Plans are computed in serial sections (stratum start) and read
-    /// concurrently by solve tasks.
-    const BodyPlan* plan = nullptr;
     /// Reusable candidate/run buffers (rules/join_kernel.h); one per
     /// driver, never shared across threads. Null means per-call local
     /// buffers (cold paths).
@@ -494,9 +485,8 @@ class Evaluator {
                    size_t* inserted);
 
   /// The read-only half of ApplyRule: solves the body against the
-  /// current store without inserting anything. Safe to run from several
-  /// threads at once provided the store is not mutated concurrently
-  /// (ctx.stats must then point at a task-local Stats).
+  /// current store without inserting anything (the incremental engine
+  /// counts solutions instead of inserting them).
   Status SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
                    std::vector<Solution>* solutions) const;
 
@@ -520,27 +510,27 @@ class Evaluator {
                                         const Solution& solution);
 
   /// The write half: instantiates `rule`'s head for every solution and
-  /// inserts the new facts (skolem de-duplication included). Serial
-  /// only — the parallel fixpoint calls this in the barrier's merge
-  /// phase, in deterministic task order.
+  /// inserts the new facts (skolem de-duplication included).
   Status InsertSolutions(const Rule& rule, const FactMatcher& matcher,
                          const std::vector<Solution>& solutions,
                          size_t* inserted);
 
-  /// Solves the remaining body literals (done[i] marks consumed ones),
-  /// choosing the next literal bound-first (see DESIGN.md).
+  /// Solves the body literals ctx.plan orders at depths `depth` and
+  /// deeper, extending `solution`.
   Status SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
-                   std::vector<char>* done, size_t remaining,
-                   Solution solution, std::vector<Solution>* solutions) const;
+                   size_t depth, Solution solution,
+                   std::vector<Solution>* solutions) const;
 
   /// Computes the body plan for one (rule, delta literal, pivot
-  /// literal) from the store's current extent counts, with magic-guard
-  /// concepts treated as high-selectivity seeds. Ticks
-  /// stats_.plan_reorders when estimates overrode the SIP. Called from
-  /// serial sections only (stratum starts, the incremental driver);
-  /// the returned plan is then read concurrently by solve tasks.
-  BodyPlan ComputePlan(const Rule& rule, int delta_literal,
-                       int pivot_literal) const;
+  /// literal), with `initial_bound` the variables a seeded solve binds
+  /// before the body runs. Under kCostBased the plan is costed from the
+  /// store's current extent counts, magic-guard concepts treated as
+  /// high-selectivity seeds, and stats_.plan_reorders ticks when
+  /// estimates overrode the SIP; kFixedSip and the kNaive oracle get
+  /// the written order. Called from serial sections only (stratum
+  /// starts, the incremental driver).
+  BodyPlan ComputePlan(const Rule& rule, int delta_literal, int pivot_literal,
+                       std::set<std::string> initial_bound = {}) const;
 
   /// Candidate facts for a positive or negated fact literal: an index
   /// probe when some argument/descriptor is bound to a hashable value,
@@ -569,7 +559,6 @@ class Evaluator {
   EvalStrategy strategy_ = EvalStrategy::kSemiNaive;
   FailurePolicy failure_policy_ = FailurePolicy::kStrict;
   PlannerMode planner_mode_ = PlannerMode::kCostBased;
-  bool use_join_kernel_ = true;
   /// Per-query deadline/cancellation (never expires by default).
   CancelToken token_;
   DegradedInfo degraded_;
@@ -595,8 +584,8 @@ class Evaluator {
   /// return evaluators by value).
   mutable std::unique_ptr<std::mutex> stats_mu_ =
       std::make_unique<std::mutex>();
-  /// Optional worker pool (see set_thread_pool); shared with demand
-  /// sub-evaluators.
+  /// Optional extent-prefetch pool (see set_thread_pool); shared with
+  /// demand sub-evaluators.
   std::shared_ptr<ThreadPool> pool_;
 };
 

@@ -1,7 +1,6 @@
 #include "rules/incremental.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/string_util.h"
@@ -387,11 +386,9 @@ Status IncrementalEvaluator::DeletePhase(
             }
           }
           if (flips.empty()) continue;
-          Rule mod = *plan.rule;
-          mod.body[m].negated = false;
           for (FactId g : flips) {
             std::vector<Evaluator::Solution> sols;
-            OOINT_RETURN_IF_ERROR(SolvePivot(mod, m, g, 1,
+            OOINT_RETURN_IF_ERROR(SolvePivot(*plan.rule, m, g, 1,
                                              PivotMode::kFlipDown,
                                              *death_round, &sols));
             for (Evaluator::Solution& sol : sols) {
@@ -624,11 +621,9 @@ Status IncrementalEvaluator::InsertPhase(int stratum,
             }
           }
           if (flips.empty()) continue;
-          Rule mod = *plan.rule;
-          mod.body[m].negated = false;
           for (FactId g : flips) {
             std::vector<Evaluator::Solution> sols;
-            OOINT_RETURN_IF_ERROR(SolvePivot(mod, m, g, r,
+            OOINT_RETURN_IF_ERROR(SolvePivot(*plan.rule, m, g, r,
                                              PivotMode::kFlipUp, birth_round,
                                              &sols));
             for (Evaluator::Solution& sol : sols) {
@@ -736,31 +731,31 @@ Status IncrementalEvaluator::SolvePivot(
     const Rule& rule, size_t pos, FactId pivot, std::uint32_t round,
     PivotMode mode, const std::map<FactId, std::uint32_t>& round_of,
     std::vector<Evaluator::Solution>* solutions) {
+  // Pivot joins replay a plan cached per (rule, pos) for the batch: the
+  // pivot position is a single fact (selectivity 1), so the cost-based
+  // planner anchors the join there and orders the rest by estimated
+  // cost. A negated `pos` is a negation flip, solved as the rule with
+  // that literal made positive; the entry owns that rewritten rule, so
+  // the key is always a rule of the program itself.
+  const bool flip = rule.body[pos].negated;
+  const auto key = std::make_pair(&rule, pos);
+  auto it = plan_cache_.find(key);
+  if (it == plan_cache_.end()) {
+    PivotPlan entry;
+    if (flip) {
+      entry.flipped = rule;
+      entry.flipped.body[pos].negated = false;
+    }
+    entry.plan = ev_->ComputePlan(flip ? entry.flipped : rule,
+                                  static_cast<int>(pos),
+                                  static_cast<int>(pos));
+    it = plan_cache_.emplace(key, std::move(entry)).first;
+  }
   Evaluator::JoinContext ctx;
-  ctx.rule = &rule;
-  // The pivot branch in CollectCandidates overrides the delta window;
-  // setting delta_literal only steers the join-order heuristic toward
-  // the (single-fact) pivot position.
-  ctx.delta_literal = static_cast<int>(pos);
-  ctx.delta_begin = 0;
-  ctx.delta_end = std::numeric_limits<std::uint32_t>::max();
+  ctx.rule = flip ? &it->second.flipped : &rule;
+  ctx.plan = &it->second.plan;
   ctx.stats = &scratch_stats_;
   ctx.scratch = &join_scratch_;
-  // Pivot joins replay a cached cost-based plan: the pivot position is
-  // a single fact (selectivity 1), so the planner anchors the join
-  // there and orders the rest by estimated cost.
-  if (ev_->use_join_kernel_ &&
-      ev_->planner_mode_ == PlannerMode::kCostBased) {
-    const auto key = std::make_pair(&rule, pos);
-    auto it = plan_cache_.find(key);
-    if (it == plan_cache_.end()) {
-      it = plan_cache_
-               .emplace(key, ev_->ComputePlan(rule, static_cast<int>(pos),
-                                              static_cast<int>(pos)))
-               .first;
-    }
-    ctx.plan = &it->second;
-  }
   Evaluator::IncrementalHooks hooks;
   hooks.pivot_literal = static_cast<int>(pos);
   hooks.pivot_fact = pivot;
@@ -845,12 +840,15 @@ Status IncrementalEvaluator::SolveSeeded(
     const Rule& rule, const Bindings& seed,
     const std::function<bool(size_t, FactId)>& admit,
     std::vector<Evaluator::Solution>* solutions) {
+  // The seed binds its variables before the body runs; the planner
+  // counts them as bound from the start.
+  std::set<std::string> bound;
+  for (const auto& [var, value] : seed) bound.insert(var);
+  const BodyPlan plan = ev_->ComputePlan(rule, -1, -1, std::move(bound));
   Evaluator::JoinContext ctx;
   ctx.rule = &rule;
+  ctx.plan = &plan;
   ctx.stats = &scratch_stats_;
-  // Kernel scratch only — no plan: the seed binds variables the static
-  // planner cannot see, so the dynamic per-row pick (which reads the
-  // actual bindings) stays in charge here.
   ctx.scratch = &join_scratch_;
   join_scratch_.EnsureDepths(rule.body.size());
   Evaluator::IncrementalHooks hooks;
@@ -860,9 +858,7 @@ Status IncrementalEvaluator::SolveSeeded(
   Evaluator::Solution init;
   init.bindings = seed;
   init.matched.assign(rule.body.size(), FactView());
-  std::vector<char> done(rule.body.size(), 0);
-  return ev_->SolveBody(matcher, ctx, &done, rule.body.size(),
-                        std::move(init), solutions);
+  return ev_->SolveBody(matcher, ctx, 0, std::move(init), solutions);
 }
 
 void IncrementalEvaluator::MatchingFacts(

@@ -210,7 +210,9 @@ class IncrementalEvaluator {
 
   /// Solves `rule` with body position `pos` pinned to `pivot` under the
   /// worlds `mode` prescribes; `round_of` carries the round structure
-  /// (death rounds when deleting, birth rounds when inserting).
+  /// (death rounds when deleting, birth rounds when inserting). A
+  /// negated `pos` is a negation flip: the literal is solved positively,
+  /// pinned to the flipped fact.
   Status SolvePivot(const Rule& rule, size_t pos, FactId pivot,
                     std::uint32_t round, PivotMode mode,
                     const std::map<FactId, std::uint32_t>& round_of,
@@ -303,11 +305,16 @@ class IncrementalEvaluator {
   mutable Evaluator::Stats scratch_stats_;
   /// Join-kernel scratch for the engine's serial pivot/seeded joins.
   mutable JoinScratch join_scratch_;
-  /// Pivot-join plan cache, keyed by (rule address, pivot position).
-  /// Invalidated wholesale on rule deltas (AddRule/RemoveRule change
-  /// the program) and on batch boundaries where extents moved enough
-  /// to matter — cheap to rebuild, so Apply simply clears it.
-  mutable std::map<std::pair<const Rule*, size_t>, BodyPlan> plan_cache_;
+  /// One pivot join's setup: its body plan and, for a negation flip,
+  /// the rule with the pivot literal made positive.
+  struct PivotPlan {
+    Rule flipped;
+    BodyPlan plan;
+  };
+  /// Pivot-join plans keyed by (program rule address, pivot position).
+  /// Cleared at every batch boundary, where extents may have moved —
+  /// cheap to rebuild on first use.
+  std::map<std::pair<const Rule*, size_t>, PivotPlan> plan_cache_;
 
   static std::atomic<bool> decrement_bug_;
 };

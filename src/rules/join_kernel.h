@@ -23,8 +23,8 @@ struct JoinKernelStats {
   size_t cursor_steps = 0;
 };
 
-/// Reusable join scratch: one per fixpoint driver (serial evaluator,
-/// parallel round task, incremental engine, query). Holds the
+/// Reusable join scratch: one per fixpoint driver (evaluator,
+/// incremental engine, query). Holds the
 /// per-recursion-depth candidate vectors SolveBody materializes into —
 /// so a rule with a k-literal body costs k vector allocations per
 /// *driver*, not per solution row — plus the run buffers the kernels

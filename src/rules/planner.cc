@@ -29,8 +29,8 @@ bool AllBound(const Literal& literal, const std::set<std::string>& bound) {
   return true;
 }
 
-/// Bound variable *occurrences*, duplicates included — exactly what the
-/// historical per-row BoundVarCount counted.
+/// Bound variable *occurrences*, duplicates included — the SIP score's
+/// unit.
 int BoundCount(const Literal& literal, const std::set<std::string>& bound) {
   std::vector<std::string> vars;
   CollectVariables(literal, &vars);

@@ -25,9 +25,8 @@ enum class PlannerMode {
 };
 
 /// A precomputed body evaluation order: order[d] is the body literal
-/// consumed at recursion depth d. Replayed by SolveBody instead of the
-/// per-row dynamic pick, which re-collected every remaining literal's
-/// variable set (a vector of strings) for every solution row.
+/// consumed at recursion depth d. SolveBody replays it for every body
+/// it solves, so no per-row work goes into choosing literals.
 struct BodyPlan {
   std::vector<std::uint32_t> order;
   /// True when cost estimates overrode the connectivity SIP for at

@@ -171,6 +171,23 @@ TEST(ParserTest, RejectsMalformedInput) {
                    .ok());
 }
 
+TEST(ParserTest, OutOfRangeNumbersAreParseErrors) {
+  // Literals past int64 / double range are positioned parse errors, not
+  // exceptions escaping the parser.
+  const std::string huge_real = std::string(400, '9') + ".5";
+  for (const std::string& literal : {std::string("99999999999999999999"),
+                                     std::string("-99999999999999999999"),
+                                     huge_real}) {
+    const Status s = AssertionParser::ParseOne(
+                         "assert S1.a -> S2.b {\n  attr: S1.a.x <= S2.b.y "
+                         "with S2.b.n > " + literal + ";\n}")
+                         .status();
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+    EXPECT_NE(s.message().find("line 2, column 40"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST(ParserTest, ValueCorrespondenceSchemaMustMatchASide) {
   EXPECT_FALSE(AssertionParser::ParseOne(R"(
 assert S1.parent -> S2.uncle {

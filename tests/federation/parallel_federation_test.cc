@@ -2,7 +2,7 @@
 // change wall-clock behaviour only — answers, degradation records and
 // per-agent fault consumption stay exactly what the serial runtime
 // produces, including under scripted fault schedules. Also covers
-// Fsm::FetchExtentsAsync's ordering contract, concurrent FsmClient
+// FetchExtentsOverlapped's ordering contract, concurrent FsmClient
 // queries, and the Explain() parallelism annotations.
 
 #include <algorithm>
@@ -160,7 +160,7 @@ TEST_F(ParallelFederationTest, TransientFaultScheduleConsumedIdentically) {
   }
 }
 
-TEST_F(ParallelFederationTest, FetchExtentsAsyncPreservesRequestOrder) {
+TEST_F(ParallelFederationTest, FetchExtentsOverlappedPreservesRequestOrder) {
   const InstanceStore& s1 = fsm_.agents()[0]->store();
   const InstanceStore& s2 = fsm_.agents()[1]->store();
   AgentConnection c1("S1", &s1);
@@ -168,12 +168,12 @@ TEST_F(ParallelFederationTest, FetchExtentsAsyncPreservesRequestOrder) {
   ThreadPool pool(4);
 
   // Interleaved requests against both agents, including a repeat.
-  const std::vector<Fsm::AgentExtentRequest> requests = {
+  const std::vector<ExtentRequest> requests = {
       {&c1, "parent"}, {&c2, "uncle"}, {&c1, "brother"}, {&c1, "parent"}};
-  const std::vector<Fsm::AgentExtentResult> overlapped =
-      Fsm::FetchExtentsAsync(requests, &pool);
-  const std::vector<Fsm::AgentExtentResult> serial =
-      Fsm::FetchExtentsAsync(requests, nullptr);
+  const std::vector<ExtentReply> overlapped =
+      FetchExtentsOverlapped(requests, &pool);
+  const std::vector<ExtentReply> serial =
+      FetchExtentsOverlapped(requests, nullptr);
 
   ASSERT_EQ(overlapped.size(), requests.size());
   ASSERT_EQ(serial.size(), requests.size());

@@ -49,6 +49,18 @@ TEST(QueryParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery("?- S1.parent() extra").ok()); // trailing
 }
 
+TEST(QueryParserTest, OutOfRangeNumbersAreParseErrors) {
+  const std::string huge_real = std::string(400, '9') + ".5";
+  for (const std::string& literal :
+       {std::string("99999999999999999999"), huge_real}) {
+    const Status s =
+        ParseQuery("?- S2.uncle(Ussn#: " + literal + ", name: n)").status();
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+    EXPECT_NE(s.message().find("line 1, column 20"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST(QueryParserTest, EndToEndAgainstTheFederation) {
   Fixture fixture = ValueOrDie(MakeGenealogyFixture());
   std::unique_ptr<FsmAgent> a1 = ValueOrDie(

@@ -73,6 +73,30 @@ insert x { b: true; i: -7; r: 2.5; d: date(1999, 4, 1); }
   EXPECT_EQ(object->Get("d"), Value::OfDate({1999, 4, 1}));
 }
 
+TEST(InstanceParserTest, OutOfRangeNumbersAreParseErrors) {
+  Schema schema("S1");
+  ClassDef c("x");
+  c.AddAttribute("i", ValueKind::kInteger)
+      .AddAttribute("r", ValueKind::kReal)
+      .AddAttribute("d", ValueKind::kDate);
+  ASSERT_OK(schema.AddClass(std::move(c)).status());
+  ASSERT_OK(schema.Finalize());
+  const std::string huge_real = std::string(400, '9') + ".5";
+  for (const std::string& member :
+       {std::string("i: 99999999999999999999;"), "r: " + huge_real + ";",
+        std::string("d: date(99999999999, 1, 1);")}) {
+    InstanceStore store(&schema);
+    const Status s =
+        InstanceParser::Load("insert x {\n  " + member + "\n}", &store)
+            .status();
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+    EXPECT_NE(s.message().find("line 2, column"), std::string::npos)
+        << s.ToString();
+    EXPECT_NE(s.message().find("out of range"), std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST(InstanceParserTest, RejectsUnknownClassesAndMembers) {
   Fixture fixture = ValueOrDie(MakeGenealogyFixture());
   InstanceStore store(&fixture.s1);

@@ -38,6 +38,12 @@ Fact Pred1(const std::string& name, int x) {
   return f;
 }
 
+Fact Pred2(const std::string& name, int x, int y) {
+  Fact f = Pred1(name, x);
+  f.attrs["1"] = Value::Integer(y);
+  return f;
+}
+
 // path(x, y) <= edge(x, y).
 // path(x, z) <= edge(x, y), path(y, z)   — linear recursion.
 std::vector<Rule> PathClosureRules() {
@@ -308,6 +314,41 @@ TEST(IncrementalTest, NegationFlipAndMatterChangeTogether) {
   w.Apply(delta);
   w.ExpectMatchesRebuild(kNegConcepts);
   EXPECT_EQ(w.ev.FactsOf("p").size(), 1u);  // p(3) only
+}
+
+TEST(IncrementalTest, FlipsOfTwoRulesAtOnePositionKeepTheirOwnPlans) {
+  // hA(x) <= a(x), ¬na(x), a2(x).
+  // hB(y) <= ¬nd(y), ¬nb(x), c(x, y).
+  // Deleting na(1) and nb(5) in one batch flips a negation at body
+  // position 1 of both rules; each flip solve must replay a plan of its
+  // own rule (hB opens with the pinned nb fact, then c binds y before
+  // ¬nd(y) is checked).
+  Rule a_rule;
+  a_rule.head.push_back(Literal::OfPredicate("hA", {TermArg::Variable("x")}));
+  a_rule.body.push_back(Literal::OfPredicate("a", {TermArg::Variable("x")}));
+  a_rule.body.push_back(Literal::OfPredicate("na", {TermArg::Variable("x")},
+                                             /*negated=*/true));
+  a_rule.body.push_back(Literal::OfPredicate("a2", {TermArg::Variable("x")}));
+  Rule b_rule;
+  b_rule.head.push_back(Literal::OfPredicate("hB", {TermArg::Variable("y")}));
+  b_rule.body.push_back(Literal::OfPredicate("nd", {TermArg::Variable("y")},
+                                             /*negated=*/true));
+  b_rule.body.push_back(Literal::OfPredicate("nb", {TermArg::Variable("x")},
+                                             /*negated=*/true));
+  b_rule.body.push_back(Literal::OfPredicate(
+      "c", {TermArg::Variable("x"), TermArg::Variable("y")}));
+  World w({a_rule, b_rule});
+  w.Adopt({Pred1("a", 1), Pred1("a2", 1), Pred1("na", 1), Pred2("c", 5, 7),
+           Pred1("nb", 5), Pred1("nd", 99)});
+  EXPECT_TRUE(w.ev.FactsOf("hA").empty());
+  EXPECT_TRUE(w.ev.FactsOf("hB").empty());
+  BaseDelta delta;
+  delta.deletes.push_back(Pred1("na", 1));
+  delta.deletes.push_back(Pred1("nb", 5));
+  w.Apply(delta);
+  w.ExpectMatchesRebuild({"hA", "hB"});
+  EXPECT_EQ(w.ev.FactsOf("hA").size(), 1u);
+  EXPECT_EQ(w.ev.FactsOf("hB").size(), 1u);  // hB(7)
 }
 
 TEST(IncrementalTest, RevivedFactReenablesNegationAndClosure) {

@@ -1,8 +1,9 @@
-// Parallel semi-naive evaluation must be invisible: with a thread pool
-// attached, Evaluate()/EvaluateDemand() derive exactly the fact sets
-// the serial evaluator derives — on flat derivations, on recursion, and
-// run after run (the deterministic-merge contract). Concurrent Query()
-// calls against one evaluated store must also agree with serial reads.
+// A thread pool must be invisible to evaluation: it only overlaps
+// extent fetches, so with a pool attached Evaluate()/EvaluateDemand()
+// derive exactly the fact sets — and report exactly the counters — the
+// serial evaluator does, on flat derivations, on recursion, and run
+// after run. Concurrent Query() calls against one evaluated store must
+// also agree with serial reads.
 
 #include <memory>
 #include <set>
@@ -117,9 +118,33 @@ TEST(ParallelEvalTest, GenealogyMatchesSerial) {
   }
 }
 
+TEST(ParallelEvalTest, PoolLeavesEvaluationCountersUnchanged) {
+  // The fixpoint runs on the calling thread whatever the pool size, so
+  // every round and join counter is the serial evaluator's.
+  const GenealogyWorld world = MakeGenealogyWorld(/*families=*/25);
+  Evaluator serial = MakeGenealogyEvaluator(world, 1);
+  ASSERT_OK(serial.Evaluate());
+  const Evaluator::Stats& expected = serial.stats();
+  for (int threads : {2, 4, 8}) {
+    Evaluator parallel = MakeGenealogyEvaluator(world, threads);
+    ASSERT_OK(parallel.Evaluate());
+    const Evaluator::Stats& got = parallel.stats();
+    EXPECT_EQ(got.iterations, expected.iterations) << threads << " threads";
+    EXPECT_EQ(got.rule_applications, expected.rule_applications)
+        << threads << " threads";
+    EXPECT_EQ(got.delta_sizes, expected.delta_sizes) << threads << " threads";
+    EXPECT_EQ(got.index_probes, expected.index_probes)
+        << threads << " threads";
+    EXPECT_EQ(got.cursor_steps, expected.cursor_steps)
+        << threads << " threads";
+    EXPECT_EQ(got.derived_facts, expected.derived_facts)
+        << threads << " threads";
+  }
+}
+
 TEST(ParallelEvalTest, RecursiveClosureMatchesSerial) {
   // The same chain+cycle workload the serial differential suite uses:
-  // recursion exercises the delta windows the parallel rounds chunk.
+  // recursion exercises the semi-naive delta windows.
   std::vector<Rule> facts;
   for (int i = 1; i < 12; ++i) {
     facts.push_back(PredFact("edge", {Value::String("n" + std::to_string(i)),

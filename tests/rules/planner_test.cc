@@ -2,8 +2,8 @@
 // replay the historical dynamic pick (filters first when decidable,
 // then most-bound-first with the delta literal breaking ties) except
 // where extent estimates clear the kCostMargin override, and an
-// evaluator running under any planner mode — or with the kernels off —
-// must derive identical fact sets.
+// evaluator running under any planner mode must derive identical fact
+// sets.
 
 #include <set>
 #include <string>
@@ -184,12 +184,6 @@ TEST_F(PlannerEvaluatorTest, AllPlannerModesDeriveIdenticalFacts) {
   sip.set_planner_mode(PlannerMode::kFixedSip);
   ASSERT_OK(sip.Evaluate());
   EXPECT_EQ(CanonicalKeys(sip.FactsOf("r")), expected);
-
-  // Kernels off = the historical tuple-at-a-time probe loop.
-  Evaluator probe_loop = MakeEvaluator();
-  probe_loop.set_join_kernel_enabled(false);
-  ASSERT_OK(probe_loop.Evaluate());
-  EXPECT_EQ(CanonicalKeys(probe_loop.FactsOf("r")), expected);
 
   Evaluator naive = MakeEvaluator();
   naive.set_strategy(EvalStrategy::kNaive);
