@@ -2,6 +2,9 @@
 # Full verification loop: configure, build, test, run every benchmark.
 #
 # Usage: scripts/check.sh [--asan|--tsan|--all|--soak [N]]
+#   (no flag)   build, run the tests and every benchmark's smoke mode and
+#               regression guards, then a 2 s traced e2ebench run of each
+#               workload that must report correct with no failed ops.
 #   --asan      build into build-asan/ with OOINT_SANITIZE=address,undefined
 #               and run the tests under the sanitizers (benchmarks skipped:
 #               sanitized timings are meaningless).
@@ -107,4 +110,20 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # planner mode, or when its deterministic join counters exceed their
   # budgets (bench/bench_join.cc).
   "$BUILD_DIR"/bench/bench_join --regression_check
+  # End-to-end correctness smoke: a short traced run of each e2ebench
+  # workload (run.py builds its own Release package). run.py exits 0
+  # even on a wrong answer, so the verdict is read from its result
+  # line; the traced run's exact-count self-check is what catches a
+  # demand miss that builds a base segment disagreeing with one that
+  # reuses it.
+  for w in connect demand serve_live; do
+    result="$(python3 e2ebench/run.py --workload "$w" --seed 1 --seconds 2 \
+      --trace 1 | tail -n 1)"
+    if ! python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result"; then
+      echo "e2ebench smoke failed on workload $w: $result" >&2
+      exit 1
+    fi
+  done
 fi

@@ -140,6 +140,10 @@ class AgentConnection : public ExtentSource {
   /// this one with a never-expiring token.
   Result<std::vector<const Object*>> FetchExtent(
       const std::string& class_name, const CancelToken& token) override;
+  /// The agent store's InstanceStore::data_epoch(), which every insert
+  /// and remove bumps — unlike delta_epoch(), which only a delta feed
+  /// moves.
+  std::uint64_t data_epoch() const override { return store_->data_epoch(); }
 
   BreakerState breaker_state() const {
     std::lock_guard<std::mutex> lock(mu_);

@@ -58,6 +58,9 @@ struct QueryPlan {
     size_t merge_steps = 0;
     size_t gallop_steps = 0;
     size_t plan_reorders = 0;
+    /// Whether the evaluation overlaid a base segment an earlier query
+    /// encoded (DESIGN.md §4f) instead of encoding its extents itself.
+    bool base_segment_reused = false;
   };
   Counters counters;
 

@@ -427,6 +427,7 @@ Result<QueryPlan> FsmClient::Explain(const Query& query) const {
     plan.counters.merge_steps = outcome.stats.merge_steps;
     plan.counters.gallop_steps = outcome.stats.gallop_steps;
     plan.counters.plan_reorders = outcome.stats.plan_reorders;
+    plan.counters.base_segment_reused = outcome.stats.base_segments_reused > 0;
     plan.counters.cache_hits = cache_hits_.load(std::memory_order_relaxed);
     plan.fetch_overlap_saved_ms = std::max(
         0.0, outcome.stats.fetch_ms_sum - outcome.stats.fetch_wall_ms);

@@ -295,6 +295,27 @@ Status Integrator::Run() {
             }
           }
         }
+        // Line 6 schedules only child-with-child pairs, so N1's
+        // descendants never meet N2 (nor N1 N2's descendants): their set
+        // relationship follows from N1 ≡ N2. An explicit assertion on
+        // such a pair — e.g. a derivation into a subclass of N1 — is not
+        // implied by it, so that pair is scheduled directly.
+        for (const ClassRef& partner : assertions_.PartnersOf(ref2)) {
+          if (partner.schema != s1_.name()) continue;
+          const ClassId below = s1_.FindClass(partner.class_name);
+          if (below != kInvalidClassId && below != n1 &&
+              s1_.IsSubclassOf(below, n1)) {
+            push(below, n2);
+          }
+        }
+        for (const ClassRef& partner : assertions_.PartnersOf(ref1)) {
+          if (partner.schema != s2_.name()) continue;
+          const ClassId below = s2_.FindClass(partner.class_name);
+          if (below != kInvalidClassId && below != n2 &&
+              s2_.IsSubclassOf(below, n2)) {
+            push(n1, below);
+          }
+        }
         break;
       }
       case SetRel::kSubset: {

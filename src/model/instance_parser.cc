@@ -92,7 +92,8 @@ class Parser {
     return it->second;
   }
 
-  Result<Value> ParseValue() {
+  /// `depth` counts the sets enclosing the value.
+  Result<Value> ParseValue(int depth = 0) {
     const Token& tok = cursor_.Peek();
     switch (tok.kind) {
       case TokKind::kString:
@@ -110,10 +111,15 @@ class Parser {
         return Value::Integer(integer);
       }
       case TokKind::kLBrace: {
+        if (depth >= InstanceParser::kMaxValueNesting) {
+          return cursor_.ErrorAt(
+              tok, StrCat("sets nested deeper than ",
+                          InstanceParser::kMaxValueNesting, " levels"));
+        }
         cursor_.Next();
         std::vector<Value> elements;
         while (cursor_.Peek().kind != TokKind::kRBrace) {
-          OOINT_ASSIGN_OR_RETURN(Value element, ParseValue());
+          OOINT_ASSIGN_OR_RETURN(Value element, ParseValue(depth + 1));
           elements.push_back(std::move(element));
           if (!cursor_.Consume(TokKind::kComma)) break;
         }

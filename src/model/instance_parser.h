@@ -29,6 +29,12 @@ namespace ooint {
 /// position: recorded as an aggregation target).
 class InstanceParser {
  public:
+  /// Deepest set nesting a value may have. The value grammar is the
+  /// only recursive production of the four text languages; past this
+  /// depth Load returns kParseError at the offending '{' instead of
+  /// recursing on (hostile input must not overflow the stack).
+  static constexpr int kMaxValueNesting = 256;
+
   /// Parses `text` and inserts every object into `store` (whose schema
   /// provides the class and member definitions). Returns the number of
   /// objects inserted. On error the store may hold a prefix of the

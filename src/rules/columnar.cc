@@ -135,8 +135,28 @@ void PostingsPool::Append(std::uint32_t list_id, std::uint32_t value) {
   ++list.count;
 }
 
+void PostingsCursor::Chain(const PostingsCursor& tail) {
+  tail_pool_ = tail.pool_;
+  tail_block_ = tail.block_;
+  tail_inline_ = tail.inline_value_;
+  tail_count_ = tail.remaining_;
+}
+
+bool PostingsCursor::Refill() {
+  if (remaining_ != 0) return true;
+  if (tail_count_ == 0) return false;
+  pool_ = tail_pool_;
+  block_ = tail_block_;
+  inline_value_ = tail_inline_;
+  remaining_ = tail_count_;
+  tail_count_ = 0;
+  pos_ = 0;
+  last_ = 0;  // the chained list's deltas start from zero
+  return true;
+}
+
 bool PostingsCursor::Next(std::uint32_t* out) {
-  if (remaining_ == 0) return false;
+  if (!Refill()) return false;
   if (pool_ == nullptr) {  // inlined single posting
     *out = inline_value_;
     --remaining_;
@@ -168,7 +188,7 @@ bool PostingsCursor::Next(std::uint32_t* out) {
 }
 
 std::uint32_t PostingsCursor::NextRun(std::uint32_t* out, std::uint32_t cap) {
-  if (remaining_ == 0 || cap == 0) return 0;
+  if (cap == 0 || !Refill()) return 0;
   if (pool_ == nullptr) {  // inlined single posting
     out[0] = inline_value_;
     --remaining_;

@@ -147,6 +147,10 @@ class PostingsPool;
 /// the same store; the evaluator appends only from the thread running
 /// its fixpoint (or a delta batch), which callers serialize against
 /// readers.
+///
+/// A cursor may carry a second list chained after the first (Chain):
+/// a layered FactStore streams the base segment's postings and then
+/// the overlay's as one ascending sequence.
 class PostingsCursor {
  public:
   /// Empty cursor (no hits).
@@ -159,8 +163,14 @@ class PostingsCursor {
       : pool_(pool), block_(block), remaining_(count) {}
 
   /// Total postings in the snapshot (including any not yet decoded).
-  std::uint32_t count() const { return count_at(); }
-  bool empty() const { return remaining_ == 0 && decoded_ == 0; }
+  std::uint32_t count() const { return remaining_ + decoded_ + tail_count_; }
+  bool empty() const { return count() == 0; }
+
+  /// Streams `tail`'s postings after this cursor's. Both must be fresh
+  /// (nothing decoded) and unchained, and every posting of `tail` must
+  /// be >= every posting of this cursor, so the whole stream stays
+  /// ascending.
+  void Chain(const PostingsCursor& tail);
 
   /// Decodes the next (non-strictly ascending) posting; false at end.
   bool Next(std::uint32_t* out);
@@ -173,7 +183,9 @@ class PostingsCursor {
   std::uint32_t NextRun(std::uint32_t* out, std::uint32_t cap);
 
  private:
-  std::uint32_t count_at() const { return remaining_ + decoded_; }
+  /// Moves on to the chained list once the current one is drained;
+  /// false when nothing is left.
+  bool Refill();
 
   const PostingsPool* pool_ = nullptr;
   std::uint32_t block_ = kNoBlock;
@@ -182,6 +194,11 @@ class PostingsCursor {
   std::uint32_t inline_value_ = 0;
   std::uint32_t remaining_ = 0;
   std::uint32_t decoded_ = 0;
+  // The chained list (tail_count_ == 0: none).
+  const PostingsPool* tail_pool_ = nullptr;
+  std::uint32_t tail_block_ = kNoBlock;
+  std::uint32_t tail_inline_ = 0;
+  std::uint32_t tail_count_ = 0;
 };
 
 /// Bump-allocated posting lists: ascending u32 sequences stored as

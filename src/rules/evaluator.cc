@@ -34,6 +34,8 @@ class DirectStoreSource : public ExtentSource {
     return objects;
   }
 
+  std::uint64_t data_epoch() const override { return store_->data_epoch(); }
+
  private:
   const InstanceStore* store_;
 };
@@ -57,6 +59,10 @@ ExtentReply FetchOne(const ExtentRequest& request, const CancelToken& token) {
     return reply;
   }
   reply.issued = true;
+  // Read before the fetch: if the store moves during it, the extent is
+  // newer than the recorded epoch, so a segment encoded from it is never
+  // matched at the newer epoch.
+  reply.data_epoch = request.source->data_epoch();
   const auto start = std::chrono::steady_clock::now();
   Result<std::vector<const Object*>> extent =
       request.source->FetchExtent(request.class_name, token);
@@ -226,6 +232,22 @@ FactId Evaluator::InsertFact(Fact fact) {
   return store_.Insert(std::move(fact));
 }
 
+std::shared_ptr<const FactStore> Evaluator::SegmentCache::Find(
+    const std::vector<size_t>& key,
+    const std::vector<std::uint64_t>& epochs) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.epochs != epochs) return nullptr;
+  return it->second.segment;
+}
+
+void Evaluator::SegmentCache::Store(const std::vector<size_t>& key,
+                                    std::vector<std::uint64_t> epochs,
+                                    std::shared_ptr<const FactStore> segment) {
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_[key] = {std::move(epochs), std::move(segment)};
+}
+
 Status Evaluator::LoadBaseFacts() {
   // Concept -> false, seeded with every directly incomplete concept;
   // PropagateIncompleteness flips the flag to true past a negation.
@@ -234,9 +256,6 @@ Status Evaluator::LoadBaseFacts() {
   // deadline fired — a loss charged to the *query*, not to any agent
   // (kPartial taxonomy: truncation, not a fault-skip).
   std::vector<std::string> truncated;
-  for (const Fact& seed : seed_facts_) {
-    if (InsertFact(seed) != kNoFact) ++stats_.base_facts;
-  }
   std::vector<ExtentRequest> requests;
   requests.reserve(bindings_decl_.size());
   for (const ConceptBinding& binding : bindings_decl_) {
@@ -245,10 +264,10 @@ Status Evaluator::LoadBaseFacts() {
   }
   // With a pool, every extent is prefetched up front, overlapped across
   // sources (each source's retry/backoff/fault stream stays serial and
-  // ordered). Without one, each extent is fetched in place just before
-  // it loads, so kStrict stops fetching at the first failure. Either
-  // way the replies are taken in declaration order below, and the store
-  // receives base facts in exactly that order.
+  // ordered). Without one, each extent is fetched in place, so kStrict
+  // stops fetching at the first failure. Either way the replies are
+  // taken in declaration order below, and the store receives base facts
+  // in exactly that order.
   const bool prefetch =
       pool_ != nullptr && pool_->size() > 1 && requests.size() > 1;
   std::vector<ExtentReply> replies;
@@ -258,12 +277,17 @@ Status Evaluator::LoadBaseFacts() {
     stats_.fetch_wall_ms += std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - batch_start)
                                 .count();
+  } else {
+    replies.resize(requests.size());
   }
+  // The replies that arrived, and the data epochs they were read at.
+  std::vector<size_t> loaded;
+  std::vector<std::uint64_t> epochs;
   for (size_t i = 0; i < requests.size(); ++i) {
     const ConceptBinding& binding = bindings_decl_[i];
     const Source& source = sources_[binding.source_index];
-    const ExtentReply reply =
-        prefetch ? std::move(replies[i]) : FetchOne(requests[i], token_);
+    if (!prefetch) replies[i] = FetchOne(requests[i], token_);
+    const ExtentReply& reply = replies[i];
     if (reply.issued) {
       ++stats_.extents_fetched;
       if (prefetch) stats_.fetch_ms_sum += reply.wall_ms;
@@ -288,13 +312,45 @@ Status Evaluator::LoadBaseFacts() {
       direct.emplace(binding.concept_name, false);
       continue;
     }
-    for (const Object* object : reply.objects) {
-      if (object == nullptr) continue;
-      if (InsertFact(Fact::FromObject(binding.concept_name, *object)) !=
-          kNoFact) {
-        ++stats_.base_facts;
+    loaded.push_back(i);
+    epochs.push_back(reply.data_epoch);
+  }
+
+  // A demand query's base facts form a segment its store overlays. Only
+  // a complete load at known epochs is shared: a fault-skip or a
+  // truncation leaves a segment other queries must not inherit.
+  const bool shareable =
+      shared_segments_ != nullptr && loaded.size() == requests.size() &&
+      std::find(epochs.begin(), epochs.end(), kNoDataEpoch) == epochs.end();
+  std::shared_ptr<const FactStore> segment;
+  if (shareable) segment = shared_segments_->Find(segment_key_, epochs);
+  if (segment != nullptr) {
+    stats_.base_segments_reused = 1;
+  } else {
+    std::shared_ptr<FactStore> built;
+    FactStore* target = &store_;
+    if (shared_segments_ != nullptr) {
+      built = std::make_shared<FactStore>();
+      target = built.get();
+    }
+    for (size_t i : loaded) {
+      const std::string& concept_name = bindings_decl_[i].concept_name;
+      for (const Object* object : replies[i].objects) {
+        if (object != nullptr) {
+          target->Insert(Fact::FromObject(concept_name, *object));
+        }
       }
     }
+    segment = std::move(built);
+    if (shareable) {
+      shared_segments_->Store(segment_key_, std::move(epochs), segment);
+    }
+  }
+  if (segment != nullptr) store_.AttachSegment(std::move(segment));
+  stats_.base_facts = store_.size();
+  // Seeds load after the extents, into the overlay when there is one.
+  for (const Fact& seed : seed_facts_) {
+    if (InsertFact(seed) != kNoFact) ++stats_.base_facts;
   }
   if (!direct.empty()) PropagateIncompleteness(direct);
   if (!truncated.empty()) MarkTruncated(std::move(truncated));
@@ -1303,10 +1359,12 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   const std::set<std::string> reachable(program.reachable_concepts.begin(),
                                         program.reachable_concepts.end());
   std::set<std::string> contacted;
-  for (const ConceptBinding& binding : bindings_decl_) {
+  for (size_t i = 0; i < bindings_decl_.size(); ++i) {
+    const ConceptBinding& binding = bindings_decl_[i];
     if (prune && !reachable.count(binding.concept_name)) continue;
     // Source indices transfer unchanged: sub's sources mirror ours.
     sub->bindings_decl_.push_back(binding);
+    sub->segment_key_.push_back(i);
     contacted.insert(sources_[binding.source_index].schema_name);
   }
   for (const ConceptBinding& binding : bindings_decl_) {
@@ -1343,7 +1401,11 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   }
   for (const Fact& seed : seed_facts_) sub->AddFact(seed);
 
-  OOINT_RETURN_IF_ERROR(sub->Evaluate());
+  // The sub shares this evaluator's base segments only while it loads.
+  sub->shared_segments_ = segments_.get();
+  const Status evaluated = sub->Evaluate();
+  sub->shared_segments_ = nullptr;
+  OOINT_RETURN_IF_ERROR(evaluated);
   OOINT_ASSIGN_OR_RETURN(out.rows, sub->Query(pattern));
   out.goal_facts = sub->FactsOf(pattern.class_name);
 

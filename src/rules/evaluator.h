@@ -33,6 +33,9 @@ namespace ooint {
 /// differential-testing oracle — both derive the same fact sets.
 enum class EvalStrategy { kSemiNaive, kNaive };
 
+/// ExtentSource::data_epoch() of a source that cannot version its data.
+inline constexpr std::uint64_t kNoDataEpoch = ~0ull;
+
 /// A fallible handle to one component database's extension. The direct
 /// in-process InstanceStore is one implementation; the federation layer
 /// provides another (AgentConnection) that models a remote, failure-prone
@@ -64,6 +67,12 @@ class ExtentSource {
     (void)token;
     return FetchExtent(class_name);
   }
+
+  /// Version of the data behind the source: equal epochs mean a
+  /// successful fetch returns the same objects. Demand queries share an
+  /// encoded base segment only across equal epochs (DESIGN.md 4f);
+  /// kNoDataEpoch (the default) never shares.
+  virtual std::uint64_t data_epoch() const { return kNoDataEpoch; }
 };
 
 /// One extent read of a concurrent batch (see FetchExtentsOverlapped).
@@ -85,6 +94,8 @@ struct ExtentReply {
   /// token had already expired — the source was not contacted, so the
   /// read does not count toward Stats::extents_fetched.
   bool issued = false;
+  /// The source's data_epoch() when the fetch was issued.
+  std::uint64_t data_epoch = kNoDataEpoch;
 };
 
 /// Issues the batch concurrently on `pool` (serially when `pool` is
@@ -331,6 +342,11 @@ class Evaluator {
     /// Their difference is the latency the overlap hid.
     double fetch_ms_sum = 0;
     double fetch_wall_ms = 0;
+    /// 1 when a demand evaluation took its base facts from a segment an
+    /// earlier query encoded (DESIGN.md 4f), else 0 — the one counter
+    /// in which the miss that builds a segment and the misses that
+    /// reuse it differ.
+    size_t base_segments_reused = 0;
 
     /// Accumulates another Stats' join counters (query-local merges).
     void AddJoinCounters(const Stats& other) {
@@ -410,9 +426,37 @@ class Evaluator {
     std::string class_name;
   };
 
-  /// Loads base facts for every bound concept_name into the store.
-  /// Under FailurePolicy::kPartial a failing extent read marks the
-  /// agent skipped (degraded_) instead of aborting.
+  /// Encoded base segments of a demand-mode evaluator (DESIGN.md 4f):
+  /// one per relevant-binding list, valid at the data epochs its
+  /// extents were fetched at. Shared by concurrent demand queries.
+  class SegmentCache {
+   public:
+    /// `key` lists the relevant bindings (indices into bindings_decl_),
+    /// `epochs` the data epoch each one's fetch saw. Null unless the
+    /// cached segment was built at exactly these epochs.
+    std::shared_ptr<const FactStore> Find(
+        const std::vector<size_t>& key,
+        const std::vector<std::uint64_t>& epochs) const;
+    /// Records `segment` for `key`, replacing any older one.
+    void Store(const std::vector<size_t>& key,
+               std::vector<std::uint64_t> epochs,
+               std::shared_ptr<const FactStore> segment);
+
+   private:
+    struct Entry {
+      std::vector<std::uint64_t> epochs;
+      std::shared_ptr<const FactStore> segment;
+    };
+    mutable std::mutex mu_;
+    std::map<std::vector<size_t>, Entry> entries_;
+  };
+
+  /// Fetches every bound concept_name's extent and loads its facts,
+  /// then the AddFact() seeds. Under FailurePolicy::kPartial a failing
+  /// extent read marks the agent skipped (degraded_) instead of
+  /// aborting. A demand sub-evaluator (shared_segments_ set) encodes the
+  /// extents into a base segment its store overlays, or reuses a cached
+  /// one when every fetch succeeded at the epochs it was built at.
   Status LoadBaseFacts();
 
   /// Fills degraded_.incomplete_concepts / unsound_concepts: the
@@ -587,6 +631,13 @@ class Evaluator {
   /// Optional extent-prefetch pool (see set_thread_pool); shared with
   /// demand sub-evaluators.
   std::shared_ptr<ThreadPool> pool_;
+  /// This evaluator's demand queries' base segments (heap allocated so
+  /// the evaluator stays movable).
+  std::unique_ptr<SegmentCache> segments_ = std::make_unique<SegmentCache>();
+  /// Set on a demand sub-evaluator for the duration of its Evaluate():
+  /// the parent's segment cache, and this sub's key into it.
+  SegmentCache* shared_segments_ = nullptr;
+  std::vector<size_t> segment_key_;
 };
 
 }  // namespace ooint

@@ -236,18 +236,18 @@ Oid ValueHandle::MaterializeOid() const {
 
 bool FactView::oid_empty() const {
   if (fact_ != nullptr) return fact_->oid.empty();
-  return store_->records_[id_].oid_id == kNoId;
+  return store_->records_[local_].oid_id == kNoId;
 }
 
 Oid FactView::oid() const {
   if (fact_ != nullptr) return fact_->oid;
-  const std::uint32_t oid_id = store_->records_[id_].oid_id;
+  const std::uint32_t oid_id = store_->records_[local_].oid_id;
   return oid_id == kNoId ? Oid() : store_->MaterializeOid(oid_id);
 }
 
 size_t FactView::attr_count() const {
   if (fact_ != nullptr) return fact_->attrs.size();
-  return store_->records_[id_].attr_count;
+  return store_->records_[local_].attr_count;
 }
 
 std::string_view FactView::attr_name(size_t i) const {
@@ -256,7 +256,7 @@ std::string_view FactView::attr_name(size_t i) const {
     std::advance(it, i);
     return it->first;
   }
-  const auto& rec = store_->records_[id_];
+  const auto& rec = store_->records_[local_];
   return store_->symbols_.view(store_->attr_names_[rec.attr_begin + i]);
 }
 
@@ -266,7 +266,7 @@ ValueHandle FactView::attr_value(size_t i) const {
     std::advance(it, i);
     return ValueHandle(&it->second);
   }
-  const auto& rec = store_->records_[id_];
+  const auto& rec = store_->records_[local_];
   return ValueHandle(store_, store_->attr_values_[rec.attr_begin + i]);
 }
 
@@ -277,7 +277,7 @@ ValueHandle FactView::Find(std::string_view name) const {
   }
   const std::uint32_t sym = store_->symbols_.Find(name);
   if (sym == kNoId) return ValueHandle();
-  const auto& rec = store_->records_[id_];
+  const auto& rec = store_->records_[local_];
   for (std::uint32_t i = 0; i < rec.attr_count; ++i) {
     if (store_->attr_names_[rec.attr_begin + i] == sym) {
       return ValueHandle(store_, store_->attr_values_[rec.attr_begin + i]);
@@ -287,6 +287,18 @@ ValueHandle FactView::Find(std::string_view name) const {
 }
 
 // --- FactStore -------------------------------------------------------------
+
+void FactStore::AttachSegment(std::shared_ptr<const FactStore> segment) {
+  Clear();
+  segment_ = std::move(segment);
+  fact_base_ = static_cast<FactId>(segment_->size());
+  // Mirror the segment's concepts in id order, so concept ids line up
+  // and each extent's ordinals continue the segment's.
+  for (ConceptId c = 0; c < segment_->concept_count(); ++c) {
+    by_concept_[InternConcept(segment_->ConceptName(c))].base =
+        static_cast<std::uint32_t>(segment_->CountOf(c));
+  }
+}
 
 ConceptId FactStore::InternConcept(const std::string& name) {
   return concept_table_.FindOrInsert(
@@ -682,6 +694,10 @@ FactId FactStore::Insert(Fact fact) {
 }
 
 FactId FactStore::FindExisting(const Fact& fact) const {
+  if (segment_ != nullptr) {
+    const FactId existing = segment_->FindExisting(fact);
+    if (existing != kNoFact) return existing;
+  }
   const ConceptId concept_id = FindConcept(fact.concept_name);
   if (concept_id == kNoConcept) return kNoFact;
   const std::uint32_t oid_id = fact.oid.empty() ? kNoId : FindOid(fact.oid);
@@ -704,7 +720,7 @@ FactId FactStore::FindExisting(const Fact& fact) const {
   PostingsCursor bucket = dedup_.Find(digest);
   std::uint32_t candidate = 0;
   while (bucket.Next(&candidate)) {
-    const FactRecord& rec = records_[candidate];
+    const FactRecord& rec = RecordOf(candidate);
     if (rec.concept_id != concept_id || rec.oid_id != oid_id ||
         rec.attr_count != fact.attrs.size()) {
       continue;
@@ -715,6 +731,7 @@ FactId FactStore::FindExisting(const Fact& fact) const {
 }
 
 void FactStore::FactIdsWithOid(const Oid& oid, std::vector<FactId>* out) const {
+  if (segment_ != nullptr) segment_->FactIdsWithOid(oid, out);
   const std::uint32_t oid_id = FindOid(oid);
   if (oid_id == kNoId) return;
   PostingsCursor cursor = by_oid_.Find(oid_id);
@@ -722,12 +739,16 @@ void FactStore::FactIdsWithOid(const Oid& oid, std::vector<FactId>* out) const {
   while (cursor.Next(&id)) {
     // The by_oid_ key is a dictionary id: exact, but distinct ids may
     // share a postings slot on a 64-bit key collision — re-verify.
-    if (records_[id].oid_id == oid_id) out->push_back(id);
+    if (RecordOf(id).oid_id == oid_id) out->push_back(id);
   }
 }
 
 FactId FactStore::InsertOrFind(Fact fact, bool* was_new) {
   if (was_new != nullptr) *was_new = false;
+  if (segment_ != nullptr) {
+    const FactId existing = segment_->FindExisting(fact);
+    if (existing != kNoFact) return existing;  // duplicate of a base fact
+  }
   const ConceptId concept_id = InternConcept(fact.concept_name);
   const std::uint32_t oid_id = fact.oid.empty() ? kNoId : InternOid(fact.oid);
 
@@ -751,7 +772,7 @@ FactId FactStore::InsertOrFind(Fact fact, bool* was_new) {
   PostingsCursor bucket = dedup_.Find(digest);
   std::uint32_t candidate = 0;
   while (bucket.Next(&candidate)) {
-    const FactRecord& rec = records_[candidate];
+    const FactRecord& rec = RecordOf(candidate);
     if (rec.concept_id != concept_id || rec.oid_id != oid_id ||
         rec.attr_count != scratch_attrs_.size()) {
       continue;
@@ -769,17 +790,18 @@ FactId FactStore::InsertOrFind(Fact fact, bool* was_new) {
   }
 
   if (was_new != nullptr) *was_new = true;
-  const auto id = static_cast<FactId>(records_.size());
+  const auto id = static_cast<FactId>(size());
   const auto attr_begin = static_cast<std::uint32_t>(attr_names_.size());
   for (const auto& [attr_id, packed] : scratch_attrs_) {
     attr_names_.push_back(attr_id);
     attr_values_.push_back(packed);
   }
-  std::vector<FactId>& extent = by_concept_[concept_id];
-  const auto ordinal = static_cast<std::uint32_t>(extent.size());
+  Extent& extent = by_concept_[concept_id];
+  const auto ordinal =
+      static_cast<std::uint32_t>(extent.base + extent.ids.size());
   records_.push_back({concept_id, ordinal, oid_id, attr_begin,
                       static_cast<std::uint32_t>(scratch_attrs_.size())});
-  extent.push_back(id);
+  extent.ids.push_back(id);
 
   dedup_.Add(digest, id);
   if (oid_id != kNoId) by_oid_.Add(oid_id, id);
@@ -802,12 +824,12 @@ FactId FactStore::InsertOrFind(Fact fact, bool* was_new) {
 }
 
 size_t FactStore::CountOf(ConceptId id) const {
-  return id == kNoConcept || id >= by_concept_.size() ? 0
-                                                      : by_concept_[id].size();
+  if (id == kNoConcept || id >= by_concept_.size()) return 0;
+  return by_concept_[id].base + by_concept_[id].ids.size();
 }
 
-Fact FactStore::BuildFact(FactId id) const {
-  const FactRecord& rec = records_[id];
+Fact FactStore::BuildFact(std::uint32_t local) const {
+  const FactRecord& rec = records_[local];
   Fact fact;
   fact.concept_name = symbols_.at(concept_symbols_[rec.concept_id]);
   if (rec.oid_id != kNoId) fact.oid = MaterializeOid(rec.oid_id);
@@ -820,24 +842,28 @@ Fact FactStore::BuildFact(FactId id) const {
 }
 
 const Fact* FactStore::Materialize(FactId id) const {
+  if (id < fact_base_) return segment_->Materialize(id);
+  const std::uint32_t local = id - fact_base_;
   std::lock_guard<std::mutex> lock(*cache_mu_);
   if (cache_.size() < records_.size()) cache_.resize(records_.size());
-  std::unique_ptr<Fact>& slot = cache_[id];
-  if (slot == nullptr) slot = std::make_unique<Fact>(BuildFact(id));
+  std::unique_ptr<Fact>& slot = cache_[local];
+  if (slot == nullptr) slot = std::make_unique<Fact>(BuildFact(local));
   return slot.get();
 }
 
 const Fact* FactStore::FactById(FactId id) const { return Materialize(id); }
 
 const Fact* FactStore::FactAt(ConceptId id, std::uint32_t ordinal) const {
-  return Materialize(by_concept_[id][ordinal]);
+  return Materialize(IdAt(id, ordinal));
 }
 
 std::vector<const Fact*> FactStore::FactsOf(ConceptId id) const {
   std::vector<const Fact*> facts;
-  if (id == kNoConcept || id >= by_concept_.size()) return facts;
-  facts.reserve(by_concept_[id].size());
-  for (FactId fid : by_concept_[id]) facts.push_back(Materialize(fid));
+  const auto count = static_cast<std::uint32_t>(CountOf(id));
+  facts.reserve(count);
+  for (std::uint32_t ordinal = 0; ordinal < count; ++ordinal) {
+    facts.push_back(Materialize(IdAt(id, ordinal)));
+  }
   return facts;
 }
 
@@ -847,6 +873,9 @@ std::vector<const Fact*> FactStore::FactsOf(const std::string& name) const {
 
 const Fact* FactStore::FindByOid(const Oid& oid) const {
   if (oid.empty()) return nullptr;
+  if (segment_ != nullptr) {
+    if (const Fact* fact = segment_->FindByOid(oid)) return fact;
+  }
   const std::uint32_t oid_id = FindOid(oid);
   if (oid_id == kNoId) return nullptr;
   // Fact ids are appended ascending, so the first posting is the
@@ -860,50 +889,70 @@ const Fact* FactStore::FindByOid(const Oid& oid) const {
 
 const Fact* FactStore::FindByOid(const Oid& oid, ConceptId concept_id) const {
   if (oid.empty()) return nullptr;
+  if (segment_ != nullptr && concept_id < segment_->concept_count()) {
+    if (const Fact* fact = segment_->FindByOid(oid, concept_id)) return fact;
+  }
   const std::uint32_t oid_id = FindOid(oid);
   if (oid_id == kNoId) return nullptr;
   PostingsCursor cursor = by_oid_.Find(oid_id);
   std::uint32_t fid = 0;
   while (cursor.Next(&fid)) {
-    if (records_[fid].concept_id == concept_id) return Materialize(fid);
+    if (RecordOf(fid).concept_id == concept_id) return Materialize(fid);
   }
   return nullptr;
 }
 
 FactView FactStore::ViewByOid(const Oid& oid) const {
   if (oid.empty()) return FactView();
+  if (segment_ != nullptr) {
+    const FactView view = segment_->ViewByOid(oid);
+    if (view.valid()) return view;
+  }
   const std::uint32_t oid_id = FindOid(oid);
   if (oid_id == kNoId) return FactView();
   PostingsCursor cursor = by_oid_.Find(oid_id);
   std::uint32_t fid = 0;
-  if (cursor.Next(&fid)) return FactView(this, fid);
+  if (cursor.Next(&fid)) return ViewById(fid);
   return FactView();
 }
 
 PostingsCursor FactStore::Probe(ConceptId concept_id, const std::string& attr,
                                 const Value& value) const {
+  PostingsCursor own;
   const std::uint32_t attr_id = symbols_.Find(attr);
-  if (attr_id == kNoId) return PostingsCursor();
   std::uint64_t digest = 0;
-  if (!TryLookupDigest(value, &digest)) return PostingsCursor();
-  return by_attr_.Find(AttrIndexKey(concept_id, attr_id, digest));
+  if (attr_id != kNoId && TryLookupDigest(value, &digest)) {
+    own = by_attr_.Find(AttrIndexKey(concept_id, attr_id, digest));
+  }
+  if (segment_ == nullptr || concept_id >= segment_->concept_count()) {
+    return own;
+  }
+  // Segment ordinals all precede the overlay's, so the chained stream
+  // stays ascending.
+  PostingsCursor layered = segment_->Probe(concept_id, attr, value);
+  layered.Chain(own);
+  return layered;
 }
 
 void FactStore::ProbeOid(ConceptId concept_id, const Oid& oid,
                          std::vector<std::uint32_t>* out) const {
   if (oid.empty()) return;
+  if (segment_ != nullptr && concept_id < segment_->concept_count()) {
+    segment_->ProbeOid(concept_id, oid, out);
+  }
   const std::uint32_t oid_id = FindOid(oid);
   if (oid_id == kNoId) return;
   PostingsCursor cursor = by_oid_.Find(oid_id);
   std::uint32_t fid = 0;
   while (cursor.Next(&fid)) {
-    const FactRecord& rec = records_[fid];
+    const FactRecord& rec = RecordOf(fid);
     if (rec.concept_id == concept_id) out->push_back(rec.ordinal);
   }
 }
 
 bool FactStore::EquivalentAttrs(FactId id, const Fact& fact) const {
-  const FactRecord& rec = records_[id];
+  if (id < fact_base_) return segment_->EquivalentAttrs(id, fact);
+  const FactRecord& rec = RecordOf(id);
   if (symbols_.view(concept_symbols_[rec.concept_id]) != fact.concept_name) {
     return false;
   }
@@ -940,6 +989,8 @@ void FactStore::Clear() {
   by_attr_.Clear();
   by_oid_.Clear();
   dedup_.Clear();
+  segment_.reset();
+  fact_base_ = 0;
   std::lock_guard<std::mutex> lock(*cache_mu_);
   // Release capacity too, so memory().materialized_bytes drops to zero.
   std::vector<std::unique_ptr<Fact>>().swap(cache_);
@@ -948,9 +999,9 @@ void FactStore::Clear() {
 FactStore::MemoryBreakdown FactStore::memory() const {
   MemoryBreakdown m;
   m.record_bytes = records_.capacity() * sizeof(FactRecord) +
-                   by_concept_.capacity() * sizeof(std::vector<FactId>);
-  for (const std::vector<FactId>& extent : by_concept_) {
-    m.record_bytes += extent.capacity() * sizeof(FactId);
+                   by_concept_.capacity() * sizeof(Extent);
+  for (const Extent& extent : by_concept_) {
+    m.record_bytes += extent.ids.capacity() * sizeof(FactId);
   }
   m.attr_bytes = attr_names_.capacity() * sizeof(std::uint32_t) +
                  attr_values_.capacity() * sizeof(PackedValue);

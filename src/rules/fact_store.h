@@ -102,7 +102,10 @@ class FactView {
  public:
   FactView() = default;  // invalid
   explicit FactView(const Fact* fact) : fact_(fact) {}
-  FactView(const FactStore* store, FactId id) : store_(store), id_(id) {}
+  /// Record `local` of `store`'s own layer (FactStore::ViewById maps a
+  /// FactId to the layer that holds it).
+  FactView(const FactStore* store, std::uint32_t local)
+      : store_(store), local_(local) {}
 
   bool valid() const { return fact_ != nullptr || store_ != nullptr; }
   bool oid_empty() const;
@@ -117,7 +120,7 @@ class FactView {
  private:
   const Fact* fact_ = nullptr;
   const FactStore* store_ = nullptr;
-  FactId id_ = kNoFact;
+  std::uint32_t local_ = 0;
 };
 
 /// The shared indexed fact universe of both federated evaluators
@@ -149,9 +152,25 @@ class FactView {
 /// the evaluation hot paths use FactView/PostingsCursor and never
 /// materialize. Materialized pointers stay valid for the store's
 /// lifetime (until Clear()).
+///
+/// Layering (DESIGN.md 4h): a store may be an *overlay* on an
+/// immutable, shared base segment (AttachSegment) — the demand path's
+/// per-query seeds and derived facts over the encoded agent extents.
+/// The overlay continues the segment's FactIds, per-concept ordinals
+/// and concept ids, so every read above sees one universe: segment
+/// facts come first (they were inserted first), an insert identical to
+/// a segment fact is a duplicate, and Probe streams the segment's
+/// postings and then the overlay's. Each layer keeps its values in its
+/// own dictionaries; a view of a segment fact reads the segment.
 class FactStore {
  public:
   FactStore() = default;
+
+  /// Empties the store and layers it over `segment`, which must be a
+  /// single-layer store that nobody mutates while it is shared.
+  void AttachSegment(std::shared_ptr<const FactStore> segment);
+  /// The base segment this store overlays (null for a single layer).
+  const std::shared_ptr<const FactStore>& segment() const { return segment_; }
 
   /// Returns the id of `name`, interning it if new.
   ConceptId InternConcept(const std::string& name);
@@ -182,7 +201,8 @@ class FactStore {
   /// liveness-aware OID resolution. Exact, like ProbeOid.
   void FactIdsWithOid(const Oid& oid, std::vector<FactId>* out) const;
 
-  size_t size() const { return records_.size(); }
+  /// Facts in the whole universe (segment and overlay).
+  size_t size() const { return fact_base_ + records_.size(); }
 
   /// The extent of a concept in insertion order. Materializes every
   /// fact of the concept — a boundary API, not a join path.
@@ -197,14 +217,24 @@ class FactStore {
 
   /// Packed access for the join paths (no materialization).
   FactId IdAt(ConceptId id, std::uint32_t ordinal) const {
-    return by_concept_[id][ordinal];
+    const Extent& extent = by_concept_[id];
+    return ordinal < extent.base ? segment_->IdAt(id, ordinal)
+                                 : extent.ids[ordinal - extent.base];
   }
   FactView ViewAt(ConceptId id, std::uint32_t ordinal) const {
-    return FactView(this, IdAt(id, ordinal));
+    return ViewById(IdAt(id, ordinal));
   }
-  FactView ViewById(FactId id) const { return FactView(this, id); }
-  ConceptId ConceptOf(FactId id) const { return records_[id].concept_id; }
-  std::uint32_t OrdinalOf(FactId id) const { return records_[id].ordinal; }
+  FactView ViewById(FactId id) const {
+    return id < fact_base_ ? FactView(segment_.get(), id)
+                           : FactView(this, id - fact_base_);
+  }
+  ConceptId ConceptOf(FactId id) const {
+    return id < fact_base_ ? segment_->ConceptOf(id)
+                           : RecordOf(id).concept_id;
+  }
+  std::uint32_t OrdinalOf(FactId id) const {
+    return id < fact_base_ ? segment_->OrdinalOf(id) : RecordOf(id).ordinal;
+  }
 
   /// First-inserted fact with `oid` (see class comment); nullptr if
   /// absent. Materializing.
@@ -238,7 +268,8 @@ class FactStore {
 
   /// Byte accounting of every columnar structure (capacity-based; the
   /// bytes/fact numerator reported by bench_storage and the regression
-  /// budget guard).
+  /// budget guard). Counts only what this store owns: an overlay's
+  /// shared segment is not counted again.
   struct MemoryBreakdown {
     size_t record_bytes = 0;      // fact records + per-concept extents
     size_t attr_bytes = 0;        // packed attribute runs
@@ -287,6 +318,13 @@ class FactStore {
     std::uint32_t attr_count;
   };
 
+  /// One concept's extent: ordinals below `base` are the segment's,
+  /// `ids` holds this layer's (global FactIds, insertion order).
+  struct Extent {
+    std::uint32_t base = 0;
+    std::vector<FactId> ids;
+  };
+
   static constexpr std::uint64_t kPayloadMask = (1ull << 60) - 1;
   static PackedValue Pack(PackedTag tag, std::uint64_t payload) {
     return (static_cast<std::uint64_t>(tag) << 60) | (payload & kPayloadMask);
@@ -321,7 +359,13 @@ class FactStore {
   std::uint64_t AttrIndexKey(ConceptId concept_id, std::uint32_t attr_id,
                              std::uint64_t value_digest) const;
 
-  Fact BuildFact(FactId id) const;
+  /// The record of this layer's fact `id` (a global FactId).
+  const FactRecord& RecordOf(FactId id) const {
+    return records_[id - fact_base_];
+  }
+  /// `local` indexes records_.
+  Fact BuildFact(std::uint32_t local) const;
+  /// `id` is a global FactId; segment facts materialize in the segment.
   const Fact* Materialize(FactId id) const;
 
   // --- dictionaries ---
@@ -340,10 +384,15 @@ class FactStore {
   std::vector<PackedValue> set_elements_;
 
   // --- facts ---
+  // records_[i] is FactId fact_base_ + i; FactView addresses it as i.
   std::vector<FactRecord> records_;
   std::vector<std::uint32_t> attr_names_;   // symbol ids, run-sorted by name
   std::vector<PackedValue> attr_values_;    // parallel to attr_names_
-  std::vector<std::vector<FactId>> by_concept_;
+  std::vector<Extent> by_concept_;
+
+  // --- layering ---
+  std::shared_ptr<const FactStore> segment_;
+  FactId fact_base_ = 0;  // segment_->size(), 0 without a segment
 
   // --- indexes ---
   PostingsIndex by_attr_;  // AttrIndexKey -> per-concept ordinals

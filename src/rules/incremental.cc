@@ -179,12 +179,11 @@ std::vector<IncrementalEvaluator::Plan> IncrementalEvaluator::PlansOf(
 }
 
 Status IncrementalEvaluator::LoadBase() {
-  // Mirror of Evaluator::LoadBaseFacts, serial and strict: seeds first,
-  // then every concept binding in declaration order — the fact ids (and
-  // therefore the OID resolver's first-inserted precedence) come out
-  // identical to a from-scratch load.
+  // Mirror of Evaluator::LoadBaseFacts, serial and strict: every
+  // concept binding in declaration order, then the seeds — the fact ids
+  // (and therefore the OID resolver's first-inserted precedence) come
+  // out identical to a from-scratch load.
   BaseDelta initial;
-  for (const Fact& seed : ev_->seed_facts_) initial.inserts.push_back(seed);
   for (const Evaluator::ConceptBinding& binding : ev_->bindings_decl_) {
     const Evaluator::Source& source = ev_->sources_[binding.source_index];
     Result<std::vector<const Object*>> extent =
@@ -196,6 +195,7 @@ Status IncrementalEvaluator::LoadBase() {
           Fact::FromObject(binding.concept_name, *object));
     }
   }
+  for (const Fact& seed : ev_->seed_facts_) initial.inserts.push_back(seed);
   DeltaMaintenanceStats adopt_stats;
   return RunBatch(initial, /*initial=*/true, &adopt_stats);
 }

@@ -1724,8 +1724,11 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
     // live agent stores and fed to a live-updates client (counting /
     // DRed maintenance) and a demand-driven client; after every batch
     // the maintained store must be fact-set-identical to a from-scratch
-    // fixpoint over the same post-batch base state. Runs last: it
-    // mutates the stores every earlier family snapshots.
+    // fixpoint over the same post-batch base state. Before every batch
+    // the demand client is warmed on a sampled goal and a second goal
+    // over the same bindings, so encoded base segments meet every delta
+    // (DESIGN.md §4f). Runs last: it mutates the stores every earlier
+    // family snapshots.
     if (!c.delta_trace.empty()) {
       outcome.ran.insert(OracleFamily::kDeltaRebuild);
       FsmClient live(&federation.fsm);
@@ -1748,8 +1751,37 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
       } else {
         std::map<std::string, std::uint64_t> feed_epochs;
         bool aborted = false;
+        // The last checkpoint's extents (the baseline before batch 0).
+        std::map<std::string, std::multiset<std::string>> checkpoint =
+            semi_naive;
         for (size_t b = 0; b < c.delta_trace.batches.size() && !aborted;
              ++b) {
+          // Warm the demand client: a goal sampled from the checkpoint
+          // through Extent(), then the same concept under other pattern
+          // text — a distinct cache entry that overlays the same base
+          // segment. Neither may answer stale after the batch below.
+          std::vector<const std::string*> warm_pool;
+          for (const auto& [name, keys] : checkpoint) {
+            if (!keys.empty()) warm_pool.push_back(&name);
+          }
+          std::string warm_goal;
+          if (!warm_pool.empty()) {
+            warm_goal =
+                *warm_pool[Draw(c.seed, 0x5e90 + b) % warm_pool.size()];
+            Query second(warm_goal);
+            second.SelectObject("warm_oid");
+            const Result<std::vector<const Fact*>> warmed =
+                demand.Extent(warm_goal);
+            const Result<std::vector<Bindings>> second_rows =
+                demand.Run(second);
+            if (!warmed.ok() || !second_rows.ok()) {
+              outcome.failures.push_back(StrCat(
+                  "delta-rebuild: the demand client failed to answer ",
+                  warm_goal, " before batch ", b, ": ",
+                  (warmed.ok() ? second_rows.status() : warmed.status())
+                      .ToString()));
+            }
+          }
           // Interpret each op against the live stores, accumulating one
           // feed per touched agent. Every step is deterministic and
           // op-local, so shrunk traces stay interpretable (a missing
@@ -1864,15 +1896,21 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
           }
 
           // Demand agreement: a goal sampled from the rebuild's
-          // non-empty concepts must answer identically through the
-          // delta-fed demand client.
+          // non-empty concepts, and the goal warmed before the batch,
+          // must answer identically through the delta-fed demand client.
           std::vector<const std::string*> goal_pool;
           for (const auto& [name, keys] : rebuilt_facts) {
             if (!keys.empty()) goal_pool.push_back(&name);
           }
+          std::vector<std::string> goals;
           if (!goal_pool.empty()) {
-            const std::string& goal =
-                *goal_pool[Draw(c.seed, 160 + b) % goal_pool.size()];
+            goals.push_back(
+                *goal_pool[Draw(c.seed, 160 + b) % goal_pool.size()]);
+          }
+          if (!warm_goal.empty() && rebuilt_facts.count(warm_goal) != 0) {
+            goals.push_back(warm_goal);
+          }
+          for (const std::string& goal : goals) {
             const Result<std::vector<const Fact*>> answered =
                 demand.Extent(goal);
             if (!answered.ok()) {
@@ -1895,6 +1933,7 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
               }
             }
           }
+          checkpoint = rebuilt_facts;
         }
 
         // Post-trace faulted leg: the family-5 guarantees must hold

@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
+#include "assertions/parser.h"
 #include "integrate/integrator.h"
+#include "integrate/naive_integrator.h"
+#include "model/schema_parser.h"
 #include "test_util.h"
 
 namespace ooint {
@@ -98,6 +104,56 @@ TEST(Fig15SuppressionTest, OrderIndependenceOfTheEquivalenceMatch) {
       ValueOrDie(Integrator::Integrate(s1, s2, assertions));
   EXPECT_NE(outcome.schema.FindClass("IS(S1.A,S2.C)"), nullptr);
   EXPECT_EQ(outcome.schema.classes().size(), 4u);  // 2 merged + 2 copies
+}
+
+TEST(Fig15SuppressionTest, EquivalenceStillChecksExplicitAssertionsBelowIt) {
+  // The shrunk conformance seed 5212: c0 ≡ d0 matches, and a derivation
+  // relates d0 to c6, two levels below c0. Child-with-child scheduling
+  // never pairs c6 with the childless d0, yet the derivation is not
+  // implied by the equivalence — its rule must still be generated.
+  const Schema s1 = ValueOrDie(SchemaParser::Parse(R"(
+    schema S1 {
+      class c0 { key: string; }
+      class c4 { key: string; }
+      class c6 { key: string; }
+      is_a(c4, c0);
+      is_a(c6, c4);
+    }
+  )"));
+  const Schema s2 = ValueOrDie(SchemaParser::Parse(R"(
+    schema S2 {
+      class d0 { key: string; }
+    }
+  )"));
+  const AssertionSet assertions = ValueOrDie(AssertionParser::Parse(R"(
+    assert S1.c0 == S2.d0 {
+      attr: S1.c0.key == S2.d0.key;
+    }
+    assert S2.d0 -> S1.c6 {
+      attr: S2.d0.key == S1.c6.key;
+    }
+  )"));
+  IntegrationTrace trace;
+  const IntegrationOutcome optimized = ValueOrDie(
+      Integrator::Integrate(s1, s2, assertions, nullptr, &trace));
+  const IntegrationOutcome naive =
+      ValueOrDie(NaiveIntegrator::Integrate(s1, s2, assertions));
+  EXPECT_GE(trace.IndexOf(TraceEvent::Kind::kCase, "(c6, d0)"), 0);
+  std::multiset<std::string> optimized_rules;
+  for (const Rule& rule : optimized.schema.rules()) {
+    optimized_rules.insert(rule.ToString());
+  }
+  std::multiset<std::string> naive_rules;
+  for (const Rule& rule : naive.schema.rules()) {
+    naive_rules.insert(rule.ToString());
+  }
+  EXPECT_EQ(optimized_rules, naive_rules);
+  EXPECT_EQ(optimized_rules.count(
+                "<_o: IS(S1.c6) | key: x1> <= <o2: IS(S1.c0,S2.d0) | key: x1>"),
+            1u);
+  // Nothing else was pruned: the gate of conformance family 2 holds.
+  EXPECT_EQ(optimized.stats.pairs_skipped_by_labels, 0u);
+  EXPECT_EQ(optimized.stats.sibling_pairs_removed, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_util.h"
 #include "workload/fixtures.h"
 
@@ -93,6 +94,46 @@ TEST(InstanceParserTest, OutOfRangeNumbersAreParseErrors) {
     EXPECT_NE(s.message().find("line 2, column"), std::string::npos)
         << s.ToString();
     EXPECT_NE(s.message().find("out of range"), std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(InstanceParserTest, DeeplyNestedSetsAreParseErrorsNotCrashes) {
+  Schema schema("S1");
+  ClassDef c("x");
+  c.AddAttribute("v", ValueKind::kSet);
+  ASSERT_OK(schema.AddClass(std::move(c)).status());
+  ASSERT_OK(schema.Finalize());
+  auto nested = [](size_t depth) {
+    return "insert x {\n  v: " + std::string(depth, '{') +
+           std::string(depth, '}') + ";\n}";
+  };
+  {
+    // Exactly at the cap: parses, and the innermost set is empty.
+    InstanceStore store(&schema);
+    ASSERT_OK(InstanceParser::Load(
+                  nested(InstanceParser::kMaxValueNesting), &store)
+                  .status());
+    const Object* object =
+        store.Find(ValueOrDie(store.Extent(std::string("x"))).front());
+    Value value = object->Get("v");
+    for (int level = 1; level < InstanceParser::kMaxValueNesting; ++level) {
+      ASSERT_EQ(value.AsSet().size(), 1u);
+      value = Value(value.AsSet().front());
+    }
+    EXPECT_TRUE(value.AsSet().empty());
+  }
+  for (size_t depth : {size_t{InstanceParser::kMaxValueNesting + 1},
+                       size_t{100000}}) {
+    // One past the cap, and deep enough to overflow an uncapped
+    // recursive descent.
+    InstanceStore store(&schema);
+    const Status s = InstanceParser::Load(nested(depth), &store).status();
+    EXPECT_EQ(s.code(), StatusCode::kParseError) << s.ToString();
+    // Reported at the first '{' past the cap, on the member's line.
+    EXPECT_NE(s.message().find(StrCat(
+                  "line 2, column ", 6 + InstanceParser::kMaxValueNesting)),
+              std::string::npos)
         << s.ToString();
   }
 }
