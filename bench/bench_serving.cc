@@ -1,15 +1,13 @@
 // Experiment E17: streaming result pipeline and batched demand serving.
 //
-// Coalescing speedup: a closed loop of worker threads hammers a
-// demand-mode client with zipfian-popular goals, every request a cache
-// miss (the YCSB-C-with-invalidation shape). With coalesce_demand off,
-// every request runs its own goal-directed evaluation; with it on,
-// concurrent misses for the same goal share one single-flight
-// evaluator pass, so the popular goal's whole queue completes for the
-// price of one evaluation.
+// Coalescing: a closed loop of worker threads hammers a demand-mode
+// client with zipfian-popular goals, every request a cache miss (the
+// YCSB-C-with-invalidation shape). Concurrent misses for the same goal
+// share one single-flight evaluator pass, so the popular goal's whole
+// queue completes for the price of one evaluation.
 //
-//   BM_CoalesceSpeedup   both storms, reports qps_per_query,
-//                        qps_coalesced and speedup_x (the ≥5x claim)
+//   BM_CoalesceSpeedup   the storm's qps_coalesced, p99_coalesced_ms and
+//                        coalesce hits/leaders
 //
 // Mixed workload: zipfian goal popularity, a 50% cache-hit mix,
 // occasionally faulted agents (kPartial soundness), and a client split
@@ -137,12 +135,10 @@ struct StormOutcome {
 };
 
 /// A closed-loop zipfian storm of always-missing demand queries.
-StormOutcome RunCoalesceStorm(Fsm* fsm, bool coalesce, int workers,
-                              double storm_ms) {
+StormOutcome RunCoalesceStorm(Fsm* fsm, int workers, double storm_ms) {
   FederationOptions options;
   options.failure_policy = FailurePolicy::kPartial;
   options.query_mode = QueryMode::kDemandDriven;
-  options.coalesce_demand = coalesce;
   FsmClient client(fsm);
   if (!client.Connect(Fsm::Strategy::kAccumulation, options).ok()) return {};
   const std::vector<Query> pool = MakeGoalPool(client);
@@ -198,30 +194,20 @@ void BM_CoalesceSpeedup(benchmark::State& state) {
   static std::unique_ptr<Fsm>* fsm =
       new std::unique_ptr<Fsm>(MakeFederation(kCoalesceFamilies));
   const int workers = 32;
-  StormOutcome per_query, coalesced;
+  StormOutcome coalesced;
   for (auto _ : state) {
-    per_query =
-        RunCoalesceStorm(fsm->get(), /*coalesce=*/false, workers, 500);
-    coalesced =
-        RunCoalesceStorm(fsm->get(), /*coalesce=*/true, workers, 500);
+    coalesced = RunCoalesceStorm(fsm->get(), workers, 500);
   }
-  const double qps_per_query = Qps(per_query);
-  const double qps_coalesced = Qps(coalesced);
   state.counters["workers"] = workers;
   state.counters["goals"] = static_cast<double>(kGoals);
   state.counters["zipf_s"] = kZipfS;
-  state.counters["qps_per_query"] = qps_per_query;
-  state.counters["qps_coalesced"] = qps_coalesced;
-  state.counters["speedup_x"] =
-      qps_per_query > 0 ? qps_coalesced / qps_per_query : 0;
+  state.counters["qps_coalesced"] = Qps(coalesced);
   state.counters["coalesce_hits"] =
       static_cast<double>(coalesced.stats.coalesce_hits);
   state.counters["coalesce_leaders"] =
       static_cast<double>(coalesced.stats.coalesce_leaders);
-  state.counters["p99_per_query_ms"] = PercentileMs(per_query.latencies_ms, 99);
   state.counters["p99_coalesced_ms"] = PercentileMs(coalesced.latencies_ms, 99);
-  state.counters["failed"] =
-      static_cast<double>(per_query.failed + coalesced.failed);
+  state.counters["failed"] = static_cast<double>(coalesced.failed);
 }
 
 // --- Mixed workload ---------------------------------------------------
@@ -235,7 +221,6 @@ StormOutcome RunMixedStorm(Fsm* fsm, bool faulted, int workers,
   FederationOptions options;
   options.failure_policy = FailurePolicy::kPartial;
   options.query_mode = QueryMode::kDemandDriven;
-  options.coalesce_demand = true;
   if (faulted) options.injector = &injector;
   FsmClient client(fsm);
   if (!client.Connect(Fsm::Strategy::kAccumulation, options).ok()) return {};

@@ -12,8 +12,9 @@
 #               the concurrency-relevant suites (thread pool, overlapped
 #               fetching, federation, fault injection, conformance) with
 #               the parallel runtime forced to 4 workers, then smoke-run
-#               bench_parallel so the overlapped-fetch path executes under
-#               the race detector.
+#               bench_parallel and bench_serving's coalescing storm so the
+#               overlapped-fetch path and the single-flight window every
+#               demand miss enters execute under the race detector.
 #   --all       the plain pass, the --asan pass, then the --tsan pass —
 #               the CI matrix in one command.
 #   --soak [N]  build, then run the randomized conformance harness over N
@@ -91,6 +92,10 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # the concurrent serving path run under the race detector (timings
   # are meaningless and discarded).
   "$BUILD_DIR"/bench/bench_parallel --benchmark_min_time=0.01
+  # Every demand miss enters the single-flight window; 32 storm workers
+  # race it over zipfian goals.
+  "$BUILD_DIR"/bench/bench_serving --benchmark_filter=BM_CoalesceSpeedup \
+    --benchmark_min_time=0.01
 fi
 if [[ "$RUN_BENCH" == 1 ]]; then
   # Smoke mode: one short iteration per benchmark proves they still run

@@ -141,8 +141,8 @@ class AgentConnection : public ExtentSource {
   Result<std::vector<const Object*>> FetchExtent(
       const std::string& class_name, const CancelToken& token) override;
   /// The agent store's InstanceStore::data_epoch(), which every insert
-  /// and remove bumps — unlike delta_epoch(), which only a delta feed
-  /// moves.
+  /// and remove bumps — unlike a delta feed's epoch, which only the
+  /// feed moves.
   std::uint64_t data_epoch() const override { return store_->data_epoch(); }
 
   BreakerState breaker_state() const {
@@ -158,12 +158,6 @@ class AgentConnection : public ExtentSource {
   /// calls this first, so a stale feed is rejected before any
   /// maintenance work).
   Status AcceptDelta(const ExtentDelta& delta);
-
-  /// The last accepted delta epoch (0 before any delta).
-  std::uint64_t delta_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return delta_epoch_;
-  }
 
   /// Observability counters (monotonic over the connection's life).
   struct Stats {

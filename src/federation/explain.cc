@@ -39,8 +39,8 @@ std::string QueryPlan::ToString() const {
     out += StrCat("  deadline: ", query_deadline_ms, "ms per query\n");
   }
   if (admission_enabled) {
-    out += StrCat("  admission: limit=", admission_max_concurrent,
-                  " queue_depth=", admission_max_queue_depth,
+    out += StrCat("  admission: limit=", admission_policy.max_concurrent,
+                  " queue_depth=", admission_policy.max_queue_depth,
                   " admitted=", admission.admitted,
                   " shed_full=", admission.rejected_full,
                   " shed_wait=", admission.rejected_wait,
@@ -50,34 +50,35 @@ std::string QueryPlan::ToString() const {
   }
   if (live_updates || delta_batches > 0) {
     out += StrCat("  live-updates: batches=", delta_batches,
-                  " facts+=", delta_facts_inserted,
-                  " facts-=", delta_facts_deleted,
-                  " overdeleted=", delta_overdeleted,
-                  " rederived=", delta_rederived,
-                  " rounds=", delta_rounds,
+                  " facts+=", maintenance.facts_inserted,
+                  " facts-=", maintenance.facts_deleted,
+                  " overdeleted=", maintenance.overdeleted,
+                  " rederived=", maintenance.rederived,
+                  " rounds=", maintenance.rounds,
                   " cache_retained=", cache_entries_retained,
                   " cache_evicted=", cache_entries_evicted, "\n");
   }
-  if (coalesce_demand || cursors_opened > 0) {
-    out += StrCat("  serving: coalesce=", coalesce_demand ? "on" : "off",
-                  " cursors=", cursors_opened,
-                  " expired=", cursors_expired,
-                  " pages=", pages_served,
-                  " rows=", rows_streamed,
-                  " heap_evictions=", serving_heap_evictions,
-                  " coalesce_hits=", coalesce_hits,
-                  " coalesce_leaders=", coalesce_leaders, "\n");
+  // Demand connections always coalesce, so they always report serving.
+  if (demand_mode || serving.cursors_opened > 0) {
+    out += StrCat("  serving: cursors=", serving.cursors_opened,
+                  " expired=", serving.cursors_expired,
+                  " pages=", serving.pages_served,
+                  " rows=", serving.rows_streamed,
+                  " heap_evictions=", serving.heap_evictions,
+                  " coalesce_hits=", serving.coalesce_hits,
+                  " coalesce_leaders=", serving.coalesce_leaders, "\n");
   }
   if (counters.present) {
-    out += StrCat("  counters: derived=", counters.facts_derived,
-                  " extents_fetched=", counters.extents_fetched,
-                  " join_probes=", counters.join_probes,
+    const Evaluator::Stats& stats = counters.stats;
+    out += StrCat("  counters: derived=", stats.derived_facts,
+                  " extents_fetched=", stats.extents_fetched,
+                  " join_probes=", stats.index_probes,
                   " cache_hits=", counters.cache_hits,
                   counters.from_cache ? " (answered from cache)" : "", "\n");
-    out += StrCat("  join kernels: cursor_steps=", counters.cursor_steps,
-                  " merge_steps=", counters.merge_steps,
-                  " gallop_steps=", counters.gallop_steps,
-                  " plan_reorders=", counters.plan_reorders, "\n");
+    out += StrCat("  join kernels: cursor_steps=", stats.cursor_steps,
+                  " merge_steps=", stats.merge_steps,
+                  " gallop_steps=", stats.gallop_steps,
+                  " plan_reorders=", stats.plan_reorders, "\n");
   }
   if (!skipped_agents.empty()) {
     out += StrCat("  DEGRADED: skipped ", Join(skipped_agents, ", "),

@@ -6,6 +6,8 @@
 
 #include "common/result.h"
 #include "federation/fsm.h"
+#include "federation/serving.h"
+#include "rules/incremental.h"
 
 namespace ooint {
 
@@ -43,24 +45,17 @@ struct QueryPlan {
   std::string goal_adornment;
   std::string fallback_reason;
   /// Measured evaluation counters of the client's cached outcome for
-  /// this exact query, when one exists (present == true).
+  /// this exact query, when one exists (present == true). `from_cache`
+  /// says whether a lookup would serve the outcome now; `cache_hits` is
+  /// the client's running hit count.
   struct Counters {
     bool present = false;
     bool from_cache = false;
-    size_t facts_derived = 0;
-    size_t extents_fetched = 0;
-    size_t join_probes = 0;
     size_t cache_hits = 0;
-    /// Join-kernel counters (DESIGN.md §4l): postings decoded off
-    /// cursors, merge/bitmap element steps, galloping-search hops, and
-    /// how often the cost-based planner overrode the connectivity SIP.
-    size_t cursor_steps = 0;
-    size_t merge_steps = 0;
-    size_t gallop_steps = 0;
-    size_t plan_reorders = 0;
-    /// Whether the evaluation overlaid a base segment an earlier query
-    /// encoded (DESIGN.md §4f) instead of encoding its extents itself.
-    bool base_segment_reused = false;
+    /// The outcome's evaluation counters: facts derived, extents
+    /// fetched, join-kernel work (DESIGN.md §4l) and whether it
+    /// overlaid a base segment an earlier query encoded (§4f).
+    Evaluator::Stats stats;
   };
   Counters counters;
 
@@ -72,41 +67,29 @@ struct QueryPlan {
   double fetch_overlap_saved_ms = 0;
 
   /// Overload-control annotations (FsmClient::Explain): the query
-  /// deadline every query runs under and a snapshot of the admission
-  /// controller (queue depth, wait time, shed counts). `admission` is
-  /// meaningful only when admission_enabled.
+  /// deadline every query runs under, the admission policy and a
+  /// snapshot of the admission controller (queue depth, wait time, shed
+  /// counts). `admission_policy` and `admission` are meaningful only
+  /// when admission_enabled.
   double query_deadline_ms = CancelToken::kNoDeadline;
   bool admission_enabled = false;
-  int admission_max_concurrent = 0;
-  int admission_max_queue_depth = 0;
+  AdmissionPolicy admission_policy;
   AdmissionController::Stats admission;
 
   /// Live-update annotations (FsmClient::Explain on a connection that
   /// has seen ApplyDelta): the cumulative counting/DRed maintenance
-  /// story, and how the (agent, epoch)-scoped demand cache fared —
-  /// entries retained (their relevant agents untouched, still warm)
-  /// vs. evicted across all deltas so far.
+  /// story, and how the demand cache sweep fared — entries retained
+  /// (still warm) vs. evicted across all deltas so far.
   bool live_updates = false;
   size_t delta_batches = 0;
-  size_t delta_facts_inserted = 0;
-  size_t delta_facts_deleted = 0;
-  size_t delta_overdeleted = 0;
-  size_t delta_rederived = 0;
-  size_t delta_rounds = 0;
+  DeltaMaintenanceStats maintenance;
   size_t cache_entries_retained = 0;
   size_t cache_entries_evicted = 0;
 
   /// Serving-pipeline annotations (FsmClient::Explain): the connection's
   /// cumulative cursor / streaming / coalescing counters (DESIGN.md
-  /// §4k). `coalesce_demand` mirrors the connection option.
-  bool coalesce_demand = false;
-  size_t cursors_opened = 0;
-  size_t cursors_expired = 0;
-  size_t pages_served = 0;
-  size_t rows_streamed = 0;
-  size_t serving_heap_evictions = 0;
-  size_t coalesce_hits = 0;
-  size_t coalesce_leaders = 0;
+  /// §4k).
+  ServingStats serving;
 
   /// Concepts of this plan whose extents were cut short by the query
   /// deadline (a sound subset — see DegradedInfo::deadline_truncated).

@@ -101,21 +101,8 @@ struct FederationOptions {
   /// Connect) regardless of failure_policy — incremental maintenance
   /// over a partially loaded base would drift from every rebuild.
   /// Demand-driven clients ignore the flag: they re-fetch per query and
-  /// only need the (agent, epoch) cache invalidation ApplyDelta always
-  /// performs.
+  /// only need the cache sweep ApplyDelta always performs.
   bool live_updates = false;
-  /// Single-flight coalescing of demand evaluations on the serving path
-  /// (DESIGN.md §4k): concurrent cache-missing queries whose goal
-  /// pattern is identical — hence identical magic-set adornment and
-  /// seeds — share one evaluator pass. The first miss leads, later
-  /// arrivals wait and adopt the leader's outcome, so N concurrent
-  /// requests for a zipfian-popular goal cost ~1 evaluation. A
-  /// deadline-truncated leader outcome is never adopted (truncated
-  /// answers are served once, not replayed — the PR 7 rule); joiners
-  /// then evaluate for themselves. Only meaningful with
-  /// QueryMode::kDemandDriven; off by default so single-client serial
-  /// workloads keep today's counters bit for bit.
-  bool coalesce_demand = false;
   /// Rule-body join ordering (see DESIGN.md §4l). kCostBased — the
   /// default — precomputes per-(rule, stratum) plans replaying the
   /// historical most-bound-first heuristic, overriding it only when

@@ -27,7 +27,6 @@ Status FsmClient::Connect(Fsm::Strategy strategy,
   cache_delta_evicted_.store(0, std::memory_order_relaxed);
   // Serving state restarts with the connection. No in-flight leaders
   // can exist here (they hold data_mu_ shared), so the window is empty.
-  coalesce_demand_ = false;
   {
     std::lock_guard<std::mutex> flight_lock(flight_mu_);
     inflight_.clear();
@@ -58,8 +57,6 @@ Status FsmClient::Connect(Fsm::Strategy strategy,
   evaluator_ = std::move(fed.value().evaluator);
   connections_ = std::move(fed.value().connections);
   query_deadline_ms_ = options.query_deadline_ms;
-  coalesce_demand_ = options.coalesce_demand &&
-                     query_mode_ == QueryMode::kDemandDriven;
   if (options.admission.max_concurrent > 0) {
     admission_ = std::make_unique<AdmissionController>(options.admission);
   }
@@ -141,14 +138,9 @@ AgentConnection* FsmClient::FindConnection(
   return nullptr;
 }
 
-bool FsmClient::EpochsCurrent(const CacheEntry& entry) const {
-  for (const auto& [agent, epoch] : entry.agent_epochs) {
-    const AgentConnection* connection = FindConnection(agent);
-    if (connection == nullptr || connection->delta_epoch() != epoch) {
-      return false;
-    }
-  }
-  return true;
+bool FsmClient::Servable(const CacheEntry& entry, std::uint64_t epoch) const {
+  return entry.epoch == epoch && entry.health_signature == HealthSignature() &&
+         Evaluator::ReadsCurrent(entry.outcome->reads);
 }
 
 Status FsmClient::ApplyDelta(const ExtentDelta& delta) {
@@ -176,12 +168,18 @@ Status FsmClient::ApplyDelta(const ExtentDelta& delta) {
     if (!batch.ok()) return batch.status();
   }
   delta_batches_.fetch_add(1, std::memory_order_relaxed);
-  // Sweep the demand cache by (agent, epoch): only entries whose
-  // relevant agents include this delta's go cold; everything else stays
-  // warm (lookups still re-validate epochs via EpochsCurrent).
+  // Sweep the demand cache: entries that read this delta's agent go
+  // cold even when no data epoch moved (an attribute edited in place),
+  // and so do entries no lookup could serve any more; everything else
+  // stays warm. Eviction releases their sub-evaluators and segments.
   std::unique_lock<std::shared_mutex> cache_lock(cache_mu_);
   for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.agent_epochs.count(delta.agent_name) > 0) {
+    const std::vector<ExtentRead>& reads = it->second.outcome->reads;
+    const bool read_agent =
+        std::any_of(reads.begin(), reads.end(), [&](const ExtentRead& read) {
+          return read.source == connection;
+        });
+    if (read_agent || !Evaluator::ReadsCurrent(reads)) {
       it = cache_.erase(it);
       cache_delta_evicted_.fetch_add(1, std::memory_order_relaxed);
     } else {
@@ -202,12 +200,11 @@ Status FsmClient::Refresh() {
 Result<std::shared_ptr<const Evaluator::DemandOutcome>> FsmClient::Demand(
     const OTerm& pattern) const {
   const std::string key = pattern.ToString();
+  const std::uint64_t epoch = fault_epoch();
   {
     std::shared_lock<std::shared_mutex> lock(cache_mu_);
     auto it = cache_.find(key);
-    if (it != cache_.end() && it->second.epoch == fault_epoch() &&
-        it->second.health_signature == HealthSignature() &&
-        EpochsCurrent(it->second)) {
+    if (it != cache_.end() && Servable(it->second, epoch)) {
       std::shared_ptr<const Evaluator::DemandOutcome> outcome =
           it->second.outcome;
       lock.unlock();
@@ -218,22 +215,26 @@ Result<std::shared_ptr<const Evaluator::DemandOutcome>> FsmClient::Demand(
     }
   }
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  if (!coalesce_demand_) return EvaluateAndCache(pattern, key);
 
   // Single-flight window (DESIGN.md §4k): the first miss on a key
   // leads; concurrent misses on the same key join and adopt the
   // leader's outcome instead of re-running the magic-set pass over the
-  // same seeds. Everyone here already holds data_mu_ shared, so a
-  // joiner waiting on the leader cannot deadlock against a delta
-  // writer: the leader needs no further lock to finish.
+  // same seeds. A flight that began before a fault-epoch bump is not
+  // joined: this miss leads a fresh one in its place. Everyone here
+  // already holds data_mu_ shared, so a joiner waiting on the leader
+  // cannot deadlock against a delta writer: the leader needs no further
+  // lock to finish.
   std::shared_ptr<InFlight> flight;
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(flight_mu_);
-    auto [it, inserted] = inflight_.try_emplace(key);
-    if (inserted) it->second = std::make_shared<InFlight>();
-    flight = it->second;
-    leader = inserted;
+    std::shared_ptr<InFlight>& slot = inflight_[key];
+    if (slot == nullptr || slot->epoch != epoch) {
+      slot = std::make_shared<InFlight>();
+      slot->epoch = epoch;
+      leader = true;
+    }
+    flight = slot;
   }
   if (!leader) {
     coalesce_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -253,11 +254,11 @@ Result<std::shared_ptr<const Evaluator::DemandOutcome>> FsmClient::Demand(
       demand_degraded_ = adopted->degraded;
       return adopted;
     }
-    return EvaluateAndCache(pattern, key);
+    return EvaluateAndCache(pattern, key, epoch);
   }
   coalesce_leaders_.fetch_add(1, std::memory_order_relaxed);
   Result<std::shared_ptr<const Evaluator::DemandOutcome>> result =
-      EvaluateAndCache(pattern, key);
+      EvaluateAndCache(pattern, key, epoch);
   {
     std::lock_guard<std::mutex> lock(flight->mu);
     flight->done = true;
@@ -276,12 +277,11 @@ Result<std::shared_ptr<const Evaluator::DemandOutcome>> FsmClient::Demand(
 }
 
 Result<std::shared_ptr<const Evaluator::DemandOutcome>>
-FsmClient::EvaluateAndCache(const OTerm& pattern,
-                            const std::string& key) const {
+FsmClient::EvaluateAndCache(const OTerm& pattern, const std::string& key,
+                            std::uint64_t epoch) const {
   // Evaluate outside the lock so concurrent queries for different keys
-  // (and even racing misses on the same key) overlap; the later store
-  // simply wins. Each miss runs under its own fresh deadline token (a
-  // cache hit costs no budget; only real evaluation does).
+  // overlap. Each miss runs under its own fresh deadline token (a cache
+  // hit costs no budget; only real evaluation does).
   const CancelToken token =
       query_deadline_ms_ == CancelToken::kNoDeadline
           ? CancelToken()
@@ -296,23 +296,13 @@ FsmClient::EvaluateAndCache(const OTerm& pattern,
   // one's contemporaries) will miss and recompute.
   std::unique_lock<std::shared_mutex> lock(cache_mu_);
   demand_degraded_ = shared->degraded;
-  if (!shared->degraded.deadline_truncated) {
-    // A deadline-truncated answer is sound for *this* query's budget
-    // but must never be replayed to a later query as the full answer —
-    // truncated outcomes are served once and recomputed.
-    CacheEntry entry{shared, fault_epoch(), HealthSignature(), {}};
-    // Snapshot the delta epochs of the outcome's *relevant* agents —
-    // everything the relevance pruning did not exclude. A later delta
-    // to a pruned agent cannot change this answer, so the entry
-    // survives it warm; a delta to any recorded agent evicts it.
-    for (const AgentConnection* connection : connections_) {
-      const std::string& name = connection->agent_name();
-      if (std::find(shared->pruned_agents.begin(), shared->pruned_agents.end(),
-                    name) == shared->pruned_agents.end()) {
-        entry.agent_epochs[name] = connection->delta_epoch();
-      }
-    }
-    cache_[key] = std::move(entry);
+  // A deadline-truncated answer is sound for *this* query's budget but
+  // must never be replayed to a later query as the full answer —
+  // truncated outcomes are served once and recomputed. An answer whose
+  // miss began before a fault-epoch bump could never be served, and
+  // storing it could displace a current one.
+  if (!shared->degraded.deadline_truncated && epoch == fault_epoch()) {
+    cache_[key] = CacheEntry{shared, epoch, HealthSignature()};
   }
   return shared;
 }
@@ -371,33 +361,17 @@ Result<QueryPlan> FsmClient::Explain(const Query& query) const {
   plan.query_deadline_ms = query_deadline_ms_;
   if (admission_ != nullptr) {
     plan.admission_enabled = true;
-    plan.admission_max_concurrent = admission_->policy().max_concurrent;
-    plan.admission_max_queue_depth = admission_->policy().max_queue_depth;
+    plan.admission_policy = admission_->policy();
     plan.admission = admission_->stats();
   }
-  plan.coalesce_demand = coalesce_demand_;
-  plan.cursors_opened = cursors_opened_.load(std::memory_order_relaxed);
-  plan.cursors_expired = cursors_expired_.load(std::memory_order_relaxed);
-  plan.pages_served = pages_served_.load(std::memory_order_relaxed);
-  plan.rows_streamed = rows_streamed_.load(std::memory_order_relaxed);
-  plan.serving_heap_evictions =
-      heap_evictions_.load(std::memory_order_relaxed);
-  plan.coalesce_hits = coalesce_hits_.load(std::memory_order_relaxed);
-  plan.coalesce_leaders = coalesce_leaders_.load(std::memory_order_relaxed);
+  plan.serving = serving_stats();
   plan.live_updates = engine_ != nullptr;
   plan.delta_batches = delta_batches_.load(std::memory_order_relaxed);
   plan.cache_entries_retained =
       cache_delta_retained_.load(std::memory_order_relaxed);
   plan.cache_entries_evicted =
       cache_delta_evicted_.load(std::memory_order_relaxed);
-  if (engine_ != nullptr) {
-    const DeltaMaintenanceStats& maintenance = engine_->cumulative();
-    plan.delta_facts_inserted = maintenance.facts_inserted;
-    plan.delta_facts_deleted = maintenance.facts_deleted;
-    plan.delta_overdeleted = maintenance.overdeleted;
-    plan.delta_rederived = maintenance.rederived;
-    plan.delta_rounds = maintenance.rounds;
-  }
+  if (engine_ != nullptr) plan.maintenance = engine_->cumulative();
   if (!plan.demand_mode) {
     // Materialized connections fetched at Connect(); the evaluator's
     // counters say how much latency the overlapped batch hid.
@@ -418,17 +392,9 @@ Result<QueryPlan> FsmClient::Explain(const Query& query) const {
     // descriptors can force a fallback to fetching everything).
     plan.pruned_agents = outcome.pruned_agents;
     plan.counters.present = true;
-    plan.counters.from_cache = it->second.epoch == fault_epoch() &&
-                               it->second.health_signature == HealthSignature();
-    plan.counters.facts_derived = outcome.stats.derived_facts;
-    plan.counters.extents_fetched = outcome.stats.extents_fetched;
-    plan.counters.join_probes = outcome.stats.index_probes;
-    plan.counters.cursor_steps = outcome.stats.cursor_steps;
-    plan.counters.merge_steps = outcome.stats.merge_steps;
-    plan.counters.gallop_steps = outcome.stats.gallop_steps;
-    plan.counters.plan_reorders = outcome.stats.plan_reorders;
-    plan.counters.base_segment_reused = outcome.stats.base_segments_reused > 0;
+    plan.counters.from_cache = Servable(it->second, fault_epoch());
     plan.counters.cache_hits = cache_hits_.load(std::memory_order_relaxed);
+    plan.counters.stats = outcome.stats;
     plan.fetch_overlap_saved_ms = std::max(
         0.0, outcome.stats.fetch_ms_sum - outcome.stats.fetch_wall_ms);
   }

@@ -68,13 +68,18 @@ class Query {
 /// goal-directed (magic-set rewritten, relevance-pruned — see
 /// Evaluator::EvaluateDemand) and memoizes the outcome in a query cache
 /// keyed on the pattern's text. A cached answer is served only while
-/// its *fault epoch* and the breaker-state signature it was computed
-/// under still hold: Connect() bumps the epoch, BumpFaultEpoch() lets
-/// callers invalidate on external fault-schedule changes, and any
-/// breaker transition (trip, recovery) changes the signature — so a
-/// degraded answer is never replayed as healthy or vice versa. Note
-/// that in demand mode agent faults surface per query, not at
-/// Connect(); degraded() reports the last served query's record.
+/// the *fault epoch* its miss began at and the breaker-state signature
+/// it was computed under still hold, and while every extent it read is
+/// still at the data epoch it was read at (Evaluator::ReadsCurrent):
+/// Connect() bumps the epoch, BumpFaultEpoch() lets callers invalidate
+/// on external fault-schedule changes, any breaker transition (trip,
+/// recovery) changes the signature — so a degraded answer is never
+/// replayed as healthy or vice versa — and any insert or remove at an
+/// agent store the answer read retires it, announced or not. Concurrent
+/// misses on one goal share one evaluation (the single-flight window,
+/// DESIGN.md §4k). Note that in demand mode agent faults surface per
+/// query, not at Connect(); degraded() reports the last served query's
+/// record.
 class FsmClient {
  public:
   explicit FsmClient(Fsm* fsm) : fsm_(fsm) {}
@@ -111,8 +116,9 @@ class FsmClient {
 
   /// All facts (local + derived) of a global concept. In demand mode
   /// the returned pointers stay valid until the cache entry that owns
-  /// them is invalidated (reconnect, epoch bump, breaker change,
-  /// InvalidateQueryCache) or evicted.
+  /// them is invalidated (reconnect, epoch bump, breaker change, a
+  /// change at an agent store it read, InvalidateQueryCache) or
+  /// evicted.
   Result<std::vector<const Fact*>> Extent(const std::string& concept_name) const;
 
   /// The plan for `query`, annotated with the connection's mode, the
@@ -148,13 +154,13 @@ class FsmClient {
   /// the counting/DRed engine maintains the derived store so queries
   /// answer exactly as a from-scratch fixpoint over the new base state
   /// would; a demand-driven connection needs no maintenance (queries
-  /// re-fetch) and only takes the cache invalidation. Either way the
-  /// demand cache is swept by (agent, epoch): entries whose relevant
-  /// agents — all agents minus the outcome's relevance-pruned ones —
-  /// include the delta's agent are evicted, every other entry stays
-  /// warm. Delta application serializes against concurrent Run /
-  /// Extent / Explain calls (writer vs. shared readers), so serving
-  /// threads see each batch atomically.
+  /// re-fetch) and only takes the cache sweep. Either way the sweep
+  /// evicts every demand cache entry that read the delta's agent (an
+  /// in-place attribute edit moves no data epoch) or whose reads are
+  /// no longer current; every other entry stays warm. Delta
+  /// application serializes against concurrent Run / Extent / Explain
+  /// calls (writer vs. shared readers), so serving threads see each
+  /// batch atomically.
   Status ApplyDelta(const ExtentDelta& delta);
 
   /// Full rebuild: re-runs Connect() with the last Connect's strategy
@@ -226,21 +232,19 @@ class FsmClient {
   /// pointers survive until the last user lets go.
   struct CacheEntry {
     std::shared_ptr<const Evaluator::DemandOutcome> outcome;
+    /// The fault epoch the miss began at.
     std::uint64_t epoch = 0;
     /// Breaker states of every connection when the outcome was stored;
     /// a mismatch at lookup time means the fault environment moved.
     std::string health_signature;
-    /// Delta epochs of the outcome's *relevant* agents (every agent
-    /// except the relevance-pruned ones) when it was stored. ApplyDelta
-    /// evicts by key membership; lookups additionally re-validate the
-    /// epochs, so an entry that somehow outlived a delta to a relevant
-    /// agent is never served stale.
-    std::map<std::string, std::uint64_t> agent_epochs;
   };
 
   /// One in-flight demand evaluation of the coalescing window: the
   /// leader publishes its outcome here and wakes the joiners.
   struct InFlight {
+    /// The fault epoch the leader's miss began at; only misses that
+    /// began at the same epoch join.
+    std::uint64_t epoch = 0;
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
@@ -248,20 +252,22 @@ class FsmClient {
     std::shared_ptr<const Evaluator::DemandOutcome> outcome;
   };
 
-  /// Evaluates `pattern` demand-driven through the cache (and, with
-  /// FederationOptions::coalesce_demand, through the single-flight
-  /// window). Caller must hold data_mu_ (shared).
+  /// Evaluates `pattern` demand-driven through the cache and the
+  /// single-flight window. Caller must hold data_mu_ (shared).
   Result<std::shared_ptr<const Evaluator::DemandOutcome>> Demand(
       const OTerm& pattern) const;
-  /// The uncoalesced miss path: evaluate, record degradation, store in
-  /// the cache unless truncated. Caller must hold data_mu_ (shared).
+  /// One evaluation for a miss that began at fault epoch `epoch`:
+  /// evaluate, record degradation, and store in the cache unless the
+  /// answer is truncated or the epoch moved meanwhile. Caller must hold
+  /// data_mu_ (shared).
   Result<std::shared_ptr<const Evaluator::DemandOutcome>> EvaluateAndCache(
-      const OTerm& pattern, const std::string& key) const;
+      const OTerm& pattern, const std::string& key,
+      std::uint64_t epoch) const;
   std::string HealthSignature() const;
   AgentConnection* FindConnection(const std::string& agent_name) const;
-  /// True when every relevant agent's delta epoch still matches the
-  /// entry's snapshot.
-  bool EpochsCurrent(const CacheEntry& entry) const;
+  /// Whether `entry` may answer a request made at fault epoch `epoch`:
+  /// same epoch, same breaker states, and its reads still current.
+  bool Servable(const CacheEntry& entry, std::uint64_t epoch) const;
 
   Fsm* fsm_;
   GlobalSchema global_;
@@ -290,9 +296,10 @@ class FsmClient {
   /// Reader/writer lock over cache_ and demand_degraded_: concurrent
   /// queries share the lock for lookups and take it exclusively only to
   /// store a freshly computed outcome. Demand evaluation itself runs
-  /// outside the lock (two racing misses on one key both evaluate; the
-  /// later store wins — identical outcomes in a fault-free federation).
-  /// Connect/BumpFaultEpoch/InvalidateQueryCache are writer operations.
+  /// outside the lock; racing misses on one key share the single-flight
+  /// window's evaluation, and where two evaluate anyway (a joiner that
+  /// cannot adopt) the later store wins. Connect/InvalidateQueryCache
+  /// are writer operations.
   mutable std::shared_mutex cache_mu_;
   mutable std::map<std::string, CacheEntry> cache_;
   mutable std::atomic<size_t> cache_hits_{0};
@@ -304,16 +311,13 @@ class FsmClient {
   /// needed. Connect / Refresh are writer operations too.
   mutable std::shared_mutex data_mu_;
   /// Live-update counters: batches applied, and the per-delta cache
-  /// sweep outcomes (entries found warm and kept vs. evicted because a
-  /// relevant agent changed), cumulative since Connect.
+  /// sweep outcomes (entries found warm and kept vs. evicted), cumulative
+  /// since Connect.
   std::atomic<size_t> delta_batches_{0};
   mutable std::atomic<size_t> cache_delta_retained_{0};
   mutable std::atomic<size_t> cache_delta_evicted_{0};
   /// Degradation of the most recently served demand query.
   mutable DegradedInfo demand_degraded_;
-  /// Whether this connection coalesces concurrent demand misses
-  /// (FederationOptions::coalesce_demand on a demand-driven Connect).
-  bool coalesce_demand_ = false;
   /// The single-flight window: pattern key -> the in-flight evaluation
   /// later arrivals join. Guarded by flight_mu_ (leaf lock: never held
   /// while taking data_mu_ or cache_mu_).

@@ -65,7 +65,7 @@ struct ServingStats {
   /// Rows the bounded top-k heap discarded across all cursors.
   size_t heap_evictions = 0;
   /// Demand evaluations coalesced into a concurrent leader's pass vs.
-  /// passes led (FederationOptions::coalesce_demand).
+  /// passes led (the single-flight window every demand miss enters).
   size_t coalesce_hits = 0;
   size_t coalesce_leaders = 0;
 };

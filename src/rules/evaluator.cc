@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <iterator>
 #include <numeric>
 #include <set>
@@ -220,6 +219,7 @@ void Evaluator::Reset() {
   skolem_seen_.clear();
   stats_ = Stats();
   degraded_ = DegradedInfo();
+  reads_.clear();
 }
 
 FactMatcher Evaluator::MakeMatcher() const {
@@ -246,6 +246,12 @@ void Evaluator::SegmentCache::Store(const std::vector<size_t>& key,
                                     std::shared_ptr<const FactStore> segment) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_[key] = {std::move(epochs), std::move(segment)};
+}
+
+bool Evaluator::ReadsCurrent(const std::vector<ExtentRead>& reads) {
+  return std::all_of(reads.begin(), reads.end(), [](const ExtentRead& read) {
+    return read.source->data_epoch() == read.data_epoch;
+  });
 }
 
 Status Evaluator::LoadBaseFacts() {
@@ -291,6 +297,7 @@ Status Evaluator::LoadBaseFacts() {
     if (reply.issued) {
       ++stats_.extents_fetched;
       if (prefetch) stats_.fetch_ms_sum += reply.wall_ms;
+      reads_.push_back({source.source, reply.data_epoch});
     }
     if (!reply.status.ok()) {
       // Attribution rule: a failure processed while the query's token
@@ -930,38 +937,12 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
       std::vector<std::uint32_t>& candidates = candidate_buffer();
       CollectCandidates(ctx, pick, literal, solution.bindings, &candidates,
                         &concept_id);
-      // Positional attribute names ("0", "1", ...) formatted into a
-      // stack buffer — no per-candidate allocation on this hot path.
-      auto match_args = [&](const FactView& fact, Bindings* b) -> bool {
-        for (size_t i = 0; i < literal.args.size(); ++i) {
-          char name[16];
-          const int len = std::snprintf(name, sizeof(name), "%zu", i);
-          const ValueHandle stored = fact.Find(std::string_view(name, len));
-          if (!stored.valid()) return false;
-          const TermArg& arg = literal.args[i];
-          if (arg.is_constant()) {
-            if (!matcher.ValuesEqual(arg.constant, stored)) return false;
-          } else if (arg.is_variable()) {
-            auto bound = b->find(arg.var);
-            if (bound != b->end()) {
-              if (!matcher.ValuesEqual(bound->second, stored)) {
-                return false;
-              }
-            } else {
-              b->emplace(arg.var, stored.Materialize());
-            }
-          } else {
-            return false;
-          }
-        }
-        return true;
-      };
       if (!literal.negated) {
         for (std::uint32_t ordinal : candidates) {
           if (!admitted(concept_id, ordinal)) continue;
           const FactView fact = store_.ViewAt(concept_id, ordinal);
           Bindings next = solution.bindings;
-          if (match_args(fact, &next)) {
+          if (matcher.MatchArgs(literal.args, fact, &next)) {
             Solution s = solution;
             s.bindings = std::move(next);
             status = recurse(std::move(s));
@@ -973,7 +954,8 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
         for (std::uint32_t ordinal : candidates) {
           if (!admitted(concept_id, ordinal)) continue;
           Bindings next = solution.bindings;
-          if (match_args(store_.ViewAt(concept_id, ordinal), &next)) {
+          if (matcher.MatchArgs(literal.args,
+                                store_.ViewAt(concept_id, ordinal), &next)) {
             found = true;
             break;
           }
@@ -1423,6 +1405,7 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   drop_magic(&out.degraded.unsound_concepts);
   drop_magic(&out.degraded.truncated_concepts);
   out.degraded.pruned_agents = out.pruned_agents;
+  out.reads = std::move(sub->reads_);
   out.stats = sub->stats();
   out.sub = std::move(sub);
   return out;

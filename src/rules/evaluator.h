@@ -98,6 +98,14 @@ struct ExtentReply {
   std::uint64_t data_epoch = kNoDataEpoch;
 };
 
+/// One extent read an evaluation issued, failed or not: the source and
+/// its data_epoch() when the read was issued (see
+/// Evaluator::ReadsCurrent).
+struct ExtentRead {
+  const ExtentSource* source = nullptr;
+  std::uint64_t data_epoch = kNoDataEpoch;
+};
+
 /// Issues the batch concurrently on `pool` (serially when `pool` is
 /// null or single-threaded) and returns replies in request order.
 /// Requests against the *same* source are grouped into one task and run
@@ -377,9 +385,18 @@ class Evaluator {
     /// Degradation of the sub-evaluation (fault-skipped agents etc.),
     /// with pruned_agents mirrored in and magic predicates filtered out.
     DegradedInfo degraded;
+    /// Every extent read the load issued, fault-skipped ones included:
+    /// the record ReadsCurrent() checks before the outcome is reused.
+    std::vector<ExtentRead> reads;
     Stats stats;
     std::shared_ptr<Evaluator> sub;
   };
+
+  /// Whether every read still sees the data it saw: each source's
+  /// data_epoch() equals the epoch its read was issued at. A source
+  /// that cannot version its data (kNoDataEpoch) cannot report a change
+  /// and counts as current.
+  static bool ReadsCurrent(const std::vector<ExtentRead>& reads);
 
   /// Goal-directed evaluation of one query pattern: rewrites the rule
   /// program with magic sets (rules/magic.h), binds only the concepts
@@ -457,6 +474,7 @@ class Evaluator {
   /// aborting. A demand sub-evaluator (shared_segments_ set) encodes the
   /// extents into a base segment its store overlays, or reuses a cached
   /// one when every fetch succeeded at the epochs it was built at.
+  /// Every issued read is recorded in reads_.
   Status LoadBaseFacts();
 
   /// Fills degraded_.incomplete_concepts / unsound_concepts: the
@@ -606,6 +624,8 @@ class Evaluator {
   /// Per-query deadline/cancellation (never expires by default).
   CancelToken token_;
   DegradedInfo degraded_;
+  /// The extent reads the last Evaluate() issued, in issue order.
+  std::vector<ExtentRead> reads_;
 
   bool evaluated_ = false;
   FactStore store_;

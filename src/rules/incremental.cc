@@ -878,30 +878,8 @@ void IncrementalEvaluator::MatchingFacts(
       if (!matches.empty()) out->push_back(id);
       continue;
     }
-    // Positional predicate match (mirrors SolveBody's match_args).
     Bindings scratch = bindings;
-    bool ok = true;
-    for (size_t i = 0; i < literal.args.size() && ok; ++i) {
-      const ValueHandle stored = view.Find(StrCat(i));
-      if (!stored.valid()) {
-        ok = false;
-        break;
-      }
-      const TermArg& arg = literal.args[i];
-      if (arg.is_constant()) {
-        ok = matcher.ValuesEqual(arg.constant, stored);
-      } else if (arg.is_variable()) {
-        auto bound = scratch.find(arg.var);
-        if (bound != scratch.end()) {
-          ok = matcher.ValuesEqual(bound->second, stored);
-        } else {
-          scratch.emplace(arg.var, stored.Materialize());
-        }
-      } else {
-        ok = false;
-      }
-    }
-    if (ok) out->push_back(id);
+    if (matcher.MatchArgs(literal.args, view, &scratch)) out->push_back(id);
   }
 }
 
@@ -910,28 +888,14 @@ IncrementalEvaluator::HeadUnify IncrementalEvaluator::UnifyHead(
     Bindings* seed) const {
   const Literal& head = rule.head.front();
   if (head.kind == Literal::Kind::kPredicate) {
-    for (size_t i = 0; i < head.args.size(); ++i) {
-      auto it = fact.attrs.find(StrCat(i));
-      if (it == fact.attrs.end()) return HeadUnify::kNoMatch;
-      const TermArg& arg = head.args[i];
-      if (arg.is_constant()) {
-        if (!matcher.ValuesEqual(arg.constant, it->second)) {
-          return HeadUnify::kNoMatch;
-        }
-      } else if (arg.is_variable()) {
-        auto bound = seed->find(arg.var);
-        if (bound != seed->end()) {
-          if (!matcher.ValuesEqual(bound->second, it->second)) {
-            return HeadUnify::kNoMatch;
-          }
-        } else {
-          (*seed)[arg.var] = it->second;
-        }
-      } else {
+    for (const TermArg& arg : head.args) {
+      if (!arg.is_constant() && !arg.is_variable()) {
         return HeadUnify::kUnsupported;
       }
     }
-    return HeadUnify::kBindings;
+    return matcher.MatchArgs(head.args, FactView(&fact), seed)
+               ? HeadUnify::kBindings
+               : HeadUnify::kNoMatch;
   }
   if (head.kind != Literal::Kind::kOTerm) return HeadUnify::kUnsupported;
   const OTerm& oterm = head.oterm;

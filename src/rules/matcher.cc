@@ -1,5 +1,7 @@
 #include "rules/matcher.h"
 
+#include <cstdio>
+
 namespace ooint {
 
 bool ResolveArg(const TermArg& arg, const Bindings& bindings, Value* out) {
@@ -146,6 +148,30 @@ void FactMatcher::MatchOTerm(const OTerm& pattern, const FactView& fact,
       return;  // object positions are never nested
   }
   MatchDescriptors(pattern.attrs, 0, fact, base, out);
+}
+
+bool FactMatcher::MatchArgs(const std::vector<TermArg>& args,
+                            const FactView& fact, Bindings* bindings) const {
+  for (size_t i = 0; i < args.size(); ++i) {
+    char name[16];
+    const int len = std::snprintf(name, sizeof(name), "%zu", i);
+    const ValueHandle stored = fact.Find(std::string_view(name, len));
+    if (!stored.valid()) return false;
+    const TermArg& arg = args[i];
+    if (arg.is_constant()) {
+      if (!ValuesEqual(arg.constant, stored)) return false;
+    } else if (arg.is_variable()) {
+      auto bound = bindings->find(arg.var);
+      if (bound != bindings->end()) {
+        if (!ValuesEqual(bound->second, stored)) return false;
+      } else {
+        bindings->emplace(arg.var, stored.Materialize());
+      }
+    } else {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace ooint

@@ -58,6 +58,15 @@ class FactMatcher {
     MatchOTerm(pattern, FactView(&fact), bindings, out);
   }
 
+  /// Matches predicate arguments positionally: `args[i]` against the
+  /// fact's attribute "i". A constant or bound variable must equal the
+  /// stored value; an unbound variable binds to it. False when an
+  /// attribute is missing, a value differs or an argument is nested —
+  /// `bindings` may then hold a partial extension. Attribute names are
+  /// formatted on the stack, so a candidate costs no allocation.
+  bool MatchArgs(const std::vector<TermArg>& args, const FactView& fact,
+                 Bindings* bindings) const;
+
   /// Matches the descriptor list starting at `index`.
   void MatchDescriptors(const std::vector<AttrDescriptor>& descriptors,
                         size_t index, const FactView& fact,

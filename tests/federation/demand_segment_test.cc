@@ -98,7 +98,8 @@ class DemandSegmentTest : public ::testing::Test {
   }
 
   static bool SegmentReused(const FsmClient& client, const Query& query) {
-    return ValueOrDie(client.Explain(query)).counters.base_segment_reused;
+    const QueryPlan plan = ValueOrDie(client.Explain(query));
+    return plan.counters.stats.base_segments_reused > 0;
   }
 
   Fixture fixture_;

@@ -2,8 +2,8 @@
 // materialized connection made with FederationOptions::live_updates
 // maintain the derived store through the counting/DRed engine, so
 // answers after every batch match a from-scratch rebuild; Refresh() is
-// that rebuild. The demand cache is swept by (agent, epoch) — a delta
-// to a relevance-pruned agent leaves cached goals warm. Deletion edge
+// that rebuild. The demand cache is swept by the agents each entry
+// read — a delta to a relevance-pruned agent leaves cached goals warm. Deletion edge
 // cases (phantom deletes, insert-then-delete in one batch) and delta
 // application racing concurrent serving (the tsan target) live here.
 
@@ -341,9 +341,9 @@ TEST_F(LiveUpdateTest, ExplainReportsDeltaStats) {
   const QueryPlan plan = ValueOrDie(client.Explain(UncleQuery(client)));
   EXPECT_TRUE(plan.live_updates);
   EXPECT_EQ(plan.delta_batches, 2u);
-  EXPECT_GT(plan.delta_facts_inserted, 0u);
-  EXPECT_GT(plan.delta_facts_deleted, 0u);
-  EXPECT_GT(plan.delta_rounds, 0u);
+  EXPECT_GT(plan.maintenance.facts_inserted, 0u);
+  EXPECT_GT(plan.maintenance.facts_deleted, 0u);
+  EXPECT_GT(plan.maintenance.rounds, 0u);
   const std::string text = plan.ToString();
   EXPECT_NE(text.find("live-updates: batches=2"), std::string::npos);
 

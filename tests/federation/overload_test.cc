@@ -231,7 +231,7 @@ TEST_F(OverloadTest, SaturatedClientShedsAndExplainStaysObservable) {
                             "saturation window";
   EXPECT_EQ(shed_status.code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(during.admission_enabled);
-  EXPECT_EQ(during.admission_max_concurrent, 1);
+  EXPECT_EQ(during.admission_policy.max_concurrent, 1);
   EXPECT_GE(during.admission.rejected_full, 1);
   const AdmissionController::Stats stats = client.admission_stats();
   EXPECT_EQ(stats.active, 0);

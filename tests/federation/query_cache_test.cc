@@ -1,16 +1,18 @@
-// Demand-driven FsmClient: the per-connection query cache and its three
+// Demand-driven FsmClient: the per-connection query cache and its
 // invalidation triggers (reconnect, breaker-state change, fault-epoch
-// bump), relevance pruning at the federation level, and the Explain()
-// counter overlay. The stale-answer regression scenario: a healthy
-// cached answer must never be replayed after the fault environment
-// moved underneath it.
+// bump, a change at an agent store the answer read), relevance pruning
+// at the federation level, and the Explain() counter overlay. The
+// stale-answer regression scenarios: a cached answer must never be
+// replayed after the fault environment or the data moved underneath it.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "federation/explain.h"
 #include "federation/fault_injector.h"
@@ -65,6 +67,12 @@ class QueryCacheTest : public ::testing::Test {
     Query query(ValueOrDie(client.GlobalNameOf("S2", "uncle")));
     query.Select("Ussn#", "who").Select("niece_nephew", "kid");
     return query;
+  }
+
+  static std::set<std::string> Uncles(const std::vector<Bindings>& rows) {
+    std::set<std::string> uncles;
+    for (const Bindings& row : rows) uncles.insert(row.at("who").AsString());
+    return uncles;
   }
 
   static std::set<std::string> Answers(const std::vector<Bindings>& rows) {
@@ -194,6 +202,77 @@ TEST_F(QueryCacheTest, FaultEpochBumpInvalidatesWithoutBreakerMovement) {
                             after.end()));
 }
 
+// An agent store that changes with no delta feed: the cached answer
+// read S1 at an older data epoch, so the next lookup misses and answers
+// what a fresh client answers — whatever the goal's variables are named.
+TEST_F(QueryCacheTest, UnannouncedStoreChangeRetiresTheCachedAnswer) {
+  FsmClient client(&fsm_);
+  ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, DemandOptions()));
+  Query query(ValueOrDie(client.GlobalNameOf("S2", "uncle")));
+  query.Where("niece_nephew", Value::String("C2a")).Select("Ussn#", "who");
+  ASSERT_EQ(Uncles(ValueOrDie(client.Run(query))),
+            std::set<std::string>{"U2"});
+
+  // A second brother of P2, written straight into S1's store.
+  Object* brother =
+      ValueOrDie(fsm_.FindAgent("S1")->store().NewObject("brother"));
+  brother->Set("Bssn#", Value::String("U2x"))
+      .Set("name", Value::String("uncle_2x"))
+      .Set("brothers", Value::Set({Value::String("P2")}));
+
+  FsmClient fresh(&fsm_);
+  ASSERT_OK(fresh.Connect(Fsm::Strategy::kAccumulation, DemandOptions()));
+  const std::set<std::string> expected = Uncles(ValueOrDie(fresh.Run(query)));
+  ASSERT_EQ(expected, (std::set<std::string>{"U2", "U2x"}));
+  EXPECT_EQ(Uncles(ValueOrDie(client.Run(query))), expected);
+  EXPECT_EQ(client.query_cache_stats().hits, 0u);
+  EXPECT_EQ(client.query_cache_stats().misses, 2u);
+}
+
+// BumpFaultEpoch() while a miss is in flight. The answer's miss began
+// before the bump, so it must not be served afterwards as current; and
+// a request arriving after the bump must lead its own flight rather
+// than adopt the one begun under the old fault environment.
+TEST_F(QueryCacheTest, FaultEpochBumpDuringAMissRetiresItsAnswer) {
+  FaultInjector injector;
+  FederationOptions options = DemandOptions(&injector);
+  options.retry.real_time_scale = 5;  // a 40 ms virtual reply sleeps 200 ms
+  FsmClient client(&fsm_);
+  ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, options));
+  const Query query = UncleQuery(client);
+
+  // Starts a miss whose first S1 fetch is slow; returns once that fetch
+  // is under way (or after 10 s, when the counts below will say why).
+  auto slow_miss = [&] {
+    const size_t calls = injector.calls("S1");
+    injector.Push("S1", Fault{FaultKind::kSlowResponse, 40, 0});
+    std::thread miss([&] { EXPECT_OK(client.Run(query).status()); });
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (injector.calls("S1") == calls &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return miss;
+  };
+
+  std::thread first = slow_miss();
+  client.BumpFaultEpoch();
+  first.join();
+  ASSERT_OK(client.Run(query).status());
+  EXPECT_EQ(client.query_cache_stats().hits, 0u);
+  EXPECT_EQ(client.query_cache_stats().misses, 2u);
+
+  client.InvalidateQueryCache();
+  std::thread second = slow_miss();
+  client.BumpFaultEpoch();
+  EXPECT_OK(client.Run(query).status());
+  second.join();
+  EXPECT_EQ(client.query_cache_stats().misses, 4u);
+  EXPECT_EQ(client.serving_stats().coalesce_hits, 0u);
+  EXPECT_EQ(client.serving_stats().coalesce_leaders, 4u);
+}
+
 // The stale-truncated-answer regression. A deadline-truncated answer is
 // a sound subset *for the query that ran out of time* — but it must
 // never be cached, or a later identical query with plenty of budget
@@ -309,8 +388,8 @@ TEST_F(QueryCacheTest, ExplainOverlaysDemandCountersAndPruning) {
   EXPECT_FALSE(after.goal_adornment.empty());
   ASSERT_TRUE(after.counters.present);
   EXPECT_TRUE(after.counters.from_cache);
-  EXPECT_GT(after.counters.facts_derived, 0u);
-  EXPECT_GT(after.counters.extents_fetched, 0u);
+  EXPECT_GT(after.counters.stats.derived_facts, 0u);
+  EXPECT_GT(after.counters.stats.extents_fetched, 0u);
   const std::string rendered = after.ToString();
   EXPECT_NE(rendered.find("demand-driven: magic rewrite"), std::string::npos)
       << rendered;

@@ -387,10 +387,8 @@ TEST_F(ServingCursorTest, DeadlineTruncationFlagsEveryPageAndNeverCaches) {
 }
 
 TEST_F(ServingCursorTest, CoalescingSharesOneEvaluationAcrossThreads) {
-  FederationOptions options = DemandOptions();
-  options.coalesce_demand = true;
   FsmClient client(&fsm_);
-  ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, options));
+  ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, DemandOptions()));
   const Query query = UncleQuery(client);
   const std::multiset<std::string> expected =
       Keys(ValueOrDie(client.Run(query)));
@@ -444,8 +442,8 @@ TEST_F(ServingCursorTest, ServingCountersSurfaceInExplain) {
   EXPECT_GT(stats.heap_evictions, 0u);
 
   const QueryPlan plan = ValueOrDie(client.Explain(query));
-  EXPECT_EQ(plan.cursors_opened, 1u);
-  EXPECT_EQ(plan.rows_streamed, 3u);
+  EXPECT_EQ(plan.serving.cursors_opened, 1u);
+  EXPECT_EQ(plan.serving.rows_streamed, 3u);
   const std::string rendered = plan.ToString();
   EXPECT_NE(rendered.find("serving:"), std::string::npos) << rendered;
 }

@@ -1727,8 +1727,10 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
     // fixpoint over the same post-batch base state. Before every batch
     // the demand client is warmed on a sampled goal and a second goal
     // over the same bindings, so encoded base segments meet every delta
-    // (DESIGN.md §4f). Runs last: it mutates the stores every earlier
-    // family snapshots.
+    // (DESIGN.md §4f). A second demand client is warmed the same way but
+    // never sent a feed: its cached answers must notice the store
+    // changes through the data epochs they read. Runs last: it mutates
+    // the stores every earlier family snapshots.
     if (!c.delta_trace.empty()) {
       outcome.ran.insert(OracleFamily::kDeltaRebuild);
       FsmClient live(&federation.fsm);
@@ -1737,16 +1739,27 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
       const Status live_connect =
           live.Connect(Fsm::Strategy::kAccumulation, live_options);
       FsmClient demand(&federation.fsm);
+      FsmClient unannounced(&federation.fsm);
       FederationOptions demand_options;
       demand_options.query_mode = QueryMode::kDemandDriven;
       const Status demand_connect =
           demand.Connect(Fsm::Strategy::kAccumulation, demand_options);
-      if (!live_connect.ok() || !demand_connect.ok()) {
+      const Status unannounced_connect =
+          unannounced.Connect(Fsm::Strategy::kAccumulation, demand_options);
+      const struct {
+        FsmClient* client;
+        const char* name;
+      } demand_clients[] = {{&demand, "delta-fed demand client"},
+                            {&unannounced, "unannounced demand client"}};
+      if (!live_connect.ok() || !demand_connect.ok() ||
+          !unannounced_connect.ok()) {
         outcome.failures.push_back(StrCat(
             "delta-rebuild: the ",
             live_connect.ok() ? "demand-driven" : "live-updates",
             " client failed to connect: ",
-            (live_connect.ok() ? demand_connect : live_connect)
+            (!live_connect.ok()     ? live_connect
+             : !demand_connect.ok() ? demand_connect
+                                    : unannounced_connect)
                 .ToString()));
       } else {
         std::map<std::string, std::uint64_t> feed_epochs;
@@ -1756,7 +1769,7 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
             semi_naive;
         for (size_t b = 0; b < c.delta_trace.batches.size() && !aborted;
              ++b) {
-          // Warm the demand client: a goal sampled from the checkpoint
+          // Warm the demand clients: a goal sampled from the checkpoint
           // through Extent(), then the same concept under other pattern
           // text — a distinct cache entry that overlays the same base
           // segment. Neither may answer stale after the batch below.
@@ -1770,16 +1783,19 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
                 *warm_pool[Draw(c.seed, 0x5e90 + b) % warm_pool.size()];
             Query second(warm_goal);
             second.SelectObject("warm_oid");
-            const Result<std::vector<const Fact*>> warmed =
-                demand.Extent(warm_goal);
-            const Result<std::vector<Bindings>> second_rows =
-                demand.Run(second);
-            if (!warmed.ok() || !second_rows.ok()) {
-              outcome.failures.push_back(StrCat(
-                  "delta-rebuild: the demand client failed to answer ",
-                  warm_goal, " before batch ", b, ": ",
-                  (warmed.ok() ? second_rows.status() : warmed.status())
-                      .ToString()));
+            for (const auto& [client, client_name] : demand_clients) {
+              const Result<std::vector<const Fact*>> warmed =
+                  client->Extent(warm_goal);
+              const Result<std::vector<Bindings>> second_rows =
+                  client->Run(second);
+              if (!warmed.ok() || !second_rows.ok()) {
+                outcome.failures.push_back(StrCat(
+                    "delta-rebuild: the ", client_name,
+                    " failed to answer ", warm_goal, " before batch ", b,
+                    ": ",
+                    (warmed.ok() ? second_rows.status() : warmed.status())
+                        .ToString()));
+              }
             }
           }
           // Interpret each op against the live stores, accumulating one
@@ -1897,7 +1913,7 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
 
           // Demand agreement: a goal sampled from the rebuild's
           // non-empty concepts, and the goal warmed before the batch,
-          // must answer identically through the delta-fed demand client.
+          // must answer identically through both demand clients.
           std::vector<const std::string*> goal_pool;
           for (const auto& [name, keys] : rebuilt_facts) {
             if (!keys.empty()) goal_pool.push_back(&name);
@@ -1911,23 +1927,24 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
             goals.push_back(warm_goal);
           }
           for (const std::string& goal : goals) {
-            const Result<std::vector<const Fact*>> answered =
-                demand.Extent(goal);
-            if (!answered.ok()) {
-              outcome.failures.push_back(StrCat(
-                  "delta-rebuild: the demand client failed to answer ",
-                  goal, " after batch ", b, ": ",
-                  answered.status().ToString()));
-            } else {
+            for (const auto& [client, client_name] : demand_clients) {
+              const Result<std::vector<const Fact*>> answered =
+                  client->Extent(goal);
+              if (!answered.ok()) {
+                outcome.failures.push_back(StrCat(
+                    "delta-rebuild: the ", client_name,
+                    " failed to answer ", goal, " after batch ", b, ": ",
+                    answered.status().ToString()));
+                continue;
+              }
               std::multiset<std::string> got;
               for (const Fact* fact : answered.value()) {
                 got.insert(fact->AttrKey());
               }
               if (got != rebuilt_facts.at(goal)) {
                 outcome.failures.push_back(StrCat(
-                    "delta-rebuild: after batch ", b,
-                    " the demand client answers ", goal, " with ",
-                    got.size(), " facts vs ",
+                    "delta-rebuild: after batch ", b, " the ", client_name,
+                    " answers ", goal, " with ", got.size(), " facts vs ",
                     rebuilt_facts.at(goal).size(),
                     " in the from-scratch rebuild"));
               }
