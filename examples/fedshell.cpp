@@ -227,14 +227,14 @@ int main(int argc, char** argv) {
   for (const std::string& query : options.queries) {
     std::printf("%s\n", query.c_str());
     // Show the decomposition first: which agents and rules the query
-    // touches.
+    // touches. A materialized client's plan depends only on the class.
     if (ooint::Result<ooint::ParsedQuery> parsed = ooint::ParseQuery(query);
         parsed.ok()) {
       if (ooint::Result<std::string> global_name = client.GlobalNameOf(
               parsed.value().schema, parsed.value().class_name);
           global_name.ok()) {
-        const ooint::QueryPlan plan = Unwrap(
-            ooint::ExplainQuery(client.global(), global_name.value()));
+        const ooint::QueryPlan plan =
+            Unwrap(client.Explain(ooint::Query(global_name.value())));
         std::printf("%s\n", plan.ToString().c_str());
       }
     }

@@ -60,14 +60,4 @@ void ThreadPool::RunAll(std::vector<std::function<void()>> tasks) {
   batch.done.wait(lock, [&batch] { return batch.remaining == 0; });
 }
 
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    tasks.emplace_back([&fn, i] { fn(i); });
-  }
-  RunAll(std::move(tasks));
-}
-
 }  // namespace ooint

@@ -14,9 +14,8 @@ namespace ooint {
 /// A fixed-size worker pool with a single shared FIFO queue — no work
 /// stealing, no futures, no task priorities. The parallel federation
 /// runtime only ever needs one shape of parallelism: "run this batch of
-/// independent tasks, then continue" (overlapped extent fetches, one
-/// fixpoint round's rule partitions), and RunAll() is exactly that
-/// barrier.
+/// independent tasks, then continue" (overlapped extent fetches), and
+/// RunAll() is exactly that barrier.
 ///
 /// Concurrency contract:
 ///  - RunAll() may be called from several threads at once (concurrent
@@ -26,8 +25,8 @@ namespace ooint {
 ///    waiting on a nested batch could deadlock the pool). The evaluator
 ///    never nests batches by construction.
 ///  - Tasks must not throw; error propagation happens through whatever
-///    state the task closure writes (the evaluator collects per-task
-///    Status values and inspects them after the barrier).
+///    state the task closure writes (an overlapped fetch fills one
+///    ExtentReply per request, read after the barrier).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (clamped to at least 1).
@@ -43,9 +42,6 @@ class ThreadPool {
   /// waits (it does not execute tasks itself), so per-agent blocking
   /// waits inside tasks overlap across the full worker count.
   void RunAll(std::vector<std::function<void()>> tasks);
-
-  /// Convenience fan-out: RunAll over fn(0) .. fn(n-1).
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void WorkerLoop();

@@ -130,16 +130,17 @@ class AgentConnection : public ExtentSource {
 
   // ExtentSource:
   const Schema& schema() const override { return store_->schema(); }
-  Result<std::vector<const Object*>> FetchExtent(
-      const std::string& class_name) override;
   /// Token-aware fetch: every virtual wait (latency, backoff) is
   /// charged to `token`, the per-attempt deadline is capped by the
   /// token's remaining budget, an expired token is rejected up front
   /// with kDeadlineExceeded (no attempt, no breaker movement), and
-  /// expiry between retries stops the retry loop. The plain overload is
-  /// this one with a never-expiring token.
+  /// expiry between retries stops the retry loop.
   Result<std::vector<const Object*>> FetchExtent(
       const std::string& class_name, const CancelToken& token) override;
+  /// The token-aware fetch with a never-expiring token, for callers
+  /// outside a query (probes, connection tests).
+  Result<std::vector<const Object*>> FetchExtent(
+      const std::string& class_name);
   /// The agent store's InstanceStore::data_epoch(), which every insert
   /// and remove bumps — unlike a delta feed's epoch, which only the
   /// feed moves.

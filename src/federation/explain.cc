@@ -1,10 +1,10 @@
 #include "federation/explain.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 
 #include "common/string_util.h"
+#include "rules/rule_graph.h"
 
 namespace ooint {
 
@@ -92,35 +92,40 @@ std::string QueryPlan::ToString() const {
   return out;
 }
 
+void QueryPlan::MarkDegraded(const DegradedInfo& degraded) {
+  if (!degraded.degraded()) return;
+  for (const std::string& agent : agents) {
+    if (degraded.SkippedAgentNamed(agent)) skipped_agents.push_back(agent);
+  }
+  for (const std::string& concept_ref : concepts) {
+    if (std::find(degraded.incomplete_concepts.begin(),
+                  degraded.incomplete_concepts.end(),
+                  concept_ref) != degraded.incomplete_concepts.end()) {
+      incomplete_concepts.push_back(concept_ref);
+    }
+    if (std::find(degraded.truncated_concepts.begin(),
+                  degraded.truncated_concepts.end(),
+                  concept_ref) != degraded.truncated_concepts.end()) {
+      truncated_concepts.push_back(concept_ref);
+    }
+  }
+  deadline_truncated = !truncated_concepts.empty();
+}
+
 Result<QueryPlan> ExplainQuery(const GlobalSchema& global,
                                const std::string& concept_name,
                                const DegradedInfo* degraded) {
   QueryPlan plan;
   plan.concept_name = concept_name;
-
-  // BFS through rule dependencies.
-  std::set<std::string> seen = {concept_name};
-  std::deque<std::string> frontier = {concept_name};
+  // The goal's dependency closure over the rules the evaluator runs: a
+  // documentation-only rule adds no rule, concept or scan to the plan.
+  const RuleGraph graph(global.rules);
+  plan.concepts = graph.Closure(concept_name);
   std::set<size_t> rule_set;
-  while (!frontier.empty()) {
-    const std::string current = frontier.front();
-    frontier.pop_front();
-    plan.concepts.push_back(current);
-    for (size_t i = 0; i < global.rules.size(); ++i) {
-      const Rule& rule = global.rules[i];
-      const std::vector<std::string> heads = rule.HeadConceptNames();
-      if (std::find(heads.begin(), heads.end(), current) == heads.end()) {
-        continue;
-      }
-      rule_set.insert(i);
-      for (const std::string& body : rule.BodyConceptNames(false)) {
-        if (seen.insert(body).second) frontier.push_back(body);
-      }
-    }
-  }
-
   std::set<std::string> agent_set;
   for (const std::string& concept_ref : plan.concepts) {
+    const std::vector<size_t>& defining = graph.Defining(concept_ref);
+    rule_set.insert(defining.begin(), defining.end());
     auto it = global.ground_sources.find(concept_ref);
     if (it == global.ground_sources.end()) continue;
     for (const ClassRef& source : it->second) {
@@ -142,27 +147,7 @@ Result<QueryPlan> ExplainQuery(const GlobalSchema& global,
   for (const std::string& agent : all_agents) {
     if (!agent_set.count(agent)) plan.pruned_agents.push_back(agent);
   }
-
-  if (degraded != nullptr && degraded->degraded()) {
-    for (const std::string& agent : plan.agents) {
-      if (degraded->SkippedAgentNamed(agent)) {
-        plan.skipped_agents.push_back(agent);
-      }
-    }
-    for (const std::string& concept_ref : plan.concepts) {
-      if (std::find(degraded->incomplete_concepts.begin(),
-                    degraded->incomplete_concepts.end(),
-                    concept_ref) != degraded->incomplete_concepts.end()) {
-        plan.incomplete_concepts.push_back(concept_ref);
-      }
-      if (std::find(degraded->truncated_concepts.begin(),
-                    degraded->truncated_concepts.end(),
-                    concept_ref) != degraded->truncated_concepts.end()) {
-        plan.truncated_concepts.push_back(concept_ref);
-      }
-    }
-    plan.deadline_truncated = !plan.truncated_concepts.empty();
-  }
+  if (degraded != nullptr) plan.MarkDegraded(*degraded);
   return plan;
 }
 

@@ -18,14 +18,15 @@ namespace ooint {
 struct QueryPlan {
   /// The queried global concept.
   std::string concept_name;
-  /// Every concept reachable from it through rule bodies (including
-  /// itself), in dependency order.
+  /// Its RuleGraph::Closure: every concept the evaluated rules read for
+  /// it (itself included), breadth-first.
   std::vector<std::string> concepts;
   /// The ground (agent schema, class) extents that will be scanned.
   std::vector<ClassRef> ground_scans;
   /// Indexes into GlobalSchema::rules of the rules involved.
   std::vector<size_t> rules;
-  /// Agents contacted (schema names, deduplicated).
+  /// Agents contacted (schema names, sorted): those of the scans, or on
+  /// a demand connection those its Evaluator::PlanDemand fetches from.
   std::vector<std::string> agents;
   /// When a DegradedInfo was supplied: the plan's agents that are
   /// currently skipped, and the plan's concepts whose extents are
@@ -35,11 +36,11 @@ struct QueryPlan {
   /// Agents registered with ground sources that the plan does *not*
   /// touch: a demand-driven query never contacts them (relevance
   /// pruning). Unlike skipped_agents this loses nothing — the answer is
-  /// identical to a full evaluation's.
+  /// identical to a full evaluation's. Empty on a materialized client.
   std::vector<std::string> pruned_agents;
 
-  /// Demand-mode annotations, filled by FsmClient::Explain when the
-  /// client was connected with QueryMode::kDemandDriven.
+  /// Demand-mode annotations, filled by FsmClient::Explain from the
+  /// Evaluator::PlanDemand a miss runs (QueryMode::kDemandDriven).
   bool demand_mode = false;
   bool magic_applied = false;
   std::string goal_adornment;
@@ -104,12 +105,16 @@ struct QueryPlan {
     return !skipped_agents.empty() || deadline_truncated;
   }
 
+  /// Lists the plan's agents and concepts `degraded` names as skipped,
+  /// incomplete or truncated.
+  void MarkDegraded(const DegradedInfo& degraded);
+
   std::string ToString() const;
 };
 
-/// Computes the plan for querying `concept_name` against `global`:
-/// transitively collects the rules defining the concept, the concepts
-/// their bodies reference, and the ground sources feeding them. A
+/// Computes the plan for querying `concept_name` against `global`: the
+/// concept's RuleGraph closure, the rules defining its concepts and the
+/// ground sources feeding them. A
 /// concept with no rules and no ground sources yields a valid plan with
 /// empty scans (the query returns nothing). Passing the federation's
 /// current DegradedInfo (FsmClient::degraded()) annotates the plan with

@@ -393,9 +393,6 @@ Result<FederatedEvaluator> Fsm::MakeFederatedEvaluator(
   FederatedEvaluator fed;
   fed.evaluator = std::make_unique<Evaluator>();
   fed.evaluator->set_failure_policy(options.failure_policy);
-  // Before ConfigureEvaluator: the build-time fixpoint below must
-  // already run under the requested join-ordering mode.
-  fed.evaluator->set_planner_mode(options.planner);
   if (options.query_deadline_ms != CancelToken::kNoDeadline &&
       options.query_mode != QueryMode::kDemandDriven) {
     // Materialized mode runs its one big fixpoint here, at build time;

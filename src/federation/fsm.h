@@ -99,18 +99,11 @@ struct FederationOptions {
   /// feeds, maintaining the derived store batch by batch instead of
   /// rebuilding. The initial load is strict (a failing agent fails
   /// Connect) regardless of failure_policy — incremental maintenance
-  /// over a partially loaded base would drift from every rebuild.
+  /// over a partially loaded base would drift from every rebuild — and,
+  /// like the eager fixpoint, under query_deadline_ms.
   /// Demand-driven clients ignore the flag: they re-fetch per query and
   /// only need the cache sweep ApplyDelta always performs.
   bool live_updates = false;
-  /// Rule-body join ordering (see DESIGN.md §4l). kCostBased — the
-  /// default — precomputes per-(rule, stratum) plans replaying the
-  /// historical most-bound-first heuristic, overriding it only when
-  /// postings cardinalities prove another order cheaper. kFixedSip
-  /// forces strict left-to-right evaluation (indexes still on): the
-  /// conformance family 12 foil and a debugging escape hatch. Derived
-  /// fact sets are identical in both modes.
-  PlannerMode planner = PlannerMode::kCostBased;
 };
 
 /// A federated evaluator plus views of the per-agent connections it

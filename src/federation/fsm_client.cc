@@ -352,10 +352,8 @@ Result<QueryPlan> FsmClient::Explain(const Query& query) const {
   // during overload), but the data lock keeps the plan's maintenance
   // stats consistent with a concurrent delta batch.
   std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-  const DegradedInfo info = degraded();
-  OOINT_ASSIGN_OR_RETURN(
-      QueryPlan plan,
-      ExplainQuery(global_, query.pattern().class_name, &info));
+  OOINT_ASSIGN_OR_RETURN(QueryPlan plan,
+                         ExplainQuery(global_, query.pattern().class_name));
   plan.demand_mode = query_mode_ == QueryMode::kDemandDriven;
   plan.num_threads = num_threads();
   plan.query_deadline_ms = query_deadline_ms_;
@@ -373,24 +371,30 @@ Result<QueryPlan> FsmClient::Explain(const Query& query) const {
       cache_delta_evicted_.load(std::memory_order_relaxed);
   if (engine_ != nullptr) plan.maintenance = engine_->cumulative();
   if (!plan.demand_mode) {
-    // Materialized connections fetched at Connect(); the evaluator's
-    // counters say how much latency the overlapped batch hid.
+    // Connect() fetched every extent, so nothing was pruned; the
+    // evaluator's counters say how much latency the overlapped batch hid.
+    plan.pruned_agents.clear();
+    plan.MarkDegraded(degraded());
     const Evaluator::Stats& stats = evaluator_->stats();
     plan.fetch_overlap_saved_ms =
         std::max(0.0, stats.fetch_ms_sum - stats.fetch_wall_ms);
     return plan;
   }
 
+  // The step a miss on this query begins with: the plan shown is the
+  // plan the miss runs.
+  const Evaluator::DemandPlan demand = evaluator_->PlanDemand(query.pattern());
+  plan.magic_applied = demand.program.applied;
+  plan.goal_adornment = demand.program.goal_adornment;
+  plan.fallback_reason = demand.program.fallback_reason;
+  plan.agents = demand.contacted_agents;
+  plan.pruned_agents = demand.pruned_agents;
+  plan.MarkDegraded(degraded());
+
   std::shared_lock<std::shared_mutex> lock(cache_mu_);
   auto it = cache_.find(query.pattern().ToString());
   if (it != cache_.end()) {
     const Evaluator::DemandOutcome& outcome = *it->second.outcome;
-    plan.magic_applied = outcome.magic_applied;
-    plan.goal_adornment = outcome.goal_adornment;
-    plan.fallback_reason = outcome.fallback_reason;
-    // The measured pruning beats the static estimate (nested
-    // descriptors can force a fallback to fetching everything).
-    plan.pruned_agents = outcome.pruned_agents;
     plan.counters.present = true;
     plan.counters.from_cache = Servable(it->second, fault_epoch());
     plan.counters.cache_hits = cache_hits_.load(std::memory_order_relaxed);

@@ -121,9 +121,11 @@ class FsmClient {
   /// evicted.
   Result<std::vector<const Fact*>> Extent(const std::string& concept_name) const;
 
-  /// The plan for `query`, annotated with the connection's mode, the
-  /// relevance-pruned agents, and — when this exact query has a cached
-  /// demand outcome — its measured evaluation counters.
+  /// The plan for `query`, annotated with the connection's mode and,
+  /// on a demand connection, the adornment, fallback reason and
+  /// contacted and relevance-pruned agents of the Evaluator::PlanDemand
+  /// a miss on it runs — plus, when this exact query has a cached
+  /// demand outcome, its measured evaluation counters.
   Result<QueryPlan> Explain(const Query& query) const;
 
   /// Opens a resumable answer cursor over `query` (DESIGN.md §4k): the

@@ -46,7 +46,7 @@ constexpr std::uint32_t kMaxVarint = 5;
 }  // namespace
 
 std::uint32_t SymbolPool::Intern(std::string_view s) {
-  const std::uint64_t hash = FnvView(s) & hash_mask_;
+  const std::uint64_t hash = FnvView(s);
   return table_.FindOrInsert(
       hash, [&](std::uint32_t id) { return strings_[id] == s; },
       [&] {
@@ -56,7 +56,7 @@ std::uint32_t SymbolPool::Intern(std::string_view s) {
 }
 
 std::uint32_t SymbolPool::Find(std::string_view s) const {
-  const std::uint64_t hash = FnvView(s) & hash_mask_;
+  const std::uint64_t hash = FnvView(s);
   return table_.Find(hash,
                      [&](std::uint32_t id) { return strings_[id] == s; });
 }

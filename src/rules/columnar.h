@@ -119,14 +119,9 @@ class SymbolPool {
   size_t ApproxBytes() const;
   void Clear();
 
-  /// Collision-test knob: masks the table hash so distinct strings
-  /// collide and the exact-verification path is forced.
-  void set_hash_mask_for_testing(std::uint64_t mask) { hash_mask_ = mask; }
-
  private:
   std::deque<std::string> strings_;
   IdTable table_;
-  std::uint64_t hash_mask_ = ~0ull;
 };
 
 inline constexpr std::uint32_t kNoBlock = 0xffffffffu;

@@ -21,7 +21,7 @@ class DirectStoreSource : public ExtentSource {
   const Schema& schema() const override { return store_->schema(); }
 
   Result<std::vector<const Object*>> FetchExtent(
-      const std::string& class_name) override {
+      const std::string& class_name, const CancelToken&) override {
     Result<std::vector<Oid>> extent = store_->Extent(class_name);
     if (!extent.ok()) return extent.status();
     std::vector<const Object*> objects;
@@ -49,9 +49,10 @@ Status DeadlineStatus(const CancelToken& token, const char* where) {
              " (", token.spent_ms(), "ms spent)"));
 }
 
-/// One extent read, timed. An expired token is a fast unwind: the
-/// fetch is not issued at all — no retries burned, no breaker movement.
-ExtentReply FetchOne(const ExtentRequest& request, const CancelToken& token) {
+}  // namespace
+
+ExtentReply Evaluator::FetchOne(const ExtentRequest& request,
+                                const CancelToken& token) {
   ExtentReply reply;
   if (token.Expired()) {
     reply.status = DeadlineStatus(token, "before extent fetch");
@@ -76,14 +77,12 @@ ExtentReply FetchOne(const ExtentRequest& request, const CancelToken& token) {
   return reply;
 }
 
-}  // namespace
-
 std::vector<ExtentReply> FetchExtentsOverlapped(
     const std::vector<ExtentRequest>& requests, ThreadPool* pool,
     const CancelToken& token) {
   std::vector<ExtentReply> replies(requests.size());
   auto fetch_one = [&requests, &replies, &token](size_t i) {
-    replies[i] = FetchOne(requests[i], token);
+    replies[i] = Evaluator::FetchOne(requests[i], token);
   };
   if (pool == nullptr || pool->size() < 2 || requests.size() < 2) {
     for (size_t i = 0; i < requests.size(); ++i) fetch_one(i);
@@ -256,7 +255,7 @@ bool Evaluator::ReadsCurrent(const std::vector<ExtentRead>& reads) {
 
 Status Evaluator::LoadBaseFacts() {
   // Concept -> false, seeded with every directly incomplete concept;
-  // PropagateIncompleteness flips the flag to true past a negation.
+  // the graph's downstream closure flips the flag past a negation.
   std::map<std::string, bool> direct;
   // Bound concepts whose fetch never completed because the query's
   // deadline fired — a loss charged to the *query*, not to any agent
@@ -359,7 +358,13 @@ Status Evaluator::LoadBaseFacts() {
   for (const Fact& seed : seed_facts_) {
     if (InsertFact(seed) != kNoFact) ++stats_.base_facts;
   }
-  if (!direct.empty()) PropagateIncompleteness(direct);
+  if (!direct.empty()) {
+    for (const auto& [concept_name, tainted] :
+         RuleGraph(rules_).Downstream(direct)) {
+      degraded_.incomplete_concepts.push_back(concept_name);
+      if (tainted) degraded_.unsound_concepts.push_back(concept_name);
+    }
+  }
   if (!truncated.empty()) MarkTruncated(std::move(truncated));
   return Status::OK();
 }
@@ -371,92 +376,6 @@ void Evaluator::MarkTruncated(std::vector<std::string> concepts) {
              std::make_move_iterator(concepts.end()));
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
-}
-
-void Evaluator::PropagateIncompleteness(
-    const std::map<std::string, bool>& direct) {
-  // Fixpoint over the rule dependency graph: a head concept inherits
-  // incompleteness from any body concept, and inherits (or acquires,
-  // when the edge itself is negated) the via-negation taint that breaks
-  // the sound-subset guarantee.
-  std::map<std::string, bool> reached = direct;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const Rule& rule : rules_) {
-      for (const Literal& literal : rule.body) {
-        std::string body_concept;
-        if (literal.kind == Literal::Kind::kOTerm) {
-          body_concept = literal.oterm.class_name;
-        } else if (literal.kind == Literal::Kind::kPredicate) {
-          body_concept = literal.pred_name;
-        } else {
-          continue;
-        }
-        auto hit = reached.find(body_concept);
-        if (hit == reached.end()) continue;
-        const bool tainted = hit->second || literal.negated;
-        for (const std::string& head : rule.HeadConceptNames()) {
-          auto [it, inserted] = reached.emplace(head, tainted);
-          if (inserted || (tainted && !it->second)) {
-            it->second = it->second || tainted;
-            changed = true;
-          }
-        }
-      }
-    }
-  }
-  for (const auto& [concept_name, tainted] : reached) {
-    degraded_.incomplete_concepts.push_back(concept_name);
-    if (tainted) degraded_.unsound_concepts.push_back(concept_name);
-  }
-}
-
-Status Evaluator::Stratify(std::map<std::string, int>* strata,
-                           int* max_stratum) const {
-  std::set<std::string> concepts;
-  for (const Rule& rule : rules_) {
-    for (const std::string& c : rule.HeadConceptNames()) concepts.insert(c);
-    for (const std::string& c : rule.BodyConceptNames(false)) {
-      concepts.insert(c);
-    }
-  }
-  for (const std::string& c : concepts) (*strata)[c] = 0;
-  const size_t limit = concepts.size() + 1;
-  for (size_t round = 0; round <= limit; ++round) {
-    bool changed = false;
-    for (const Rule& rule : rules_) {
-      for (const std::string& head : rule.HeadConceptNames()) {
-        int& h = (*strata)[head];
-        for (const Literal& literal : rule.body) {
-          std::string body_concept;
-          if (literal.kind == Literal::Kind::kOTerm) {
-            body_concept = literal.oterm.class_name;
-          } else if (literal.kind == Literal::Kind::kPredicate) {
-            body_concept = literal.pred_name;
-          } else {
-            continue;
-          }
-          const int b = (*strata)[body_concept];
-          const int need = literal.negated ? b + 1 : b;
-          if (h < need) {
-            h = need;
-            changed = true;
-          }
-        }
-      }
-    }
-    if (!changed) {
-      *max_stratum = 0;
-      for (const auto& [concept_name, stratum] : *strata) {
-        (void)concept_name;
-        *max_stratum = std::max(*max_stratum, stratum);
-      }
-      return Status::OK();
-    }
-  }
-  return Status::FailedPrecondition(
-      "rule set is not stratified (negation through recursion)");
 }
 
 Status Evaluator::Evaluate() {
@@ -480,9 +399,13 @@ Status Evaluator::Evaluate() {
 
 Status Evaluator::EvaluateImpl() {
   OOINT_RETURN_IF_ERROR(LoadBaseFacts());
-  std::map<std::string, int> strata;
-  int max_stratum = 0;
-  OOINT_RETURN_IF_ERROR(Stratify(&strata, &max_stratum));
+  // Built after the base load, where stratification always ran: built
+  // before it, the graph's short-lived allocations left glibc trimming
+  // and refaulting the heap after every connect (ten times the minor
+  // page faults).
+  const RuleGraph graph(rules_);
+  OOINT_RETURN_IF_ERROR(graph.stratified());
+  const int max_stratum = graph.max_stratum();
   stats_.strata = static_cast<size_t>(max_stratum) + 1;
   const FactMatcher matcher = MakeMatcher();
 
@@ -491,13 +414,7 @@ Status Evaluator::EvaluateImpl() {
   // because no derivation ran at all. The base facts loaded so far are
   // genuine, so returning them is sound.
   if (degraded_.deadline_truncated) {
-    std::vector<std::string> heads;
-    for (const Rule& rule : rules_) {
-      for (const std::string& head : rule.HeadConceptNames()) {
-        heads.push_back(head);
-      }
-    }
-    MarkTruncated(std::move(heads));
+    MarkTruncated(graph.HeadsFrom(0));
     evaluated_ = true;
     return Status::OK();
   }
@@ -511,13 +428,7 @@ Status Evaluator::EvaluateImpl() {
     if (failure_policy_ == FailurePolicy::kStrict) {
       return DeadlineStatus(token_, "during fixpoint evaluation");
     }
-    std::vector<std::string> heads;
-    for (const Rule& rule : rules_) {
-      for (const std::string& head : rule.HeadConceptNames()) {
-        if (strata[head] >= stratum) heads.push_back(head);
-      }
-    }
-    MarkTruncated(std::move(heads));
+    MarkTruncated(graph.HeadsFrom(stratum));
     deadline_stop = true;
     return Status::OK();
   };
@@ -540,20 +451,16 @@ Status Evaluator::EvaluateImpl() {
   for (int stratum = 0; stratum <= max_stratum; ++stratum) {
     const auto stratum_start = std::chrono::steady_clock::now();
     std::vector<RulePlan> active;
-    for (const Rule& rule : rules_) {
-      const std::vector<std::string> heads = rule.HeadConceptNames();
-      if (heads.empty() || strata[heads.front()] != stratum) continue;
+    for (size_t index : graph.RulesInStratum(stratum)) {
+      const Rule& rule = rules_[index];
       RulePlan plan{&rule, {}, {}, {}};
       for (size_t i = 0; i < rule.body.size(); ++i) {
         const Literal& literal = rule.body[i];
-        if (literal.negated) continue;
-        if (literal.kind == Literal::Kind::kOTerm) {
-          plan.positive.emplace_back(
-              i, store_.InternConcept(literal.oterm.class_name));
-        } else if (literal.kind == Literal::Kind::kPredicate) {
-          plan.positive.emplace_back(
-              i, store_.InternConcept(literal.pred_name));
+        if (literal.negated || literal.kind == Literal::Kind::kCompare) {
+          continue;
         }
+        plan.positive.emplace_back(
+            i, store_.InternConcept(literal.concept_name()));
       }
       // Only the first (unrestricted) round's plan is computable now;
       // delta plans wait for the seed round to populate extents (a
@@ -711,9 +618,7 @@ BodyPlan Evaluator::ComputePlan(const Rule& rule, int delta_literal,
   for (size_t i = 0; i < rule.body.size(); ++i) {
     const Literal& literal = rule.body[i];
     if (literal.kind == Literal::Kind::kCompare || literal.negated) continue;
-    const std::string& name = literal.kind == Literal::Kind::kOTerm
-                                  ? literal.oterm.class_name
-                                  : literal.pred_name;
+    const std::string& name = literal.concept_name();
     const ConceptId id = store_.FindConcept(name);
     double est =
         id == kNoConcept ? 0.0 : static_cast<double>(store_.CountOf(id));
@@ -735,13 +640,10 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
                                   const Bindings& bindings,
                                   std::vector<std::uint32_t>* candidates,
                                   ConceptId* concept_id) const {
-  const std::string& name = literal.kind == Literal::Kind::kOTerm
-                                ? literal.oterm.class_name
-                                : literal.pred_name;
   // Counter sink: query-local under concurrent Query, the evaluator's
   // own (mutable) stats otherwise.
   Stats& counters = ctx.stats != nullptr ? *ctx.stats : stats_;
-  *concept_id = store_.FindConcept(name);
+  *concept_id = store_.FindConcept(literal.concept_name());
   if (*concept_id == kNoConcept) return;
   if (ctx.inc != nullptr &&
       static_cast<int>(literal_index) == ctx.inc->pivot_literal) {
@@ -1308,6 +1210,34 @@ Result<std::unique_ptr<RowSource>> Evaluator::OpenQueryStream(
                       concept_id, std::move(candidates)));
 }
 
+Evaluator::DemandPlan Evaluator::PlanDemand(const OTerm& pattern) const {
+  DemandPlan plan;
+  const RuleGraph graph(rules_);
+  plan.program = MagicRewrite(graph, ExtractGoalBinding(pattern));
+  // Relevance pruning: bind (and later fetch) only the concepts the
+  // goal can reach through rule bodies. Nested descriptors navigate
+  // stored OIDs to arbitrary concepts, so they force full binding.
+  const std::vector<std::string>& reachable = plan.program.reachable_concepts;
+  std::set<std::string> contacted;
+  std::set<std::string> pruned;
+  for (size_t i = 0; i < bindings_decl_.size(); ++i) {
+    const ConceptBinding& binding = bindings_decl_[i];
+    const std::string& agent = sources_[binding.source_index].schema_name;
+    if (plan.program.relevance_safe &&
+        !std::binary_search(reachable.begin(), reachable.end(),
+                            binding.concept_name)) {
+      pruned.insert(agent);
+      continue;
+    }
+    plan.bindings.push_back(i);
+    contacted.insert(agent);
+  }
+  for (const std::string& agent : contacted) pruned.erase(agent);
+  plan.contacted_agents.assign(contacted.begin(), contacted.end());
+  plan.pruned_agents.assign(pruned.begin(), pruned.end());
+  return plan;
+}
+
 Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
     const OTerm& pattern, const CancelToken& token) const {
   if (token.Expired()) {
@@ -1316,12 +1246,9 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
     // before any cache could be touched.
     return DeadlineStatus(token, "before demand evaluation started");
   }
+  DemandPlan plan = PlanDemand(pattern);
+  MagicProgram& program = plan.program;
   DemandOutcome out;
-  const GoalBinding goal = ExtractGoalBinding(pattern);
-  MagicProgram program = MagicRewrite(rules_, goal);
-  out.magic_applied = program.applied;
-  out.goal_adornment = program.goal_adornment;
-  out.fallback_reason = program.fallback_reason;
 
   auto sub = std::make_shared<Evaluator>();
   sub->strategy_ = strategy_;
@@ -1333,35 +1260,11 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   for (const Source& source : sources_) {
     sub->AddBorrowedSource(source.schema_name, source.source);
   }
-
-  // Relevance pruning: bind (and later fetch) only the concepts the
-  // goal can reach through rule bodies. Nested descriptors navigate
-  // stored OIDs to arbitrary concepts, so they force full binding.
-  const bool prune = program.relevance_safe;
-  const std::set<std::string> reachable(program.reachable_concepts.begin(),
-                                        program.reachable_concepts.end());
-  std::set<std::string> contacted;
-  for (size_t i = 0; i < bindings_decl_.size(); ++i) {
-    const ConceptBinding& binding = bindings_decl_[i];
-    if (prune && !reachable.count(binding.concept_name)) continue;
-    // Source indices transfer unchanged: sub's sources mirror ours.
-    sub->bindings_decl_.push_back(binding);
+  // Source indices transfer unchanged: sub's sources mirror ours.
+  for (size_t i : plan.bindings) {
+    sub->bindings_decl_.push_back(bindings_decl_[i]);
     sub->segment_key_.push_back(i);
-    contacted.insert(sources_[binding.source_index].schema_name);
   }
-  for (const ConceptBinding& binding : bindings_decl_) {
-    const std::string& schema_name = sources_[binding.source_index].schema_name;
-    if (!contacted.count(schema_name)) {
-      if (out.pruned_agents.empty() ||
-          out.pruned_agents.back() != schema_name) {
-        out.pruned_agents.push_back(schema_name);
-      }
-    }
-  }
-  std::sort(out.pruned_agents.begin(), out.pruned_agents.end());
-  out.pruned_agents.erase(
-      std::unique(out.pruned_agents.begin(), out.pruned_agents.end()),
-      out.pruned_agents.end());
 
   if (program.applied) {
     for (Rule& rule : program.rules) {
@@ -1369,14 +1272,12 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
     }
     for (Fact& seed : program.seeds) sub->AddFact(std::move(seed));
   } else {
+    const std::vector<std::string>& reachable = program.reachable_concepts;
     for (const Rule& rule : rules_) {
-      if (prune) {
-        const std::vector<std::string> heads = rule.HeadConceptNames();
-        bool relevant = false;
-        for (const std::string& head : heads) {
-          if (reachable.count(head)) { relevant = true; break; }
-        }
-        if (!relevant) continue;
+      if (program.relevance_safe &&
+          !std::binary_search(reachable.begin(), reachable.end(),
+                              rule.head.front().concept_name())) {
+        continue;
       }
       OOINT_RETURN_IF_ERROR(sub->AddRule(rule));
     }
@@ -1404,7 +1305,7 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   drop_magic(&out.degraded.incomplete_concepts);
   drop_magic(&out.degraded.unsound_concepts);
   drop_magic(&out.degraded.truncated_concepts);
-  out.degraded.pruned_agents = out.pruned_agents;
+  out.degraded.pruned_agents = std::move(plan.pruned_agents);
   out.reads = std::move(sub->reads_);
   out.stats = sub->stats();
   out.sub = std::move(sub);

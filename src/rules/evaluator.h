@@ -19,10 +19,12 @@
 #include "rules/fact.h"
 #include "rules/fact_store.h"
 #include "rules/join_kernel.h"
+#include "rules/magic.h"
 #include "rules/matcher.h"
 #include "rules/planner.h"
 #include "rules/result_pipeline.h"
 #include "rules/rule.h"
+#include "rules/rule_graph.h"
 
 namespace ooint {
 
@@ -52,21 +54,14 @@ class ExtentSource {
   /// One extent read: every object of `class_name`, including instances
   /// of transitive subclasses. Pointers remain owned by the source and
   /// must stay valid until the next mutation of the underlying store.
+  /// Sources that wait (AgentConnection) charge every virtual wait to
+  /// `token` and derive per-attempt deadlines from its remaining budget,
+  /// so one query-wide deadline bounds the whole fetch including retries
+  /// and backoff. The token is a *per-call* parameter — connections are
+  /// shared across concurrent queries, each carrying its own token —
+  /// and instantaneous sources have nothing to charge to it.
   virtual Result<std::vector<const Object*>> FetchExtent(
-      const std::string& class_name) = 0;
-
-  /// Token-aware extent read: sources that wait (AgentConnection) charge
-  /// every virtual wait to `token` and derive per-attempt deadlines from
-  /// its remaining budget, so one query-wide deadline bounds the whole
-  /// fetch including retries and backoff. The token is a *per-call*
-  /// parameter — connections are shared across concurrent queries, each
-  /// carrying its own token — and the default implementation ignores it
-  /// (instantaneous sources have nothing to charge).
-  virtual Result<std::vector<const Object*>> FetchExtent(
-      const std::string& class_name, const CancelToken& token) {
-    (void)token;
-    return FetchExtent(class_name);
-  }
+      const std::string& class_name, const CancelToken& token) = 0;
 
   /// Version of the data behind the source: equal epochs mean a
   /// successful fetch returns the same objects. Demand queries share an
@@ -242,7 +237,6 @@ class Evaluator {
   }
 
   void set_strategy(EvalStrategy strategy) { strategy_ = strategy; }
-  EvalStrategy strategy() const { return strategy_; }
 
   /// Shares a worker pool with the evaluator. With a pool of two or
   /// more threads, Evaluate() prefetches every extent up front,
@@ -254,20 +248,17 @@ class Evaluator {
   void set_thread_pool(std::shared_ptr<ThreadPool> pool) {
     pool_ = std::move(pool);
   }
-  const std::shared_ptr<ThreadPool>& thread_pool() const { return pool_; }
   int thread_count() const { return pool_ == nullptr ? 1 : pool_->size(); }
 
   /// Strict (default) fails fast on the first unreachable source;
   /// partial evaluates what it can and records the rest in degraded().
   void set_failure_policy(FailurePolicy policy) { failure_policy_ = policy; }
-  FailurePolicy failure_policy() const { return failure_policy_; }
 
   /// How rule bodies are ordered (rules/planner.h). kCostBased (the
   /// default) precomputes a per-(rule, stratum) plan from extent
   /// estimates; kFixedSip forces left-to-right with indexes on — the
   /// conformance family-12 foil. Demand sub-evaluators inherit it.
   void set_planner_mode(PlannerMode mode) { planner_mode_ = mode; }
-  PlannerMode planner_mode() const { return planner_mode_; }
 
   /// End-to-end deadline / cancellation for the next Evaluate(). The
   /// token is checked before every extent fetch and at every fixpoint
@@ -281,7 +272,6 @@ class Evaluator {
   /// kDeadlineExceeded before fetching anything, under either policy.
   /// The default token never expires.
   void set_cancel_token(CancelToken token) { token_ = std::move(token); }
-  const CancelToken& cancel_token() const { return token_; }
 
   /// The degradation record of the last Evaluate() (empty when every
   /// source answered, or under FailurePolicy::kStrict).
@@ -374,16 +364,9 @@ class Evaluator {
   struct DemandOutcome {
     std::vector<Bindings> rows;
     std::vector<const Fact*> goal_facts;
-    /// Whether the magic-set rewrite ran (vs. relevance-only fallback),
-    /// the goal's adornment, and — when not applied — why.
-    bool magic_applied = false;
-    std::string goal_adornment;
-    std::string fallback_reason;
-    /// Schemas whose extents the query provably cannot touch; their
-    /// sources were never contacted.
-    std::vector<std::string> pruned_agents;
     /// Degradation of the sub-evaluation (fault-skipped agents etc.),
-    /// with pruned_agents mirrored in and magic predicates filtered out.
+    /// with the plan's pruned agents in and magic predicates filtered
+    /// out. Whether the rewrite ran, and why not, is PlanDemand's.
     DegradedInfo degraded;
     /// Every extent read the load issued, fault-skipped ones included:
     /// the record ReadsCurrent() checks before the outcome is reused.
@@ -398,13 +381,25 @@ class Evaluator {
   /// and counts as current.
   static bool ReadsCurrent(const std::vector<ExtentRead>& reads);
 
-  /// Goal-directed evaluation of one query pattern: rewrites the rule
-  /// program with magic sets (rules/magic.h), binds only the concepts
-  /// reachable from the goal — so irrelevant agents are never fetched
-  /// from — and runs the fixpoint in a private sub-evaluator that
+  /// The rewrite-and-prune step a demand query begins with, contacting
+  /// no source: the goal's magic program (rules/magic.h), the bindings
+  /// the query fetches (those the goal reaches, unless nested
+  /// descriptors make that unsafe) and the agents it contacts or not.
+  /// FsmClient::Explain prints it, so a plan is the plan a miss runs.
+  struct DemandPlan {
+    MagicProgram program;
+    std::vector<size_t> bindings;  // indices, in declaration order
+    std::vector<std::string> contacted_agents;  // sorted
+    std::vector<std::string> pruned_agents;     // sorted
+  };
+  DemandPlan PlanDemand(const OTerm& pattern) const;
+
+  /// Goal-directed evaluation of one query pattern: runs PlanDemand's
+  /// rewritten program over the bindings it keeps — so irrelevant
+  /// agents are never fetched from — in a private sub-evaluator that
   /// borrows this evaluator's sources. Falls back to evaluating the
   /// reachable subprogram unrewritten when the rewrite cannot adorn the
-  /// program soundly (outcome.fallback_reason records why). Answers are
+  /// program soundly (the plan's fallback_reason says why). Answers are
   /// always exactly Query(pattern) under a full Evaluate().
   ///
   /// Does not touch this evaluator's own fact store or stats; usable
@@ -430,6 +425,9 @@ class Evaluator {
   /// liveness side column — it is an alternate fixpoint driver, not a
   /// client, hence the friendship.
   friend class IncrementalEvaluator;
+  friend std::vector<ExtentReply> FetchExtentsOverlapped(
+      const std::vector<ExtentRequest>& requests, ThreadPool* pool,
+      const CancelToken& token);
 
   struct Source {
     std::string schema_name;
@@ -468,21 +466,22 @@ class Evaluator {
     std::map<std::vector<size_t>, Entry> entries_;
   };
 
+  /// One extent read, timed. An expired token is a fast unwind: the
+  /// fetch is not issued at all — no retries burned, no breaker
+  /// movement.
+  static ExtentReply FetchOne(const ExtentRequest& request,
+                              const CancelToken& token);
+
   /// Fetches every bound concept_name's extent and loads its facts,
   /// then the AddFact() seeds. Under FailurePolicy::kPartial a failing
-  /// extent read marks the agent skipped (degraded_) instead of
-  /// aborting. A demand sub-evaluator (shared_segments_ set) encodes the
-  /// extents into a base segment its store overlays, or reuses a cached
-  /// one when every fetch succeeded at the epochs it was built at.
-  /// Every issued read is recorded in reads_.
+  /// extent read marks the agent skipped (degraded_) and every concept
+  /// the rules derive from its extent (RuleGraph::Downstream)
+  /// incomplete, instead of aborting. A demand sub-evaluator
+  /// (shared_segments_ set) encodes the extents into a base segment its
+  /// store overlays, or reuses a cached one when every fetch succeeded
+  /// at the epochs it was built at. Every issued read is recorded in
+  /// reads_.
   Status LoadBaseFacts();
-
-  /// Fills degraded_.incomplete_concepts / unsound_concepts: the
-  /// closure of `direct` under "appears in the body of a rule" edges,
-  /// tracking whether the path crossed a negated literal.
-  void PropagateIncompleteness(const std::map<std::string, bool>& direct);
-  /// Assigns strata to concepts; error on negation cycles.
-  Status Stratify(std::map<std::string, int>* strata, int* max_stratum) const;
 
   /// One body solution: the variable bindings plus the facts matched by
   /// positive O-term literals, slotted by body position so attribute

@@ -13,14 +13,6 @@ std::atomic<bool> IncrementalEvaluator::decrement_bug_{false};
 
 namespace {
 
-/// The concept name a fact literal ranges over ("" for comparisons).
-const std::string& LiteralConcept(const Literal& literal) {
-  static const std::string kEmpty;
-  if (literal.kind == Literal::Kind::kOTerm) return literal.oterm.class_name;
-  if (literal.kind == Literal::Kind::kPredicate) return literal.pred_name;
-  return kEmpty;
-}
-
 /// True when variable `var` occurs in some body literal of `rule`.
 bool VarInBody(const Rule& rule, const std::string& var) {
   for (const Literal& literal : rule.body) {
@@ -105,17 +97,10 @@ void IncrementalEvaluator::Birth(FactId id) {
   }
 }
 
-int IncrementalEvaluator::StratumOf(const std::string& concept_name) const {
-  auto it = strata_.find(concept_name);
-  return it == strata_.end() ? 0 : it->second;
-}
-
 Status IncrementalEvaluator::Initialize() {
   ev_->Reset();
-  strata_.clear();
-  max_stratum_ = 0;
-  OOINT_RETURN_IF_ERROR(ev_->Stratify(&strata_, &max_stratum_));
-  ComputeRecursion();
+  graph_ = std::make_unique<const RuleGraph>(ev_->rules_);
+  OOINT_RETURN_IF_ERROR(graph_->stratified());
   ev_->live_filter_ = &live_;
   ev_->resolver_override_ = [this](const Oid& oid) { return ResolveOid(oid); };
   OOINT_RETURN_IF_ERROR(LoadBase());
@@ -124,53 +109,19 @@ Status IncrementalEvaluator::Initialize() {
   return Status::OK();
 }
 
-void IncrementalEvaluator::ComputeRecursion() {
-  // reach[c] = head concepts transitively derivable from a positive
-  // occurrence of c; c is recursive iff c ∈ reach[c]. Stratification
-  // already forbids cycles through negation, so positive edges are the
-  // only recursion carrier.
-  recursive_.clear();
-  std::map<std::string, std::set<std::string>> reach;
-  bool changed = true;
-  for (const Rule& rule : ev_->rules_) {
-    const std::vector<std::string> heads = rule.HeadConceptNames();
-    for (const std::string& bc : rule.BodyConceptNames(true)) {
-      reach[bc].insert(heads.begin(), heads.end());
-    }
-  }
-  while (changed) {
-    changed = false;
-    for (auto& [c, heads] : reach) {
-      const size_t before = heads.size();
-      std::vector<std::string> frontier(heads.begin(), heads.end());
-      for (const std::string& h : frontier) {
-        auto it = reach.find(h);
-        if (it != reach.end()) {
-          heads.insert(it->second.begin(), it->second.end());
-        }
-      }
-      if (heads.size() != before) changed = true;
-    }
-  }
-  for (const auto& [c, heads] : reach) {
-    if (heads.count(c) > 0) recursive_.insert(c);
-  }
-}
-
 std::vector<IncrementalEvaluator::Plan> IncrementalEvaluator::PlansOf(
     int stratum) const {
   std::vector<Plan> plans;
-  for (const Rule& rule : ev_->rules_) {
-    const std::vector<std::string> heads = rule.HeadConceptNames();
-    if (heads.empty() || StratumOf(heads.front()) != stratum) continue;
+  for (size_t index : graph_->RulesInStratum(stratum)) {
+    const Rule& rule = ev_->rules_[index];
     Plan plan{&rule, {}, {}};
     for (size_t i = 0; i < rule.body.size(); ++i) {
       const Literal& literal = rule.body[i];
       if (literal.kind == Literal::Kind::kCompare) continue;
       if (literal.negated) {
-        plan.negated.emplace_back(i, LiteralConcept(literal));
+        plan.negated.emplace_back(i, literal.concept_name());
       } else {
-        plan.positive.emplace_back(i, LiteralConcept(literal));
+        plan.positive.emplace_back(i, literal.concept_name());
       }
     }
     plans.push_back(std::move(plan));
@@ -186,10 +137,10 @@ Status IncrementalEvaluator::LoadBase() {
   BaseDelta initial;
   for (const Evaluator::ConceptBinding& binding : ev_->bindings_decl_) {
     const Evaluator::Source& source = ev_->sources_[binding.source_index];
-    Result<std::vector<const Object*>> extent =
-        source.source->FetchExtent(binding.class_name);
-    if (!extent.ok()) return extent.status();
-    for (const Object* object : extent.value()) {
+    const ExtentReply reply = Evaluator::FetchOne(
+        {source.source, binding.class_name}, ev_->token_);
+    if (!reply.status.ok()) return reply.status;
+    for (const Object* object : reply.objects) {
       if (object == nullptr) continue;
       initial.inserts.push_back(
           Fact::FromObject(binding.concept_name, *object));
@@ -267,19 +218,19 @@ Status IncrementalEvaluator::RunBatch(const BaseDelta& delta, bool initial,
     const std::string& cname = store().ConceptName(store().ConceptOf(id));
     if (deriv_count_[id] <= 0) {
       Kill(id);
-    } else if (IsRecursive(cname)) {
+    } else if (graph_->IsRecursive(cname)) {
       // DRed: a recursive fact that lost its base support may only be
       // standing on a derivation cycle through itself — over-delete now,
       // rederive against the post-delete world when its stratum runs.
       Kill(id);
       ++stats->overdeleted;
-      parked_overdeleted_[StratumOf(cname)].push_back(id);
+      parked_overdeleted_[graph_->StratumOf(cname)].push_back(id);
     }
     // Non-recursive with derivations left: counts are exact, the fact
     // legitimately survives on derived support alone.
   }
 
-  for (int s = 0; s <= max_stratum_; ++s) {
+  for (int s = 0; s <= graph_->max_stratum(); ++s) {
     const std::vector<Plan> plans = PlansOf(s);
     std::map<FactId, std::uint32_t> death_round;
     std::vector<FactId> overdeleted;
@@ -302,7 +253,7 @@ Status IncrementalEvaluator::RunBatch(const BaseDelta& delta, bool initial,
   for (FactId id : net_dead_) deriv_count_[id] = 0;
 
   // Keep the adopted evaluator's headline stats meaningful.
-  ev_->stats_.strata = static_cast<size_t>(max_stratum_) + 1;
+  ev_->stats_.strata = static_cast<size_t>(graph_->max_stratum()) + 1;
   size_t base = 0;
   size_t derived = 0;
   for (FactId id = 0; id < live_.size(); ++id) {
@@ -443,7 +394,7 @@ void IncrementalEvaluator::DecrementDerivation(
   if (base_count_[target] > 0) return;
   const std::string& cname =
       store().ConceptName(store().ConceptOf(target));
-  if (IsRecursive(cname)) {
+  if (graph_->IsRecursive(cname)) {
     // DRed over-deletion: any lost support without base support is
     // suspect of standing on a cycle through itself.
     Kill(target);
@@ -509,8 +460,7 @@ Result<std::int64_t> IncrementalEvaluator::CountDerivations(
   std::int64_t total = 0;
   for (const Plan& plan : plans) {
     const Rule& rule = *plan.rule;
-    const std::vector<std::string> heads = rule.HeadConceptNames();
-    if (heads.empty() || heads.front() != fact->concept_name) continue;
+    if (rule.head.front().concept_name() != fact->concept_name) continue;
     Bindings seed;
     const HeadUnify unify = UnifyHead(rule, *fact, matcher, &seed);
     if (unify == HeadUnify::kNoMatch) continue;
@@ -864,7 +814,7 @@ Status IncrementalEvaluator::SolveSeeded(
 void IncrementalEvaluator::MatchingFacts(
     const Literal& literal, const Bindings& bindings,
     const std::vector<std::uint8_t>& world, std::vector<FactId>* out) const {
-  const ConceptId concept_id = store().FindConcept(LiteralConcept(literal));
+  const ConceptId concept_id = store().FindConcept(literal.concept_name());
   if (concept_id == kNoConcept) return;
   const FactMatcher matcher = ev_->MakeMatcher();
   const size_t count = store().CountOf(concept_id);

@@ -16,6 +16,7 @@
 #include "rules/fact.h"
 #include "rules/fact_store.h"
 #include "rules/rule.h"
+#include "rules/rule_graph.h"
 
 namespace ooint {
 
@@ -92,8 +93,10 @@ class IncrementalEvaluator {
  public:
   /// Takes over `ev` (which must be fully configured: sources, concept
   /// bindings, rules). Any previous evaluation state is discarded; the
-  /// base extents are re-fetched serially and strictly (a failing
-  /// source fails the adoption). `ev` must outlive the engine.
+  /// base extents are re-fetched serially and strictly under `ev`'s
+  /// cancel token (a failing source or a spent deadline fails the
+  /// adoption). `ev` must outlive the engine, and its rules must not
+  /// change while it does.
   static Result<std::unique_ptr<IncrementalEvaluator>> Adopt(Evaluator* ev);
 
   ~IncrementalEvaluator();
@@ -177,15 +180,10 @@ class IncrementalEvaluator {
   void Kill(FactId id);
   void Birth(FactId id);
 
-  /// True when `concept_name` sits on a positive head<-body rule cycle.
-  bool IsRecursive(const std::string& concept_name) const {
-    return recursive_.count(concept_name) > 0;
-  }
-  int StratumOf(const std::string& concept_name) const;
-
   Status Initialize();
+  /// Fetches every bound extent with Evaluator::FetchOne under the
+  /// evaluator's token, stopping at the first failure; then the batch.
   Status LoadBase();
-  void ComputeRecursion();
   std::vector<Plan> PlansOf(int stratum) const;
 
   /// Applies one batch body (shared by Adopt's initial load — where the
@@ -282,10 +280,8 @@ class IncrementalEvaluator {
   std::vector<std::uint32_t> base_count_;
   std::vector<std::int64_t> deriv_count_;
 
-  /// Static program structure, computed at Adopt.
-  std::map<std::string, int> strata_;
-  int max_stratum_ = 0;
-  std::set<std::string> recursive_;
+  /// Static program structure (strata, recursion), built at Adopt.
+  std::unique_ptr<const RuleGraph> graph_;
 
   /// Per-batch state.
   std::vector<std::uint8_t> old_live_;

@@ -16,19 +16,6 @@ std::string MagicName(const std::string& concept_name, const Adornment& a) {
   return StrCat(kMagicPrefix, concept_name, "|", a.ToString(), "]");
 }
 
-/// The concept a fact literal addresses (empty for comparisons).
-std::string LiteralConcept(const Literal& literal) {
-  switch (literal.kind) {
-    case Literal::Kind::kOTerm:
-      return literal.oterm.class_name;
-    case Literal::Kind::kPredicate:
-      return literal.pred_name;
-    case Literal::Kind::kCompare:
-      return "";
-  }
-  return "";
-}
-
 bool HasNestedArg(const TermArg& arg) { return arg.is_nested(); }
 
 bool HasNestedDescriptor(const std::vector<AttrDescriptor>& attrs) {
@@ -144,21 +131,16 @@ bool IsMagicConceptName(const std::string& name) {
 
 namespace {
 
-/// Implements the rewrite over a prepared rule index.
+/// Implements the rewrite over the program's dependency graph.
 class Rewriter {
  public:
-  Rewriter(const std::vector<Rule>& rules, const GoalBinding& goal)
-      : goal_(goal) {
-    for (const Rule& rule : rules) {
-      if (rule.documentation_only || rule.disjunctive_head) continue;
-      for (const std::string& name : rule.HeadConceptNames()) {
-        by_head_[name].push_back(&rule);
-      }
-    }
-  }
+  Rewriter(const RuleGraph& graph, const GoalBinding& goal)
+      : graph_(graph), goal_(goal) {}
 
   MagicProgram Run() {
-    ComputeReachable();
+    std::vector<std::string> reachable = graph_.Closure(goal_.concept_name);
+    std::sort(reachable.begin(), reachable.end());
+    out_.reachable_concepts = std::move(reachable);
     CheckAdornability();
     if (!out_.fallback_reason.empty()) return std::move(out_);
 
@@ -187,25 +169,7 @@ class Rewriter {
 
  private:
   bool IsIdb(const std::string& concept_name) const {
-    return by_head_.count(concept_name) > 0;
-  }
-
-  void ComputeReachable() {
-    std::set<std::string> reachable = {goal_.concept_name};
-    std::deque<std::string> frontier = {goal_.concept_name};
-    while (!frontier.empty()) {
-      std::string concept_name = frontier.front();
-      frontier.pop_front();
-      auto it = by_head_.find(concept_name);
-      if (it == by_head_.end()) continue;
-      for (const Rule* rule : it->second) {
-        // Negated dependencies included: their full extent is required.
-        for (const std::string& dep : rule->BodyConceptNames(false)) {
-          if (reachable.insert(dep).second) frontier.push_back(dep);
-        }
-      }
-    }
-    out_.reachable_concepts.assign(reachable.begin(), reachable.end());
+    return !graph_.Defining(concept_name).empty();
   }
 
   /// Scans every reachable rule for constructs the rewrite cannot adorn
@@ -217,11 +181,9 @@ class Rewriter {
       out_.relevance_safe = false;
       out_.fallback_reason = "goal pattern uses nested descriptors";
     }
-    std::set<std::string> reachable(out_.reachable_concepts.begin(),
-                                    out_.reachable_concepts.end());
-    for (const auto& [head, rules] : by_head_) {
-      if (!reachable.count(head)) continue;
-      for (const Rule* rule : rules) {
+    for (const std::string& head : out_.reachable_concepts) {
+      for (size_t index : graph_.Defining(head)) {
+        const Rule* rule = &graph_.rule(index);
         if (rule->head.size() != 1 && out_.fallback_reason.empty()) {
           out_.fallback_reason =
               StrCat("multi-literal head in rule for '", head, "'");
@@ -242,9 +204,9 @@ class Rewriter {
                 "schematic attribute variable in rule for '", head, "'");
           }
           if (out_.fallback_reason.empty() && literal.negated &&
-              IsIdb(LiteralConcept(literal))) {
+              IsIdb(literal.concept_name())) {
             out_.fallback_reason =
-                StrCat("negated derived concept '", LiteralConcept(literal),
+                StrCat("negated derived concept '", literal.concept_name(),
                        "' in rule for '", head, "'");
           }
         }
@@ -260,13 +222,13 @@ class Rewriter {
   /// are chosen by the evaluator — binding either through a magic literal
   /// would lose answers).
   Adornment Supported(const std::string& concept_name, Adornment a) const {
-    auto it = by_head_.find(concept_name);
-    if (it == by_head_.end()) return a;  // EDB: every position is stored
-    for (const Rule* rule : it->second) {
+    // An EDB concept has no defining rule: every position is stored.
+    for (size_t index : graph_.Defining(concept_name)) {
       if (a.empty()) break;
-      const Literal& head = rule->head.front();
+      const Rule& rule = graph_.rule(index);
+      const Literal& head = rule.head.front();
       std::set<std::string> body_vars;
-      for (const Literal& literal : rule->body) {
+      for (const Literal& literal : rule.body) {
         if (IsPositiveFactLiteral(literal)) InsertVariables(literal, &body_vars);
       }
       auto supported_arg = [&](const TermArg& arg) {
@@ -368,7 +330,8 @@ class Rewriter {
   /// (concept, adornment).
   void RewriteConcept(const Demand& d) {
     const std::string magic_name = MagicName(d.concept_name, d.adornment);
-    for (const Rule* rule : by_head_.at(d.concept_name)) {
+    for (size_t index : graph_.Defining(d.concept_name)) {
+      const Rule* rule = &graph_.rule(index);
       // Guarded copy: the magic literal is *prepended* so the join
       // planner's bound-first pick starts from the demand tuple.
       Rule guarded = *rule;
@@ -399,7 +362,7 @@ class Rewriter {
         for (const std::string& var : literal_vars) {
           if (bound.count(var)) { connected = true; break; }
         }
-        const std::string dep = LiteralConcept(literal);
+        const std::string& dep = literal.concept_name();
         if (IsIdb(dep)) {
           Adornment a2 = Supported(
               dep, AdornFromLiteral(literal, connected ? bound
@@ -434,8 +397,8 @@ class Rewriter {
     out_.seeds.push_back(std::move(seed));
   }
 
+  const RuleGraph& graph_;
   const GoalBinding& goal_;
-  std::map<std::string, std::vector<const Rule*>> by_head_;
   MagicProgram out_;
   std::set<std::string> demanded_;
   std::deque<Demand> work_;
@@ -445,7 +408,11 @@ class Rewriter {
 
 MagicProgram MagicRewrite(const std::vector<Rule>& rules,
                           const GoalBinding& goal) {
-  return Rewriter(rules, goal).Run();
+  return MagicRewrite(RuleGraph(rules), goal);
+}
+
+MagicProgram MagicRewrite(const RuleGraph& graph, const GoalBinding& goal) {
+  return Rewriter(graph, goal).Run();
 }
 
 }  // namespace ooint

@@ -8,6 +8,7 @@
 #include "model/value.h"
 #include "rules/fact.h"
 #include "rules/rule.h"
+#include "rules/rule_graph.h"
 #include "rules/term.h"
 
 namespace ooint {
@@ -53,11 +54,11 @@ GoalBinding ExtractGoalBinding(const OTerm& pattern);
 /// false and `fallback_reason` records why — the caller evaluates the
 /// original (relevance-restricted) rules instead.
 ///
-/// `reachable_concepts` is always valid: every concept reachable from
-/// the goal through rule bodies (negated literals included — a negated
-/// concept's full extent is still needed for soundness). It drives
-/// relevance-pruned extent fetching unless `relevance_safe` is false
-/// (nested descriptors can navigate OIDs into unlisted concepts).
+/// `reachable_concepts` is always valid: the goal's RuleGraph::Closure
+/// (negated literals included — a negated concept's full extent is
+/// still needed for soundness). It drives relevance-pruned extent
+/// fetching unless `relevance_safe` is false (nested descriptors can
+/// navigate OIDs into unlisted concepts).
 struct MagicProgram {
   bool applied = false;
   std::string fallback_reason;
@@ -86,6 +87,8 @@ bool IsMagicConceptName(const std::string& name);
 /// risking lost answers.
 MagicProgram MagicRewrite(const std::vector<Rule>& rules,
                           const GoalBinding& goal);
+/// The same rewrite over an already built graph of the program.
+MagicProgram MagicRewrite(const RuleGraph& graph, const GoalBinding& goal);
 
 }  // namespace ooint
 

@@ -21,10 +21,8 @@ std::string Rule::ToString() const {
 namespace {
 
 void AppendConceptName(const Literal& literal, std::vector<std::string>* out) {
-  if (literal.kind == Literal::Kind::kOTerm) {
-    out->push_back(literal.oterm.class_name);
-  } else if (literal.kind == Literal::Kind::kPredicate) {
-    out->push_back(literal.pred_name);
+  if (literal.kind != Literal::Kind::kCompare) {
+    out->push_back(literal.concept_name());
   }
 }
 

@@ -90,6 +90,12 @@ struct Literal {
   static Literal OfPredicate(std::string name, std::vector<TermArg> args,
                              bool negated = false);
 
+  /// The concept a fact literal ranges over: the O-term's class or the
+  /// predicate's name. Empty for comparisons, whose O-term is unset.
+  const std::string& concept_name() const {
+    return kind == Kind::kPredicate ? pred_name : oterm.class_name;
+  }
+
   std::string ToString() const;
 };
 

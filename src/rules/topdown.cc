@@ -300,16 +300,6 @@ Result<std::vector<Fact>> TopDownEvaluator::Evaluate(
         StrCat("recursive concept_name '", concept_name,
                "' is not supported by the top-down evaluator"));
   }
-  // One uncached goal expansion = one round charge; the deadline check
-  // sits between expansions, so an expired token unwinds the whole
-  // proof here instead of mid-join.
-  token_.Charge(CancelToken::kRoundChargeMs);
-  if (token_.Expired()) {
-    return Status::DeadlineExceeded(
-        StrCat("query deadline (", token_.budget_ms(),
-               "ms) exceeded during top-down evaluation of '", concept_name,
-               "'"));
-  }
   in_progress_.insert(concept_name);
 
   // temp := ∪_{s ∈ S} results of evaluating q against s.

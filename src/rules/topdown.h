@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/result.h"
 #include "model/instance_store.h"
 #include "rules/fact.h"
@@ -75,14 +74,6 @@ class TopDownEvaluator {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Cooperative deadline: every *uncached* goal expansion charges
-  /// CancelToken::kRoundChargeMs of virtual time and an expired token
-  /// unwinds the proof with kDeadlineExceeded (memo hits stay free).
-  /// Completed sub-goals keep their memo entries, so re-running with a
-  /// fresh token resumes instead of starting over.
-  void set_cancel_token(CancelToken token) { token_ = std::move(token); }
-  const CancelToken& cancel_token() const { return token_; }
-
  private:
   struct Source {
     std::string schema_name;
@@ -114,7 +105,6 @@ class TopDownEvaluator {
   /// bottom-up evaluator uses.
   FactStore universe_;
   Stats stats_;
-  CancelToken token_;
 };
 
 }  // namespace ooint

@@ -30,11 +30,19 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   EXPECT_EQ(runs.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
+// One RunAll task per index.
+std::vector<std::function<void()>> Tasks(std::size_t n,
+                                         std::function<void(std::size_t)> fn) {
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < n; ++i) tasks.emplace_back([fn, i] { fn(i); });
+  return tasks;
+}
+
+TEST(ThreadPoolTest, RunAllCoversAllIndices) {
   ThreadPool pool(3);
   std::vector<std::atomic<int>> hits(64);
-  pool.ParallelFor(hits.size(),
-                   [&hits](std::size_t i) { hits[i].fetch_add(1); });
+  pool.RunAll(
+      Tasks(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); }));
   for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
@@ -43,10 +51,10 @@ TEST(ThreadPoolTest, TasksRunOnWorkerThreads) {
   const std::thread::id caller = std::this_thread::get_id();
   std::mutex mu;
   std::set<std::thread::id> seen;
-  pool.ParallelFor(16, [&](std::size_t) {
+  pool.RunAll(Tasks(16, [&](std::size_t) {
     std::lock_guard<std::mutex> lock(mu);
     seen.insert(std::this_thread::get_id());
-  });
+  }));
   EXPECT_EQ(seen.count(caller), 0u);
   EXPECT_GE(seen.size(), 1u);
   EXPECT_LE(seen.size(), 2u);
@@ -57,7 +65,7 @@ TEST(ThreadPoolTest, ConcurrentBatchesCompleteIndependently) {
   std::atomic<int> total{0};
   auto submit = [&pool, &total] {
     for (int round = 0; round < 10; ++round) {
-      pool.ParallelFor(8, [&total](std::size_t) { total.fetch_add(1); });
+      pool.RunAll(Tasks(8, [&total](std::size_t) { total.fetch_add(1); }));
     }
   };
   std::thread a(submit);
@@ -72,7 +80,7 @@ TEST(ThreadPoolTest, SingleThreadPoolDrainsItsQueue) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1);
   std::atomic<int> runs{0};
-  pool.ParallelFor(32, [&runs](std::size_t) { runs.fetch_add(1); });
+  pool.RunAll(Tasks(32, [&runs](std::size_t) { runs.fetch_add(1); }));
   EXPECT_EQ(runs.load(), 32);
 }
 
@@ -87,7 +95,7 @@ TEST(ThreadPoolTest, NonPositiveThreadCountClampsToOne) {
 TEST(ThreadPoolTest, EmptyBatchReturnsImmediately) {
   ThreadPool pool(2);
   pool.RunAll({});
-  pool.ParallelFor(0, [](std::size_t) { FAIL() << "no tasks expected"; });
+  pool.RunAll(Tasks(0, [](std::size_t) { FAIL() << "no tasks expected"; }));
 }
 
 }  // namespace

@@ -108,6 +108,24 @@ TEST_F(OverloadTest, ZeroDeadlineMaterializedConnectFailsFast) {
   }
 }
 
+TEST_F(OverloadTest, ZeroDeadlineLiveUpdatesConnectFailsFast) {
+  // Adoption's initial load fetches under the same query deadline: a
+  // spent budget fails the connect before any agent is called.
+  FaultInjector injector;
+  FederationOptions options;
+  options.injector = &injector;
+  options.query_deadline_ms = 0;
+  options.live_updates = true;
+  FsmClient client(&fsm_);
+  EXPECT_EQ(client.Connect(Fsm::Strategy::kAccumulation, options).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(injector.calls("S1"), 0u);
+  EXPECT_EQ(injector.calls("S2"), 0u);
+  EXPECT_FALSE(client.live_updates());
+  EXPECT_EQ(client.Run(UncleQuery(client)).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST_F(OverloadTest, NegativeDeadlineIsInvalidArgument) {
   FederationOptions options;
   options.query_deadline_ms = -5;

@@ -10,6 +10,7 @@
 #include "common/cancel.h"
 #include "common/string_util.h"
 #include "federation/agent_connection.h"
+#include "federation/explain.h"
 #include "federation/fault_injector.h"
 #include "federation/fsm.h"
 #include "federation/fsm_agent.h"
@@ -18,6 +19,7 @@
 #include "integrate/integrator.h"
 #include "integrate/naive_integrator.h"
 #include "model/schema_parser.h"
+#include "rules/magic.h"
 #include "rules/ref_fact_store.h"
 #include "workload/generator.h"
 
@@ -889,16 +891,24 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
       FaultInjector sip_injector(c.fault_seed, c.fault_rate);
       FederationOptions sip_options;
       sip_options.failure_policy = FailurePolicy::kPartial;
+      sip_options.query_mode = QueryMode::kDemandDriven;  // build only
       sip_options.injector = &sip_injector;
-      sip_options.planner = PlannerMode::kFixedSip;
-      const Result<FederatedEvaluator> sip_partial =
+      Result<FederatedEvaluator> sip_partial =
           federation.fsm.MakeFederatedEvaluator(federation.global,
                                                 sip_options);
-      if (!sip_partial.ok()) {
+      Status sip_status = sip_partial.status();
+      if (sip_partial.ok()) {
+        // The build fetched nothing, so the fixed-SIP run below draws
+        // the injector's faults in the order the cost-based build did.
+        Evaluator& sip_ev = *sip_partial.value().evaluator;
+        sip_ev.set_planner_mode(PlannerMode::kFixedSip);
+        sip_status = sip_ev.Evaluate();
+      }
+      if (!sip_status.ok()) {
         outcome.failures.push_back(StrCat(
             "planner-vs-fixed-sip: fixed-SIP partial-mode evaluation "
             "failed outright: ",
-            sip_partial.status().ToString()));
+            sip_status.ToString()));
       } else {
         const std::string cost_degraded = degraded.ToString();
         const std::string sip_degraded =
@@ -1054,21 +1064,58 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
                    " failed: ", demand.status().ToString()));
         continue;
       }
+      const MagicProgram program = baseline.PlanDemand(pattern).program;
       if (RowKeys(demand.value().rows) != expected_keys) {
         outcome.failures.push_back(StrCat(
             "demand-query: goal ", goal, " bound on ", bind_attr, " has ",
             demand.value().rows.size(), " demand-driven rows vs ",
             expected.value().size(), " from the full fixpoint ",
-            demand.value().magic_applied
-                ? StrCat("(magic, adornment [",
-                         demand.value().goal_adornment, "])")
-                : StrCat("(fallback: ", demand.value().fallback_reason, ")")));
+            program.applied
+                ? StrCat("(magic, adornment [", program.goal_adornment, "])")
+                : StrCat("(fallback: ", program.fallback_reason, ")")));
       }
       if (demand.value().degraded.degraded()) {
         outcome.failures.push_back(
             StrCat("demand-query: fault-free demand evaluation of ", goal,
                    " reported degradation: ",
                    demand.value().degraded.ToString()));
+      }
+      // Explain reads the same rule graph the run did: its plan for the
+      // goal names every agent the run contacted (every bound agent it
+      // did not prune) and, when the rewrite could prune soundly,
+      // exactly the agents the run pruned.
+      const Result<QueryPlan> plan = ExplainQuery(federation.global, goal);
+      if (!plan.ok()) {
+        outcome.failures.push_back(StrCat("demand-query: explaining ", goal,
+                                          " failed: ",
+                                          plan.status().ToString()));
+      } else {
+        const std::vector<std::string>& pruned =
+            demand.value().degraded.pruned_agents;
+        const std::vector<std::string>& agents = plan.value().agents;
+        std::set<std::string> contacted;
+        for (const auto& [name, sources] : federation.global.ground_sources) {
+          for (const ClassRef& source : sources) {
+            if (std::find(pruned.begin(), pruned.end(), source.schema) ==
+                pruned.end()) {
+              contacted.insert(source.schema);
+            }
+          }
+        }
+        for (const std::string& agent : contacted) {
+          if (std::find(agents.begin(), agents.end(), agent) == agents.end()) {
+            outcome.failures.push_back(StrCat(
+                "demand-query: the demand run of ", goal, " contacted ",
+                agent, " but Explain's plan names only [", Join(agents, ", "),
+                "]"));
+          }
+        }
+        if (program.relevance_safe && plan.value().pruned_agents != pruned) {
+          outcome.failures.push_back(StrCat(
+              "demand-query: the demand run of ", goal, " pruned [",
+              Join(pruned, ", "), "] but Explain's plan prunes [",
+              Join(plan.value().pruned_agents, ", "), "]"));
+        }
       }
 
       if (c.fault_rate > 0.0) {
@@ -1096,7 +1143,7 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
           continue;
         }
         const Evaluator::DemandOutcome& out = faulted.value();
-        for (const std::string& pruned : out.pruned_agents) {
+        for (const std::string& pruned : out.degraded.pruned_agents) {
           if (out.degraded.SkippedAgentNamed(pruned)) {
             outcome.failures.push_back(StrCat(
                 "demand-query: agent ", pruned,

@@ -156,8 +156,8 @@ TEST_F(DemandDifferentialTest, ThreeStrategiesAgreeOnSelectiveQueries) {
     std::unique_ptr<Evaluator> demand_eval = MakeBottomUp();
     const Evaluator::DemandOutcome outcome =
         ValueOrDie(demand_eval->EvaluateDemand(pattern));
-    EXPECT_EQ(outcome.magic_applied, !filter.empty())
-        << outcome.fallback_reason;
+    const MagicProgram program = demand_eval->PlanDemand(pattern).program;
+    EXPECT_EQ(program.applied, !filter.empty()) << program.fallback_reason;
     EXPECT_EQ(RowKeys(outcome.rows, filter), baseline);
 
     const std::multiset<std::string> top_down_keys =
@@ -175,7 +175,9 @@ TEST_F(DemandDifferentialTest, BoundQueriesDeriveStrictlyLessThanFull) {
   std::unique_ptr<Evaluator> demand_eval = MakeBottomUp();
   const Evaluator::DemandOutcome outcome =
       ValueOrDie(demand_eval->EvaluateDemand(MakePattern(filter)));
-  ASSERT_TRUE(outcome.magic_applied) << outcome.fallback_reason;
+  const MagicProgram program =
+      demand_eval->PlanDemand(MakePattern(filter)).program;
+  ASSERT_TRUE(program.applied) << program.fallback_reason;
   ASSERT_FALSE(outcome.rows.empty());
   EXPECT_LT(outcome.stats.derived_facts, full->stats().derived_facts);
 }

@@ -195,7 +195,8 @@ TEST(MagicRewriteTest, DemandMatchesFullEvaluationOnChain) {
   std::unique_ptr<Evaluator> demand_eval = fixture.MakeEvaluator();
   const Evaluator::DemandOutcome outcome =
       ValueOrDie(demand_eval->EvaluateDemand(pattern));
-  EXPECT_TRUE(outcome.magic_applied) << outcome.fallback_reason;
+  const MagicProgram program = demand_eval->PlanDemand(pattern).program;
+  EXPECT_TRUE(program.applied) << program.fallback_reason;
   EXPECT_EQ(RowKeys(outcome.rows), RowKeys(expected));
   // Full evaluation derives every path pair; the demanded fixpoint only
   // derives paths starting at n0 (plus magic facts).
@@ -217,7 +218,8 @@ TEST(MagicRewriteTest, SelectiveDemandDerivesFarFewerFacts) {
   std::unique_ptr<Evaluator> demand_eval = fixture.MakeEvaluator();
   const Evaluator::DemandOutcome outcome =
       ValueOrDie(demand_eval->EvaluateDemand(pattern));
-  EXPECT_TRUE(outcome.magic_applied) << outcome.fallback_reason;
+  const MagicProgram program = demand_eval->PlanDemand(pattern).program;
+  EXPECT_TRUE(program.applied) << program.fallback_reason;
   EXPECT_EQ(RowKeys(outcome.rows), RowKeys(expected));
   // 39*40/2 = 780 full path facts vs. a handful of demanded ones.
   EXPECT_GT(full->stats().derived_facts, 700u);
@@ -236,7 +238,8 @@ TEST(MagicRewriteTest, RelevancePrunesUnreachableSources) {
   // Only the edge extent is fetched: noise (same agent) is skipped and
   // S2 — no reachable concept at all — is never contacted.
   EXPECT_EQ(outcome.stats.extents_fetched, 1u);
-  EXPECT_EQ(outcome.pruned_agents, std::vector<std::string>{"S2"});
+  EXPECT_EQ(evaluator->PlanDemand(pattern).pruned_agents,
+            std::vector<std::string>{"S2"});
   EXPECT_EQ(outcome.degraded.pruned_agents,
             std::vector<std::string>{"S2"});
   EXPECT_FALSE(outcome.degraded.degraded());  // pruning is not degradation
@@ -259,12 +262,13 @@ TEST(MagicRewriteTest, UnboundGoalFallsBackToRelevanceOnly) {
   std::unique_ptr<Evaluator> demand_eval = fixture.MakeEvaluator();
   const Evaluator::DemandOutcome outcome =
       ValueOrDie(demand_eval->EvaluateDemand(pattern));
-  EXPECT_FALSE(outcome.magic_applied);
-  EXPECT_EQ(outcome.fallback_reason, "goal has no bound positions");
+  const MagicProgram program = demand_eval->PlanDemand(pattern).program;
+  EXPECT_FALSE(program.applied);
+  EXPECT_EQ(program.fallback_reason, "goal has no bound positions");
   EXPECT_EQ(RowKeys(outcome.rows), RowKeys(expected));
   // Relevance pruning still applies on the fallback path.
   EXPECT_EQ(outcome.stats.extents_fetched, 1u);
-  EXPECT_EQ(outcome.pruned_agents, std::vector<std::string>{"S2"});
+  EXPECT_EQ(outcome.degraded.pruned_agents, std::vector<std::string>{"S2"});
 }
 
 TEST(MagicRewriteTest, NegatedDerivedConceptFallsBack) {
@@ -292,10 +296,11 @@ TEST(MagicRewriteTest, NegatedDerivedConceptFallsBack) {
   ASSERT_OK(demand_eval->AddRule(dead_end));
   const Evaluator::DemandOutcome outcome =
       ValueOrDie(demand_eval->EvaluateDemand(pattern));
-  EXPECT_FALSE(outcome.magic_applied);
-  EXPECT_NE(outcome.fallback_reason.find("negated derived concept"),
+  const MagicProgram program = demand_eval->PlanDemand(pattern).program;
+  EXPECT_FALSE(program.applied);
+  EXPECT_NE(program.fallback_reason.find("negated derived concept"),
             std::string::npos)
-      << outcome.fallback_reason;
+      << program.fallback_reason;
   EXPECT_EQ(RowKeys(outcome.rows), RowKeys(expected));
 }
 
@@ -326,8 +331,9 @@ TEST(MagicRewriteTest, MergedAttributeBindingsAreDroppedFromAdornment) {
   ASSERT_OK(demand_eval->AddRule(membership));
   const Evaluator::DemandOutcome outcome =
       ValueOrDie(demand_eval->EvaluateDemand(pattern));
-  EXPECT_FALSE(outcome.magic_applied);
-  EXPECT_EQ(outcome.fallback_reason,
+  const MagicProgram program = demand_eval->PlanDemand(pattern).program;
+  EXPECT_FALSE(program.applied);
+  EXPECT_EQ(program.fallback_reason,
             "no bound goal position survives head-support analysis");
   EXPECT_EQ(RowKeys(outcome.rows), RowKeys(expected));
 }
@@ -384,7 +390,7 @@ TEST(MagicDemandGenealogyTest, AnswersTheUncleQueryLikeFullEvaluation) {
   EXPECT_EQ(RowKeys(outcome.rows), RowKeys(expected));
   ASSERT_FALSE(outcome.rows.empty());
   // The selective query derives only the demanded family's uncles.
-  if (outcome.magic_applied) {
+  if (demand_eval->PlanDemand(pattern).program.applied) {
     EXPECT_LT(outcome.stats.derived_facts, full->stats().derived_facts);
   }
 }

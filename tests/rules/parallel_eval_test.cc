@@ -214,7 +214,8 @@ TEST(ParallelEvalTest, DemandEvaluationMatchesSerial) {
   EXPECT_EQ(CanonicalKeys(parallel_outcome.goal_facts),
             CanonicalKeys(serial_outcome.goal_facts));
   EXPECT_EQ(parallel_outcome.rows.size(), serial_outcome.rows.size());
-  EXPECT_EQ(parallel_outcome.magic_applied, serial_outcome.magic_applied);
+  EXPECT_EQ(parallel.PlanDemand(goal).program.applied,
+            serial.PlanDemand(goal).program.applied);
 }
 
 TEST(ParallelEvalTest, ConcurrentQueriesAgreeWithSerialReads) {
