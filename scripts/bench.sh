@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Runs a benchmark suite in a Release build and writes the JSON
 # snapshot the docs reference (BENCH_<suite>.json at the repo root),
-# stamped with the git SHA and build type it was measured at.
+# stamped with the git SHA and the ooint build type it was measured at.
+# Every benchmark runs 5 times; the snapshot keeps each one's median and
+# coefficient of variation (libbenchmark's `_median` and `_cv`
+# aggregates).
 #
 # Usage: scripts/bench.sh [target] [benchmark_filter]
 #   scripts/bench.sh                             # bench_eval, full suite
@@ -21,6 +24,11 @@ OUT="BENCH_${TARGET#bench_}.json"
 GIT_SHA="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
 if ! git diff --quiet HEAD -- 2>/dev/null; then
   GIT_SHA="${GIT_SHA}-dirty"
+  echo "=======================================================================" >&2
+  echo "WARNING: the working tree has uncommitted changes." >&2
+  echo "         $OUT will be stamped git_sha=$GIT_SHA: its numbers belong" >&2
+  echo "         to no commit. Commit first for a snapshot worth keeping." >&2
+  echo "=======================================================================" >&2
 fi
 
 CONFIG_ARGS=(-DCMAKE_BUILD_TYPE="$BUILD_TYPE")
@@ -39,24 +47,47 @@ if [[ -n "$CACHED_TYPE" && "$CACHED_TYPE" != "$BUILD_TYPE" ]]; then
   echo "       Delete $BUILD_DIR or point BUILD_DIR at a $BUILD_TYPE tree." >&2
   exit 1
 fi
-EXTRA_CONTEXT=()
 if [[ "$BUILD_TYPE" != "Release" ]]; then
   echo "=======================================================================" >&2
   echo "WARNING: benchmarking a $BUILD_TYPE library." >&2
   echo "         These numbers are NOT comparable to the committed Release" >&2
-  echo "         snapshots; $OUT will be stamped library_build_type=debug." >&2
+  echo "         snapshots; $OUT will be stamped ooint_build_type=$BUILD_TYPE." >&2
   echo "=======================================================================" >&2
-  EXTRA_CONTEXT+=(--benchmark_context=library_build_type="$(echo "$BUILD_TYPE" | tr '[:upper:]' '[:lower:]')")
 fi
 
 cmake --build "$BUILD_DIR" -j --target "$TARGET"
 
 "$BUILD_DIR/bench/$TARGET" \
   --benchmark_filter="$FILTER" \
+  --benchmark_repetitions=5 \
+  --benchmark_report_aggregates_only=true \
   --benchmark_context=git_sha="$GIT_SHA" \
-  --benchmark_context=build_type="$BUILD_TYPE" \
-  ${EXTRA_CONTEXT[@]+"${EXTRA_CONTEXT[@]}"} \
-  --benchmark_format=json \
+  --benchmark_context=ooint_build_type="$BUILD_TYPE" \
   --benchmark_out="$OUT" \
   --benchmark_out_format=json
-echo "Wrote $(pwd)/$OUT (git_sha=$GIT_SHA, build_type=$BUILD_TYPE)"
+
+# libbenchmark stamps `library_build_type` with how libbenchmark itself
+# was built (the distro package: "debug"), which reads as a claim about
+# this library; ooint_build_type is the stamp that matters. Of the
+# aggregates, the median and the CV stay; the CV of an all-zero counter
+# is NaN, written as null so the snapshot stays strict JSON.
+python3 - "$OUT" <<'PY'
+import json
+import math
+import sys
+
+path = sys.argv[1]
+with open(path) as f:
+    data = json.load(f)
+data["context"].pop("library_build_type", None)
+data["benchmarks"] = [b for b in data["benchmarks"]
+                      if b.get("aggregate_name") in ("median", "cv")]
+for bench in data["benchmarks"]:
+    for key, value in bench.items():
+        if isinstance(value, float) and math.isnan(value):
+            bench[key] = None
+with open(path, "w") as f:
+    json.dump(data, f, indent=2, allow_nan=False)
+    f.write("\n")
+PY
+echo "Wrote $(pwd)/$OUT (git_sha=$GIT_SHA, ooint_build_type=$BUILD_TYPE, 5 repetitions)"

@@ -72,9 +72,32 @@ std::vector<ClassId> Integrator::ChildrenOrRoots(int side,
 
 void Integrator::InheritLabel(int side, ClassId node, int label) {
   auto& inherited = (side == 1) ? inherited_s1_ : inherited_s2_;
+  const int other = 3 - side;
+  const Schema& other_schema = SchemaOf(other);
+  const auto& other_labels = (side == 1) ? labels_s2_ : labels_s1_;
   inherited[node].insert(label);
   for (ClassId descendant : SchemaOf(side).Descendants(node)) {
     inherited[descendant].insert(label);
+    // The label guard skips every pair of `descendant` with a class
+    // `label` marks: their set relationship follows from the inclusion.
+    // An explicit derivation on such a pair does not, so it is traced
+    // and recorded here, as the pair's own check would have done.
+    for (const ClassRef& partner :
+         assertions_.PartnersOf(RefOf(side, descendant))) {
+      if (partner.schema != other_schema.name()) continue;
+      const ClassId id = other_schema.FindClass(partner.class_name);
+      if (id == kInvalidClassId || other_labels[id].count(label) == 0) {
+        continue;
+      }
+      const AssertionSet::Lookup lookup = Find(side, descendant, other, id);
+      if (lookup.found() && lookup.rel == SetRel::kDerivation) {
+        Trace(TraceEvent::Kind::kCase,
+              side == 1 ? PairName(descendant, id) : PairName(id, descendant),
+              SetRelName(lookup.rel));
+        ops_.Record(assertions_, lookup, RefOf(side, descendant),
+                    RefOf(other, id));
+      }
+    }
   }
 }
 
@@ -320,7 +343,8 @@ Status Integrator::Run() {
       }
       case SetRel::kSubset: {
         // Lines 11-17: depth-first labelling of S2 above N2; N1 and its
-        // descendants inherit the label; (N1, N2j) pairs continue.
+        // descendants inherit the label (recording the derivations the
+        // label then hides); (N1, N2j) pairs continue.
         const int label = PathLabelling(1, n1, 2, n2);
         Trace(TraceEvent::Kind::kInherit, s1_.class_def(n1).name(),
               StrCat("l", label));

@@ -64,7 +64,10 @@ class Integrator {
 
   std::vector<ClassId> ChildrenOrRoots(int side, ClassId node) const;
 
-  /// Adds `label` to inherited-labels of `node` and all its descendants.
+  /// Adds `label` to inherited-labels of `node` and all its descendants,
+  /// and records every explicit derivation between a proper descendant
+  /// and a class of the other schema that `label` marks — pairs the
+  /// label guard never checks.
   void InheritLabel(int side, ClassId node, int label);
 
   const Schema& s1_;

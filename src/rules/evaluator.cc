@@ -49,6 +49,22 @@ Status DeadlineStatus(const CancelToken& token, const char* where) {
              " (", token.spent_ms(), "ms spent)"));
 }
 
+/// Whether BuildHeadFact reads nothing of a body solution but its
+/// bindings: a predicate head, or an O-term head whose entity is a
+/// skolem (its object a non-OID constant, or a variable no body literal
+/// mentions). A bound-OID head also merges the attributes of every
+/// matched fact that carries its OID, so it needs every solution.
+bool HeadReadsOnlyBindings(const Rule& rule) {
+  const Literal& head = rule.head.front();
+  if (head.kind == Literal::Kind::kPredicate) return true;
+  const TermArg& object = head.oterm.object;
+  if (object.is_constant()) return object.constant.kind() != ValueKind::kOid;
+  if (!object.is_variable()) return false;
+  std::vector<std::string> vars;
+  for (const Literal& literal : rule.body) CollectVariables(literal, &vars);
+  return std::find(vars.begin(), vars.end(), object.var) == vars.end();
+}
+
 }  // namespace
 
 ExtentReply Evaluator::FetchOne(const ExtentRequest& request,
@@ -466,7 +482,7 @@ Status Evaluator::EvaluateImpl() {
       // delta plans wait for the seed round to populate extents (a
       // stratum's own facts are invisible at stratum start, so their
       // estimates here would all be zero).
-      plan.first_plan = ComputePlan(rule, -1, -1);
+      plan.first_plan = ComputePlan(rule, -1, -1, {}, /*existence=*/true);
       active.push_back(std::move(plan));
     }
 
@@ -537,7 +553,8 @@ Status Evaluator::EvaluateImpl() {
             plan.delta_plans.reserve(plan.positive.size());
             for (const auto& [index, concept_id] : plan.positive) {
               plan.delta_plans.push_back(
-                  ComputePlan(*plan.rule, static_cast<int>(index), -1));
+                  ComputePlan(*plan.rule, static_cast<int>(index), -1, {},
+                              /*existence=*/true));
             }
           }
         }
@@ -604,7 +621,8 @@ std::vector<const Fact*> Evaluator::FactsOf(
 
 BodyPlan Evaluator::ComputePlan(const Rule& rule, int delta_literal,
                                 int pivot_literal,
-                                std::set<std::string> initial_bound) const {
+                                std::set<std::string> initial_bound,
+                                bool existence) const {
   PlannerInput in;
   in.rule = &rule;
   if (strategy_ == EvalStrategy::kNaive ||
@@ -614,6 +632,7 @@ BodyPlan Evaluator::ComputePlan(const Rule& rule, int delta_literal,
   in.delta_literal = delta_literal;
   in.pivot_literal = pivot_literal;
   in.initial_bound = std::move(initial_bound);
+  in.split_existence = existence && HeadReadsOnlyBindings(rule);
   in.extent_cost.assign(rule.body.size(), -1.0);
   for (size_t i = 0; i < rule.body.size(); ++i) {
     const Literal& literal = rule.body[i];
@@ -764,7 +783,7 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
                             size_t depth, Solution solution,
                             std::vector<Solution>* solutions) const {
   const std::vector<Literal>& body = ctx.rule->body;
-  if (depth == body.size()) {
+  if (depth == (ctx.witness_end != 0 ? ctx.witness_end : body.size())) {
     solutions->push_back(std::move(solution));
     return Status::OK();
   }
@@ -796,6 +815,10 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
            ctx.inc->admit(pick, store_.IdAt(concept_id, ordinal));
   };
   Status status = Status::OK();
+  // An existence check is done at its first solution.
+  auto stop = [&] {
+    return !status.ok() || (ctx.witness_end != 0 && !solutions->empty());
+  };
   switch (literal.kind) {
     case Literal::Kind::kOTerm: {
       ConceptId concept_id = kNoConcept;
@@ -814,9 +837,9 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
             next.bindings = std::move(match);
             next.matched[pick] = fact;
             status = recurse(std::move(next));
-            if (!status.ok()) break;
+            if (stop()) break;
           }
-          if (!status.ok()) break;
+          if (stop()) break;
         }
       } else {
         bool found = false;
@@ -848,7 +871,7 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
             Solution s = solution;
             s.bindings = std::move(next);
             status = recurse(std::move(s));
-            if (!status.ok()) break;
+            if (stop()) break;
           }
         }
       } else {
@@ -924,7 +947,19 @@ Status Evaluator::SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
   if (ctx.scratch != nullptr) ctx.scratch->EnsureDepths(rule.body.size());
   Solution init;
   init.matched.assign(rule.body.size(), FactView());
-  return SolveBody(matcher, ctx, 0, std::move(init), solutions);
+  // Existence components bind nothing the head or another component
+  // reads, so one solution of each stands for all of them (DESIGN.md
+  // 4c); a component without one leaves the rule nothing to derive.
+  size_t depth = 0;
+  for (const std::uint32_t end : ctx.plan->existence_ends) {
+    JoinContext check = ctx;
+    check.witness_end = end;
+    std::vector<Solution> witness;
+    OOINT_RETURN_IF_ERROR(SolveBody(matcher, check, depth, init, &witness));
+    if (witness.empty()) return Status::OK();
+    depth = end;
+  }
+  return SolveBody(matcher, ctx, depth, std::move(init), solutions);
 }
 
 Result<Evaluator::HeadFact> Evaluator::BuildHeadFact(

@@ -531,6 +531,10 @@ class Evaluator {
     /// driver, never shared across threads. Null means per-call local
     /// buffers (cold paths).
     JoinScratch* scratch = nullptr;
+    /// Nonzero while SolveRule checks one existence component (see
+    /// BodyPlan::existence_ends): SolveBody stops at this depth, and at
+    /// the first solution.
+    std::uint32_t witness_end = 0;
   };
 
   /// The shared unification machinery, wired to this evaluator's fact
@@ -547,7 +551,9 @@ class Evaluator {
 
   /// The read-only half of ApplyRule: solves the body against the
   /// current store without inserting anything (the incremental engine
-  /// counts solutions instead of inserting them).
+  /// counts solutions instead of inserting them). A plan with existence
+  /// components checks each for a first solution, then enumerates the
+  /// rest of the body; its solutions leave the components' slots empty.
   Status SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
                    std::vector<Solution>* solutions) const;
 
@@ -577,7 +583,7 @@ class Evaluator {
                          size_t* inserted);
 
   /// Solves the body literals ctx.plan orders at depths `depth` and
-  /// deeper, extending `solution`.
+  /// deeper (up to ctx.witness_end when set), extending `solution`.
   Status SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
                    size_t depth, Solution solution,
                    std::vector<Solution>* solutions) const;
@@ -588,10 +594,14 @@ class Evaluator {
   /// store's current extent counts, magic-guard concepts treated as
   /// high-selectivity seeds, and stats_.plan_reorders ticks when
   /// estimates overrode the SIP; kFixedSip and the kNaive oracle get
-  /// the written order. Called from serial sections only (stratum
-  /// starts, the incremental driver).
+  /// the written order. `existence` asks for existence components
+  /// (DESIGN.md 4c) — the semi-naive fixpoint does, the counting engine
+  /// does not — and they are planned only for a predicate or skolem
+  /// head. Called from serial sections only (stratum starts, the
+  /// incremental engine).
   BodyPlan ComputePlan(const Rule& rule, int delta_literal, int pivot_literal,
-                       std::set<std::string> initial_bound = {}) const;
+                       std::set<std::string> initial_bound = {},
+                       bool existence = false) const;
 
   /// Candidate facts for a positive or negated fact literal: an index
   /// probe when some argument/descriptor is bound to a hashable value,

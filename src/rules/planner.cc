@@ -1,5 +1,9 @@
 #include "rules/planner.h"
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+
 #include "rules/term.h"
 
 namespace ooint {
@@ -41,22 +45,14 @@ int BoundCount(const Literal& literal, const std::set<std::string>& bound) {
   return n;
 }
 
-}  // namespace
-
-BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode) {
+/// Appends to `plan` the cost-based order of every body literal `done`
+/// does not mark, marking each as it is picked.
+void OrderLiterals(const PlannerInput& in, std::vector<char>* done_flags,
+                   BodyPlan* plan) {
   const std::vector<Literal>& body = in.rule->body;
   const size_t n = body.size();
-  BodyPlan plan;
-  plan.order.reserve(n);
-  if (mode == PlannerMode::kFixedSip) {
-    for (size_t i = 0; i < n; ++i) {
-      plan.order.push_back(static_cast<std::uint32_t>(i));
-    }
-    return plan;
-  }
-
+  std::vector<char>& done = *done_flags;
   std::set<std::string> bound = in.initial_bound;
-  std::vector<char> done(n, 0);
   auto estimate = [&in](size_t i, int bound_occurrences) -> double {
     if (static_cast<int>(i) == in.pivot_literal) return 1.0;
     double est = i < in.extent_cost.size() && in.extent_cost[i] >= 0
@@ -70,7 +66,9 @@ BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode) {
     return est < 1.0 ? 1.0 : est;
   };
 
-  for (size_t step = 0; step < n; ++step) {
+  const size_t steps =
+      static_cast<size_t>(std::count(done.begin(), done.end(), 0));
+  for (size_t step = 0; step < steps; ++step) {
     size_t pick = n;
     // (1) Decidable filters and fully bound negations run first — they
     // enumerate no candidates at all (first match wins, as at runtime).
@@ -121,7 +119,7 @@ BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode) {
           const double sip_est = estimate(sip, BoundCount(body[sip], bound));
           if (cheap_est * kCostMargin <= sip_est) {
             pick = cheap;
-            plan.reordered = true;
+            plan->reordered = true;
           }
         }
       }
@@ -138,7 +136,7 @@ BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode) {
       }
     }
     done[pick] = 1;
-    plan.order.push_back(static_cast<std::uint32_t>(pick));
+    plan->order.push_back(static_cast<std::uint32_t>(pick));
 
     // Binding propagation: a consumed positive literal binds all its
     // variables (a successful match always does); a one-side-bound
@@ -160,6 +158,75 @@ BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode) {
       bound.insert(vars.begin(), vars.end());
     }
   }
+}
+
+/// The body's existence components: maximal sets of literals connected
+/// by shared variables (attribute-name and nested-descriptor variables
+/// included) that share none with the head, each listed in body order,
+/// the components ordered by their first literal.
+std::vector<std::vector<size_t>> ExistenceComponents(const Rule& rule) {
+  const std::vector<Literal>& body = rule.body;
+  // Union-find over body positions, joined through each variable's
+  // first occurrence.
+  std::vector<size_t> parent(body.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  auto find = [&parent](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  std::map<std::string, size_t> first_use;
+  for (size_t i = 0; i < body.size(); ++i) {
+    std::vector<std::string> vars;
+    CollectVariables(body[i], &vars);
+    for (const std::string& v : vars) {
+      auto [it, inserted] = first_use.emplace(v, i);
+      if (!inserted) parent[find(i)] = find(it->second);
+    }
+  }
+  std::vector<std::string> head_vars;
+  CollectVariables(rule.head.front(), &head_vars);
+  std::set<size_t> holds_head;
+  for (const std::string& v : head_vars) {
+    auto it = first_use.find(v);
+    if (it != first_use.end()) holds_head.insert(find(it->second));
+  }
+  std::vector<std::vector<size_t>> components;
+  std::map<size_t, size_t> index_of;  // root -> position in components
+  for (size_t i = 0; i < body.size(); ++i) {
+    const size_t root = find(i);
+    if (holds_head.count(root) != 0) continue;
+    auto [it, inserted] = index_of.emplace(root, components.size());
+    if (inserted) components.emplace_back();
+    components[it->second].push_back(i);
+  }
+  return components;
+}
+
+}  // namespace
+
+BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode) {
+  const size_t n = in.rule->body.size();
+  BodyPlan plan;
+  plan.order.reserve(n);
+  if (mode == PlannerMode::kFixedSip) {
+    for (size_t i = 0; i < n; ++i) {
+      plan.order.push_back(static_cast<std::uint32_t>(i));
+    }
+    return plan;
+  }
+  std::vector<char> done(n, 0);
+  if (in.split_existence) {
+    for (const std::vector<size_t>& component : ExistenceComponents(*in.rule)) {
+      // Ordered on its own: every literal outside it counts as done.
+      std::vector<char> outside(n, 1);
+      for (size_t i : component) outside[i] = 0;
+      OrderLiterals(in, &outside, &plan);
+      for (size_t i : component) done[i] = 1;
+      plan.existence_ends.push_back(
+          static_cast<std::uint32_t>(plan.order.size()));
+    }
+  }
+  OrderLiterals(in, &done, &plan);
   return plan;
 }
 

@@ -29,6 +29,12 @@ enum class PlannerMode {
 /// it solves, so no per-row work goes into choosing literals.
 struct BodyPlan {
   std::vector<std::uint32_t> order;
+  /// Existence components (DESIGN.md 4c), planned first: the k-th one
+  /// is order[existence_ends[k-1], existence_ends[k]) (from depth 0 for
+  /// k = 0). None shares a variable with the head or another component,
+  /// so each is solved only to its first solution and the rest of
+  /// `order` enumerates. Empty unless PlannerInput::split_existence.
+  std::vector<std::uint32_t> existence_ends;
   /// True when cost estimates overrode the connectivity SIP for at
   /// least one pick — the Stats::plan_reorders event.
   bool reordered = false;
@@ -50,6 +56,11 @@ struct PlannerInput {
   std::vector<double> extent_cost;
   /// Variables bound before the body runs (seeded joins).
   std::set<std::string> initial_bound;
+  /// Plan the body's existence components first (BodyPlan::
+  /// existence_ends). Only for a caller that reads nothing of a body
+  /// solution but the head's variables and de-duplicates what it
+  /// derives; kCostBased only.
+  bool split_existence = false;
 };
 
 /// Cost margin: the cost-based pick must beat the connectivity pick's
@@ -68,6 +79,9 @@ inline constexpr double kCostMargin = 4.0;
 /// mode — is overridden when another literal's estimated candidate
 /// count is kCostMargin times smaller. The result replays the exact
 /// historical dynamic pick whenever estimates never clear the margin.
+/// With split_existence, each existence component is ordered the same
+/// way on its own — components by their first body literal — and the
+/// head's components after them.
 BodyPlan PlanBody(const PlannerInput& in, PlannerMode mode);
 
 }  // namespace ooint

@@ -11,6 +11,7 @@
 #include "assertions/parser.h"
 #include "integrate/integrator.h"
 #include "integrate/naive_integrator.h"
+#include "integrate/trace.h"
 #include "model/schema_parser.h"
 #include "test_util.h"
 
@@ -154,6 +155,75 @@ TEST(Fig15SuppressionTest, EquivalenceStillChecksExplicitAssertionsBelowIt) {
   // Nothing else was pruned: the gate of conformance family 2 holds.
   EXPECT_EQ(optimized.stats.pairs_skipped_by_labels, 0u);
   EXPECT_EQ(optimized.stats.sibling_pairs_removed, 0u);
+}
+
+std::multiset<std::string> RuleTexts(const IntegrationOutcome& outcome) {
+  std::multiset<std::string> out;
+  for (const Rule& rule : outcome.schema.rules()) out.insert(rule.ToString());
+  return out;
+}
+
+TEST(Fig15SuppressionTest, InclusionStillChecksExplicitDerivationsBelowIt) {
+  // The shrunk soak seed 20261018281, in both directions: an inclusion
+  // between c0 and d4 hands its label to every class below its subset
+  // side, so (c3, d4) is never checked — child-with-child scheduling
+  // does not pair it, and the label guard would skip it. Yet the
+  // explicit derivation on that pair is not implied by the inclusion,
+  // and its rule must still be generated.
+  const Schema s1 = ValueOrDie(SchemaParser::Parse(R"(
+    schema S1 {
+      class c0 { key: string; }
+      class c1 { key: string; }
+      class c3 { key: string; }
+      is_a(c1, c0);
+      is_a(c3, c1);
+    }
+  )"));
+  const Schema s2 = ValueOrDie(SchemaParser::Parse(R"(
+    schema S2 {
+      class d4 { key: string; }
+    }
+  )"));
+  struct Case {
+    const Schema* first;
+    const Schema* second;
+    const char* assertions;
+    const char* pair;
+    const char* rule;
+  };
+  const Case cases[] = {
+      {&s1, &s2, R"(
+        assert S1.c0 <= S2.d4;
+        assert S1.c3 -> S2.d4 {
+          attr: S1.c3.key == S2.d4.key;
+        }
+      )",
+       "(c3, d4)", "<_o: IS(S2.d4) | key: x1> <= <o2: IS(S1.c3) | key: x1>"},
+      // The mirror image: integrating S2 first makes it d4 ⊇ c0, and
+      // the labelled subtree hangs below the second schema's class.
+      {&s2, &s1, R"(
+        assert S2.d4 >= S1.c0;
+        assert S2.d4 -> S1.c3 {
+          attr: S2.d4.key == S1.c3.key;
+        }
+      )",
+       "(d4, c3)", "<_o: IS(S1.c3) | key: x1> <= <o2: IS(S2.d4) | key: x1>"},
+  };
+  for (const Case& c : cases) {
+    const AssertionSet assertions =
+        ValueOrDie(AssertionParser::Parse(c.assertions));
+    IntegrationTrace trace;
+    const IntegrationOutcome optimized = ValueOrDie(Integrator::Integrate(
+        *c.first, *c.second, assertions, nullptr, &trace));
+    const IntegrationOutcome naive = ValueOrDie(
+        NaiveIntegrator::Integrate(*c.first, *c.second, assertions));
+    EXPECT_EQ(RuleTexts(optimized), RuleTexts(naive)) << c.rule;
+    EXPECT_EQ(RuleTexts(optimized).count(c.rule), 1u) << c.rule;
+    // The step trace accounts for the rule: the hidden pair's case.
+    const int cs = trace.IndexOf(TraceEvent::Kind::kCase, c.pair);
+    ASSERT_GE(cs, 0) << c.pair;
+    EXPECT_EQ(trace.events()[cs].detail, "->") << c.pair;
+  }
 }
 
 }  // namespace

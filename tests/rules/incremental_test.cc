@@ -372,6 +372,47 @@ TEST(IncrementalTest, RevivedFactReenablesNegationAndClosure) {
   }
 }
 
+TEST(IncrementalTest, EmptiedAndRefilledExistenceExtentMatchesRebuild) {
+  // p(x) <= a(x), b(y) and path(x, z) <= edge(x, y), path(y, z), on(w):
+  // b and on share no variable with the rest of their rules (existence
+  // components, DESIGN.md 4c), so a p fact has one derivation per b fact
+  // and a step path one per on fact. The engine must count all of them:
+  // emptying b and on retracts exactly what they gated, on the
+  // recursive concept too, refilling them brings it back, and a fact
+  // derived while two witnesses exist survives losing one of them.
+  std::vector<Rule> rules = PathClosureRules();
+  rules[1].body.push_back(
+      Literal::OfPredicate("on", {TermArg::Variable("w")}));
+  Rule p;
+  p.head.push_back(Literal::OfPredicate("p", {TermArg::Variable("x")}));
+  p.body.push_back(Literal::OfPredicate("a", {TermArg::Variable("x")}));
+  p.body.push_back(Literal::OfPredicate("b", {TermArg::Variable("y")}));
+  rules.push_back(std::move(p));
+  World w(std::move(rules));
+  w.Adopt({Pred1("a", 1), Pred1("a", 2), Pred1("b", 10), Pred1("b", 11),
+           Edge("a", "b"), Edge("b", "c"), Edge("c", "a"), Pred1("on", 1),
+           Pred1("on", 2)});
+  const std::vector<std::string> concepts = {"p", "path"};
+  w.ExpectMatchesRebuild(concepts);
+  EXPECT_EQ(w.ev.FactsOf("path").size(), 9u);
+
+  std::vector<BaseDelta> batches(5);
+  batches[0].deletes = {Pred1("b", 10), Pred1("on", 1)};
+  batches[1].deletes = {Pred1("b", 11), Pred1("on", 2)};  // both empty
+  batches[2].inserts = {Pred1("b", 12), Pred1("b", 13), Pred1("on", 3),
+                        Pred1("on", 4)};  // refilled, two witnesses each
+  batches[3].inserts = {Pred1("a", 3), Edge("c", "d")};
+  batches[4].deletes = {Pred1("b", 12), Pred1("on", 3)};  // one remains
+  const std::vector<size_t> p_sizes = {2, 0, 2, 3, 3};
+  const std::vector<size_t> path_sizes = {9, 3, 9, 12, 12};
+  for (size_t i = 0; i < batches.size(); ++i) {
+    w.Apply(batches[i]);
+    w.ExpectMatchesRebuild(concepts);
+    EXPECT_EQ(w.ev.FactsOf("p").size(), p_sizes[i]) << "batch " << i;
+    EXPECT_EQ(w.ev.FactsOf("path").size(), path_sizes[i]) << "batch " << i;
+  }
+}
+
 TEST(IncrementalTest, ExtentDeltaTranslatesThroughSubclassBindings) {
   // An object of a subclass feeds every binding bound to an ancestor
   // class, exactly as a from-scratch extent load would.
