@@ -115,6 +115,10 @@ if [[ "$RUN_BENCH" == 1 ]]; then
   # planner mode, or when its deterministic join counters exceed their
   # budgets (bench/bench_join.cc).
   "$BUILD_DIR"/bench/bench_join --regression_check
+  # Integration-pruning regression guard: fails unless every E2 mix's
+  # pairs checked, label skips, sibling removals and DFS steps equal
+  # their checked-in values at n = 255 and 1023 (bench/bench_labels.cc).
+  "$BUILD_DIR"/bench/bench_labels --regression_check
   # End-to-end correctness smoke: a short traced run of each e2ebench
   # workload (run.py builds its own Release package). run.py exits 0
   # even on a wrong answer, so the verdict is read from its result

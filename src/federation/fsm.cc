@@ -209,7 +209,7 @@ Result<Fsm::View> Fsm::IntegrateViews(View v1, View v2,
       Integrator::Integrate(*v1.schema, *v2.schema, set, &aifs_);
   if (!outcome.ok()) return outcome.status();
   AccumulateStats(stats, outcome.value().stats);
-  const IntegratedSchema& integrated = outcome.value().schema;
+  IntegratedSchema& integrated = outcome.value().schema;
 
   View merged;
   Result<Schema> lowered = integrated.ToSchema();
@@ -281,7 +281,7 @@ Result<Fsm::View> Fsm::IntegrateViews(View v1, View v2,
   for (const Rule& rule : integrated.rules()) {
     merged.rules.push_back(rule);
   }
-  *last_round = integrated;
+  *last_round = std::move(integrated);
   return merged;
 }
 

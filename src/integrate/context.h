@@ -1,7 +1,6 @@
 #ifndef OOINT_INTEGRATE_CONTEXT_H_
 #define OOINT_INTEGRATE_CONTEXT_H_
 
-#include <set>
 #include <string>
 
 #include "assertions/assertion_set.h"
@@ -51,12 +50,6 @@ struct IntegrationContext {
   IntegratedSchema result;
   AifRegistry* aifs = nullptr;  // optional
   IntegrationStats stats;
-
-  /// Derivation assertions already expanded into rules (dedup across
-  /// traversal orders).
-  std::set<const void*> derivations_done;
-  /// Disjoint pairs already handled.
-  std::set<std::string> disjoints_done;
 
   IntegrationContext(const Schema* schema1, const Schema* schema2,
                      const AssertionSet* assertion_set)

@@ -181,35 +181,65 @@ std::set<std::pair<std::string, std::string>> IntegratedSchema::IsAClosure()
 }
 
 size_t IntegratedSchema::TransitiveReduction() {
-  size_t removed = 0;
   // An edge (c, p) is redundant iff p is reachable from c via a path of
-  // length >= 2 that does not use the edge itself.
-  const std::vector<std::pair<std::string, std::string>> edges = isa_links_;
-  for (const auto& [child, parent] : edges) {
-    // BFS from child's other parents upward.
-    std::deque<std::string> frontier;
-    std::set<std::string> seen;
-    for (const std::string& p : ParentsOf(child)) {
-      if (p != parent) {
-        frontier.push_back(p);
-        seen.insert(p);
+  // length >= 2 that does not use the edge itself. Edges are tested in
+  // link order. Each class's direct parents are numbered once and kept in
+  // sync as redundant edges go, so a BFS step reads its adjacency instead
+  // of scanning every link.
+  std::map<std::string, size_t> ids;
+  std::vector<std::pair<size_t, size_t>> edges;  // (child, parent) ids
+  edges.reserve(isa_links_.size());
+  for (const auto& [child, parent] : isa_links_) {
+    const size_t c = ids.emplace(child, ids.size()).first->second;
+    const size_t p = ids.emplace(parent, ids.size()).first->second;
+    edges.emplace_back(c, p);
+  }
+  std::vector<std::vector<size_t>> parents(ids.size());
+  for (const auto& [c, p] : edges) parents[c].push_back(p);
+  // seen[q] == e + 1 marks q as reached by edge e's BFS.
+  std::vector<size_t> seen(ids.size(), 0);
+  std::vector<size_t> frontier;
+  std::vector<bool> redundant(edges.size(), false);
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const auto [c, p] = edges[e];
+    // BFS from the child's other parents upward.
+    frontier.clear();
+    for (size_t q : parents[c]) {
+      if (q != p) {
+        frontier.push_back(q);
+        seen[q] = e + 1;
       }
     }
-    bool reachable = false;
-    while (!frontier.empty() && !reachable) {
-      const std::string current = frontier.front();
-      frontier.pop_front();
-      if (current == parent) {
-        reachable = true;
+    for (size_t head = 0; head < frontier.size(); ++head) {
+      const size_t current = frontier[head];
+      if (current == p) {
+        redundant[e] = true;
         break;
       }
-      for (const std::string& p : ParentsOf(current)) {
-        if (seen.insert(p).second) frontier.push_back(p);
+      for (size_t q : parents[current]) {
+        if (seen[q] != e + 1) {
+          seen[q] = e + 1;
+          frontier.push_back(q);
+        }
       }
     }
-    if (reachable && RemoveIsA(child, parent)) ++removed;
+    if (redundant[e]) {
+      parents[c].erase(std::find(parents[c].begin(), parents[c].end(), p));
+    }
   }
-  return removed;
+  // Drop the redundant links; the rest keep their order.
+  size_t kept = 0;
+  for (size_t e = 0; e < edges.size(); ++e) {
+    const auto& [child, parent] = isa_links_[e];
+    if (redundant[e]) {
+      isa_keys_.erase(StrCat(child, "->", parent));
+      continue;
+    }
+    if (kept != e) isa_links_[kept] = std::move(isa_links_[e]);
+    ++kept;
+  }
+  isa_links_.resize(kept);
+  return edges.size() - kept;
 }
 
 void IntegratedSchema::ResolveAggregationRanges() {

@@ -6,20 +6,21 @@
 
 namespace ooint {
 
-namespace {
-constexpr ClassId kStartNode = -1;
-}  // namespace
-
 Integrator::Integrator(const Schema& s1, const Schema& s2,
                        const AssertionSet& assertions)
     : s1_(s1),
       s2_(s2),
       assertions_(assertions),
+      pairs_(s1, s2, assertions),
+      roots_s1_(s1.Roots()),
+      roots_s2_(s2.Roots()),
       ctx_(&s1, &s2, &assertions),
       labels_s1_(s1.NumClasses()),
       inherited_s1_(s1.NumClasses()),
       labels_s2_(s2.NumClasses()),
-      inherited_s2_(s2.NumClasses()) {}
+      inherited_s2_(s2.NumClasses()),
+      enqueued_(s1.NumClasses(), s2.NumClasses()),
+      suppressed_(s1.NumClasses(), s2.NumClasses()) {}
 
 Result<IntegrationOutcome> Integrator::Integrate(
     const Schema& s1, const Schema& s2, const AssertionSet& assertions,
@@ -47,33 +48,20 @@ std::string Integrator::PairName(ClassId n1, ClassId n2) const {
   return StrCat("(", name(1, n1), ", ", name(2, n2), ")");
 }
 
-void Integrator::Trace(TraceEvent::Kind kind, std::string subject,
-                       std::string detail) const {
-  if (trace_ != nullptr) {
-    trace_->Add(kind, std::move(subject), std::move(detail));
-  }
-}
-
 ClassRef Integrator::RefOf(int side, ClassId id) const {
   const Schema& schema = SchemaOf(side);
   return {schema.name(), schema.class_def(id).name()};
 }
 
-AssertionSet::Lookup Integrator::Find(int side1, ClassId n1, int side2,
-                                      ClassId n2) const {
-  return assertions_.Find(RefOf(side1, n1), RefOf(side2, n2));
-}
-
-std::vector<ClassId> Integrator::ChildrenOrRoots(int side,
-                                                 ClassId node) const {
-  if (node == kStartNode) return SchemaOf(side).Roots();
+const std::vector<ClassId>& Integrator::ChildrenOrRoots(int side,
+                                                        ClassId node) const {
+  if (node == kStartNode) return side == 1 ? roots_s1_ : roots_s2_;
   return SchemaOf(side).ChildrenOf(node);
 }
 
 void Integrator::InheritLabel(int side, ClassId node, int label) {
   auto& inherited = (side == 1) ? inherited_s1_ : inherited_s2_;
   const int other = 3 - side;
-  const Schema& other_schema = SchemaOf(other);
   const auto& other_labels = (side == 1) ? labels_s2_ : labels_s1_;
   inherited[node].insert(label);
   for (ClassId descendant : SchemaOf(side).Descendants(node)) {
@@ -82,18 +70,16 @@ void Integrator::InheritLabel(int side, ClassId node, int label) {
     // `label` marks: their set relationship follows from the inclusion.
     // An explicit derivation on such a pair does not, so it is traced
     // and recorded here, as the pair's own check would have done.
-    for (const ClassRef& partner :
-         assertions_.PartnersOf(RefOf(side, descendant))) {
-      if (partner.schema != other_schema.name()) continue;
-      const ClassId id = other_schema.FindClass(partner.class_name);
-      if (id == kInvalidClassId || other_labels[id].count(label) == 0) {
-        continue;
-      }
-      const AssertionSet::Lookup lookup = Find(side, descendant, other, id);
+    for (ClassId id : pairs_.PartnersOf(side, descendant)) {
+      if (other_labels[id].count(label) == 0) continue;
+      const AssertionSet::Lookup lookup = pairs_.Find(side, descendant, id);
       if (lookup.found() && lookup.rel == SetRel::kDerivation) {
-        Trace(TraceEvent::Kind::kCase,
-              side == 1 ? PairName(descendant, id) : PairName(id, descendant),
-              SetRelName(lookup.rel));
+        if (trace_ != nullptr) {
+          trace_->Add(TraceEvent::Kind::kCase,
+                      side == 1 ? PairName(descendant, id)
+                                : PairName(id, descendant),
+                      SetRelName(lookup.rel));
+        }
         ops_.Record(assertions_, lookup, RefOf(side, descendant),
                     RefOf(other, id));
       }
@@ -114,10 +100,7 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
   // N1 are skipped wholesale (their relationship to N1 is decided by the
   // deepest labelled ancestor, exactly as for explicit end nodes).
   std::vector<bool> relevant(target.NumClasses(), false);
-  for (const ClassRef& partner : assertions_.PartnersOf(RefOf(side1, n1))) {
-    if (partner.schema != target.name()) continue;
-    const ClassId id = target.FindClass(partner.class_name);
-    if (id == kInvalidClassId) continue;
+  for (ClassId id : pairs_.PartnersOf(side1, n1)) {
     relevant[id] = true;
     for (ClassId ancestor : target.Ancestors(id)) {
       relevant[ancestor] = true;
@@ -150,10 +133,12 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
     if (current != kStartNode) {
       // N1 ⊆ U_k must be specified (or U_k ≡ N1): generate one is-a link
       // (Fig. 8(b)).
-      Trace(TraceEvent::Kind::kDfsLink,
-            StrCat("is_a(", SchemaOf(side1).class_def(n1).name(), ", ",
-                   SchemaOf(side2).class_def(current).name(), ")"),
-            "");
+      if (trace_ != nullptr) {
+        trace_->Add(TraceEvent::Kind::kDfsLink,
+                    StrCat("is_a(", SchemaOf(side1).class_def(n1).name(),
+                           ", ", target.class_def(current).name(), ")"),
+                    "");
+      }
       ops_.RecordIsA(RefOf(side1, n1), RefOf(side2, current));
     }
   };
@@ -165,16 +150,20 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
     dfs_parent[v] = entry.dfs_parent;
     ++ctx_.stats.dfs_steps;
     ++ctx_.stats.pairs_checked;
-    Trace(TraceEvent::Kind::kDfsVisit, target.class_def(v).name(),
-          StrCat("w.r.t. ", SchemaOf(side1).class_def(n1).name()));
+    if (trace_ != nullptr) {
+      trace_->Add(TraceEvent::Kind::kDfsVisit, target.class_def(v).name(),
+                  StrCat("w.r.t. ", SchemaOf(side1).class_def(n1).name()));
+    }
 
-    const AssertionSet::Lookup lookup = Find(side1, n1, side2, v);
+    const AssertionSet::Lookup lookup = pairs_.Find(side1, n1, v);
     if (lookup.found() && lookup.rel == SetRel::kSubset) {
       // case N1 ⊆ V: label V and go deeper (into subtrees that can
       // still contain assertion partners of N1).
       labels[v].insert(label);
-      Trace(TraceEvent::Kind::kDfsLabel, target.class_def(v).name(),
-            StrCat("l", label));
+      if (trace_ != nullptr) {
+        trace_->Add(TraceEvent::Kind::kDfsLabel, target.class_def(v).name(),
+                    StrCat("l", label));
+      }
       std::vector<ClassId> children;
       for (ClassId child : target.ChildrenOf(v)) {
         if (relevant[child]) children.push_back(child);
@@ -182,10 +171,12 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
       if (children.empty()) {
         // A labelled chain end: V is the deepest class including N1 on
         // this path.
-        Trace(TraceEvent::Kind::kDfsLink,
-              StrCat("is_a(", SchemaOf(side1).class_def(n1).name(), ", ",
-                     target.class_def(v).name(), ")"),
-              "");
+        if (trace_ != nullptr) {
+          trace_->Add(TraceEvent::Kind::kDfsLink,
+                      StrCat("is_a(", SchemaOf(side1).class_def(n1).name(),
+                             ", ", target.class_def(v).name(), ")"),
+                      "");
+        }
         ops_.RecordIsA(RefOf(side1, n1), RefOf(side2, v));
         continue;
       }
@@ -196,8 +187,10 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
       // case N1 ≡ V: merge; the remaining part of this path is no
       // longer searched.
       labels[v].insert(label);
-      Trace(TraceEvent::Kind::kDfsLabel, target.class_def(v).name(),
-            StrCat("l", label, " merge"));
+      if (trace_ != nullptr) {
+        trace_->Add(TraceEvent::Kind::kDfsLabel, target.class_def(v).name(),
+                    StrCat("l", label, " merge"));
+      }
       ops_.Record(assertions_, lookup, RefOf(side1, n1), RefOf(side2, v));
       continue;
     }
@@ -212,7 +205,9 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
     // default: no assertion between N1 and V.
     starred.insert(v);
     labels[v].insert(label);
-    Trace(TraceEvent::Kind::kDfsStar, target.class_def(v).name(), "");
+    if (trace_ != nullptr) {
+      trace_->Add(TraceEvent::Kind::kDfsStar, target.class_def(v).name(), "");
+    }
     std::vector<ClassId> children;
     for (ClassId child : target.ChildrenOf(v)) {
       if (relevant[child]) children.push_back(child);
@@ -228,7 +223,7 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
 
 Status Integrator::Run() {
   auto push = [&](ClassId a, ClassId b) {
-    if (enqueued_.emplace(a, b).second) {
+    if (enqueued_.Insert(a, b)) {
       queue_.emplace_back(a, b);
       ++ctx_.stats.pairs_enqueued;
     }
@@ -238,13 +233,13 @@ Status Integrator::Run() {
   while (!queue_.empty()) {
     const auto [n1, n2] = queue_.front();
     queue_.pop_front();
-    if (suppressed_.count({n1, n2}) != 0) continue;
-    if (n1 != kStartNode && n2 != kStartNode) {
-      Trace(TraceEvent::Kind::kPopPair, PairName(n1, n2));
+    if (suppressed_.Contains(n1, n2)) continue;
+    if (trace_ != nullptr && n1 != kStartNode && n2 != kStartNode) {
+      trace_->Add(TraceEvent::Kind::kPopPair, PairName(n1, n2), "");
     }
 
-    const std::vector<ClassId> kids1 = ChildrenOrRoots(1, n1);
-    const std::vector<ClassId> kids2 = ChildrenOrRoots(2, n2);
+    const std::vector<ClassId>& kids1 = ChildrenOrRoots(1, n1);
+    const std::vector<ClassId>& kids2 = ChildrenOrRoots(2, n2);
     // Line 6: child-with-child pairs are always scheduled.
     for (ClassId c1 : kids1) {
       for (ClassId c2 : kids2) push(c1, c2);
@@ -269,7 +264,9 @@ Status Integrator::Run() {
       // Lines 34-35: the pair itself is skipped; one side's children
       // continue.
       ++ctx_.stats.pairs_skipped_by_labels;
-      Trace(TraceEvent::Kind::kSkipByLabels, PairName(n1, n2));
+      if (trace_ != nullptr) {
+        trace_->Add(TraceEvent::Kind::kSkipByLabels, PairName(n1, n2), "");
+      }
       if (clash_a) {
         for (ClassId c2 : kids2) push(n1, c2);
       } else {
@@ -279,11 +276,11 @@ Status Integrator::Run() {
     }
 
     ++ctx_.stats.pairs_checked;
-    const ClassRef ref1 = RefOf(1, n1);
-    const ClassRef ref2 = RefOf(2, n2);
-    const AssertionSet::Lookup lookup = assertions_.Find(ref1, ref2);
-    Trace(TraceEvent::Kind::kCase, PairName(n1, n2),
-          lookup.found() ? SetRelName(lookup.rel) : "none");
+    const AssertionSet::Lookup lookup = pairs_.Find(1, n1, n2);
+    if (trace_ != nullptr) {
+      trace_->Add(TraceEvent::Kind::kCase, PairName(n1, n2),
+                  lookup.found() ? SetRelName(lookup.rel) : "none");
+    }
     if (!lookup.found()) {
       // Default: nothing can be inferred; both mixed-pair families are
       // checked (line 33).
@@ -291,6 +288,8 @@ Status Integrator::Run() {
       for (ClassId c1 : kids1) push(c1, n2);
       continue;
     }
+    const ClassRef ref1 = RefOf(1, n1);
+    const ClassRef ref2 = RefOf(2, n2);
     switch (lookup.rel) {
       case SetRel::kEquivalent: {
         // Line 9-10: merge and remove sibling pairs — the relationship
@@ -299,22 +298,26 @@ Status Integrator::Run() {
         for (ClassId parent2 : s2_.ParentsOf(n2)) {
           for (ClassId sibling2 : s2_.ChildrenOf(parent2)) {
             if (sibling2 == n2) continue;
-            if (enqueued_.count({n1, sibling2}) != 0 &&
-                suppressed_.emplace(n1, sibling2).second) {
+            if (enqueued_.Contains(n1, sibling2) &&
+                suppressed_.Insert(n1, sibling2)) {
               ++ctx_.stats.sibling_pairs_removed;
-              Trace(TraceEvent::Kind::kSuppressSibling,
-                    PairName(n1, sibling2));
+              if (trace_ != nullptr) {
+                trace_->Add(TraceEvent::Kind::kSuppressSibling,
+                            PairName(n1, sibling2), "");
+              }
             }
           }
         }
         for (ClassId parent1 : s1_.ParentsOf(n1)) {
           for (ClassId sibling1 : s1_.ChildrenOf(parent1)) {
             if (sibling1 == n1) continue;
-            if (enqueued_.count({sibling1, n2}) != 0 &&
-                suppressed_.emplace(sibling1, n2).second) {
+            if (enqueued_.Contains(sibling1, n2) &&
+                suppressed_.Insert(sibling1, n2)) {
               ++ctx_.stats.sibling_pairs_removed;
-              Trace(TraceEvent::Kind::kSuppressSibling,
-                    PairName(sibling1, n2));
+              if (trace_ != nullptr) {
+                trace_->Add(TraceEvent::Kind::kSuppressSibling,
+                            PairName(sibling1, n2), "");
+              }
             }
           }
         }
@@ -323,21 +326,11 @@ Status Integrator::Run() {
         // relationship follows from N1 ≡ N2. An explicit assertion on
         // such a pair — e.g. a derivation into a subclass of N1 — is not
         // implied by it, so that pair is scheduled directly.
-        for (const ClassRef& partner : assertions_.PartnersOf(ref2)) {
-          if (partner.schema != s1_.name()) continue;
-          const ClassId below = s1_.FindClass(partner.class_name);
-          if (below != kInvalidClassId && below != n1 &&
-              s1_.IsSubclassOf(below, n1)) {
-            push(below, n2);
-          }
+        for (ClassId below : pairs_.PartnersOf(2, n2)) {
+          if (below != n1 && s1_.IsSubclassOf(below, n1)) push(below, n2);
         }
-        for (const ClassRef& partner : assertions_.PartnersOf(ref1)) {
-          if (partner.schema != s2_.name()) continue;
-          const ClassId below = s2_.FindClass(partner.class_name);
-          if (below != kInvalidClassId && below != n2 &&
-              s2_.IsSubclassOf(below, n2)) {
-            push(n1, below);
-          }
+        for (ClassId below : pairs_.PartnersOf(1, n1)) {
+          if (below != n2 && s2_.IsSubclassOf(below, n2)) push(n1, below);
         }
         break;
       }
@@ -346,8 +339,10 @@ Status Integrator::Run() {
         // descendants inherit the label (recording the derivations the
         // label then hides); (N1, N2j) pairs continue.
         const int label = PathLabelling(1, n1, 2, n2);
-        Trace(TraceEvent::Kind::kInherit, s1_.class_def(n1).name(),
-              StrCat("l", label));
+        if (trace_ != nullptr) {
+          trace_->Add(TraceEvent::Kind::kInherit, s1_.class_def(n1).name(),
+                      StrCat("l", label));
+        }
         InheritLabel(1, n1, label);
         for (ClassId c2 : kids2) push(n1, c2);
         break;
@@ -355,8 +350,10 @@ Status Integrator::Run() {
       case SetRel::kSuperset: {
         // Lines 18-24: symmetric.
         const int label = PathLabelling(2, n2, 1, n1);
-        Trace(TraceEvent::Kind::kInherit, s2_.class_def(n2).name(),
-              StrCat("l", label));
+        if (trace_ != nullptr) {
+          trace_->Add(TraceEvent::Kind::kInherit, s2_.class_def(n2).name(),
+                      StrCat("l", label));
+        }
         InheritLabel(2, n2, label);
         for (ClassId c1 : kids1) push(c1, n2);
         break;

@@ -7,6 +7,7 @@
 
 #include "assertions/assertion_set.h"
 #include "common/result.h"
+#include "integrate/class_pairs.h"
 #include "integrate/naive_integrator.h"
 #include "integrate/principles.h"
 #include "integrate/trace.h"
@@ -55,14 +56,10 @@ class Integrator {
   /// pending links, and returns the fresh label.
   int PathLabelling(int side1, ClassId n1, int side2, ClassId n2);
 
-  /// Assertion lookup oriented (side1.n1 θ side2.n2).
-  AssertionSet::Lookup Find(int side1, ClassId n1, int side2,
-                            ClassId n2) const;
-
   const Schema& SchemaOf(int side) const { return side == 1 ? s1_ : s2_; }
   ClassRef RefOf(int side, ClassId id) const;
 
-  std::vector<ClassId> ChildrenOrRoots(int side, ClassId node) const;
+  const std::vector<ClassId>& ChildrenOrRoots(int side, ClassId node) const;
 
   /// Adds `label` to inherited-labels of `node` and all its descendants,
   /// and records every explicit derivation between a proper descendant
@@ -73,6 +70,9 @@ class Integrator {
   const Schema& s1_;
   const Schema& s2_;
   const AssertionSet& assertions_;
+  const ClassPairIndex pairs_;
+  const std::vector<ClassId> roots_s1_;
+  const std::vector<ClassId> roots_s2_;
   IntegrationContext ctx_;
   PendingOperations ops_;
 
@@ -85,14 +85,14 @@ class Integrator {
   int label_counter_ = 0;
 
   std::deque<std::pair<ClassId, ClassId>> queue_;
-  std::set<std::pair<ClassId, ClassId>> enqueued_;
-  std::set<std::pair<ClassId, ClassId>> suppressed_;
+  ClassPairSet enqueued_;
+  ClassPairSet suppressed_;
   IntegrationTrace* trace_ = nullptr;
 
-  /// Renders "(lhs, rhs)" with class names for trace subjects.
+  /// Renders "(lhs, rhs)" with class names for trace subjects. Trace
+  /// text is formatted only under `if (trace_ != nullptr)`, so an
+  /// untraced run formats none.
   std::string PairName(ClassId n1, ClassId n2) const;
-  void Trace(TraceEvent::Kind kind, std::string subject,
-             std::string detail = "") const;
 };
 
 }  // namespace ooint

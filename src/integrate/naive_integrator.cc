@@ -1,24 +1,11 @@
 #include "integrate/naive_integrator.h"
 
 #include <deque>
-#include <set>
 #include <utility>
 
+#include "integrate/class_pairs.h"
+
 namespace ooint {
-
-namespace {
-
-/// Virtual start node marker (Fig. 14): the paper adds a start node above
-/// the roots of each input graph so both graphs are traversed from a
-/// single source.
-constexpr ClassId kStartNode = -1;
-
-std::vector<ClassId> ChildrenOrRoots(const Schema& schema, ClassId node) {
-  if (node == kStartNode) return schema.Roots();
-  return schema.ChildrenOf(node);
-}
-
-}  // namespace
 
 Result<IntegrationOutcome> NaiveIntegrator::Integrate(
     const Schema& s1, const Schema& s2, const AssertionSet& assertions,
@@ -30,11 +17,14 @@ Result<IntegrationOutcome> NaiveIntegrator::Integrate(
   IntegrationContext ctx(&s1, &s2, &assertions);
   ctx.aifs = aifs;
   PendingOperations ops;
+  const ClassPairIndex pairs(s1, s2, assertions);
+  const std::vector<ClassId> roots1 = s1.Roots();
+  const std::vector<ClassId> roots2 = s2.Roots();
 
   std::deque<std::pair<ClassId, ClassId>> queue;
-  std::set<std::pair<ClassId, ClassId>> enqueued;
+  ClassPairSet enqueued(s1.NumClasses(), s2.NumClasses());
   auto push = [&](ClassId a, ClassId b) {
-    if (enqueued.emplace(a, b).second) {
+    if (enqueued.Insert(a, b)) {
       queue.emplace_back(a, b);
       ++ctx.stats.pairs_enqueued;
     }
@@ -44,8 +34,10 @@ Result<IntegrationOutcome> NaiveIntegrator::Integrate(
   while (!queue.empty()) {
     const auto [n1, n2] = queue.front();
     queue.pop_front();
-    const std::vector<ClassId> kids1 = ChildrenOrRoots(s1, n1);
-    const std::vector<ClassId> kids2 = ChildrenOrRoots(s2, n2);
+    const std::vector<ClassId>& kids1 =
+        n1 == kStartNode ? roots1 : s1.ChildrenOf(n1);
+    const std::vector<ClassId>& kids2 =
+        n2 == kStartNode ? roots2 : s2.ChildrenOf(n2);
     // Line 6: all pairs (N1i, N2j), (N1, N2j), (N1i, N2).
     for (ClassId c1 : kids1) {
       for (ClassId c2 : kids2) push(c1, c2);
@@ -55,9 +47,11 @@ Result<IntegrationOutcome> NaiveIntegrator::Integrate(
     // Line 7: integration according to the assertion between N1 and N2.
     if (n1 == kStartNode || n2 == kStartNode) continue;
     ++ctx.stats.pairs_checked;
-    const ClassRef ref1{s1.name(), s1.class_def(n1).name()};
-    const ClassRef ref2{s2.name(), s2.class_def(n2).name()};
-    ops.Record(assertions, assertions.Find(ref1, ref2), ref1, ref2);
+    const AssertionSet::Lookup lookup = pairs.Find(1, n1, n2);
+    if (lookup.found()) {
+      ops.Record(assertions, lookup, {s1.name(), s1.class_def(n1).name()},
+                 {s2.name(), s2.class_def(n2).name()});
+    }
   }
 
   OOINT_RETURN_IF_ERROR(Materialize(&ctx, ops));

@@ -45,8 +45,9 @@ void PendingOperations::Record(const AssertionSet& set,
 }
 
 void PendingOperations::RecordIsA(const ClassRef& sub, const ClassRef& super) {
-  const std::string key = StrCat(sub.ToString(), "->", super.ToString());
-  if (seen_isa_.insert(key).second) inclusions_.push_back({sub, super});
+  if (seen_isa_.emplace(sub, super).second) {
+    inclusions_.push_back({sub, super});
+  }
 }
 
 namespace {

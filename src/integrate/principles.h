@@ -3,6 +3,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assertions/assertion_set.h"
@@ -62,7 +63,7 @@ class PendingOperations {
   std::vector<const Assertion*> disjoints_;
   std::vector<const Assertion*> derivations_;
   std::set<const void*> seen_assertions_;
-  std::set<std::string> seen_isa_;
+  std::set<std::pair<ClassRef, ClassRef>> seen_isa_;
 };
 
 /// Ensures `ref` has an integrated version (default strategy 1: a copy

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "test_util.h"
 
 namespace ooint {
@@ -85,6 +86,42 @@ TEST(IntegratedSchemaTest, TransitiveReductionKeepsNonRedundantLinks) {
   ASSERT_OK(is.AddIsA("a", "c"));  // b and c unrelated: both stay
   EXPECT_EQ(is.TransitiveReduction(), 0u);
   EXPECT_EQ(is.isa_links().size(), 2u);
+}
+
+TEST(IntegratedSchemaTest, TransitiveReductionKeepsSurvivorsInLinkOrder) {
+  // Diamonds, with redundant links before, between and after the paths
+  // that imply them. Links are tested in order, and a link removed
+  // earlier no longer counts as a path for later ones. The names are
+  // longer than any short-string buffer, as integrated names are.
+  auto name = [](const char* n) { return StrCat("IS(S1.", n, ",S2.", n, ")"); };
+  IntegratedSchema is("IS");
+  for (const char* n : {"a", "b", "c", "d", "e", "f"}) {
+    ASSERT_OK(is.AddClass(SimpleClass(name(n))).status());
+  }
+  const std::pair<const char*, const char*> links[] = {
+      {"b", "a"}, {"d", "a"}, {"d", "b"}, {"c", "a"}, {"d", "c"},
+      {"e", "d"}, {"e", "a"}, {"e", "b"}, {"f", "e"}};
+  for (const auto& [child, parent] : links) {
+    ASSERT_OK(is.AddIsA(name(child), name(parent)));
+  }
+  const auto closure_before = is.IsAClosure();
+  EXPECT_EQ(is.TransitiveReduction(), 3u);
+  std::vector<std::pair<std::string, std::string>> kept;
+  for (const auto& [child, parent] : std::vector<std::pair<const char*,
+                                                          const char*>>{
+           {"b", "a"}, {"d", "b"}, {"c", "a"}, {"d", "c"}, {"e", "d"},
+           {"f", "e"}}) {
+    kept.emplace_back(name(child), name(parent));
+  }
+  EXPECT_EQ(is.isa_links(), kept);
+  EXPECT_FALSE(is.HasIsA(name("d"), name("a")));
+  EXPECT_FALSE(is.HasIsA(name("e"), name("a")));
+  EXPECT_FALSE(is.HasIsA(name("e"), name("b")));
+  EXPECT_TRUE(is.HasIsA(name("f"), name("e")));
+  EXPECT_EQ(is.IsAClosure(), closure_before);
+  // A removed link can be added back.
+  ASSERT_OK(is.AddIsA(name("e"), name("b")));
+  EXPECT_EQ(is.isa_links().back(), std::make_pair(name("e"), name("b")));
 }
 
 TEST(IntegratedSchemaTest, ToSchemaLowersClassesLinksAndAttrs) {
