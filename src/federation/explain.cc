@@ -70,11 +70,16 @@ std::string QueryPlan::ToString() const {
   }
   if (counters.present) {
     const Evaluator::Stats& stats = counters.stats;
-    out += StrCat("  counters: derived=", stats.derived_facts,
+    out += StrCat("  counters: base_facts=", stats.base_facts,
+                  " derived=", stats.derived_facts,
                   " extents_fetched=", stats.extents_fetched,
-                  " join_probes=", stats.index_probes,
-                  " cache_hits=", counters.cache_hits,
-                  counters.from_cache ? " (answered from cache)" : "", "\n");
+                  " segment_reused=", stats.base_segments_reused,
+                  " join_probes=", stats.index_probes);
+    if (demand_mode) {
+      out += StrCat(" cache_hits=", counters.cache_hits,
+                    counters.from_cache ? " (answered from cache)" : "");
+    }
+    out += "\n";
     out += StrCat("  join kernels: cursor_steps=", stats.cursor_steps,
                   " merge_steps=", stats.merge_steps,
                   " gallop_steps=", stats.gallop_steps,

@@ -45,17 +45,19 @@ struct QueryPlan {
   bool magic_applied = false;
   std::string goal_adornment;
   std::string fallback_reason;
-  /// Measured evaluation counters of the client's cached outcome for
-  /// this exact query, when one exists (present == true). `from_cache`
-  /// says whether a lookup would serve the outcome now; `cache_hits` is
-  /// the client's running hit count.
+  /// Measured evaluation counters (present == true when there are
+  /// some). On a demand connection: the client's cached outcome for
+  /// this exact query, when one exists; `from_cache` says whether a
+  /// lookup would serve the outcome now, and `cache_hits` is the
+  /// client's running hit count. On a materialized connection without
+  /// live updates: the connect's own evaluation.
   struct Counters {
     bool present = false;
     bool from_cache = false;
     size_t cache_hits = 0;
-    /// The outcome's evaluation counters: facts derived, extents
-    /// fetched, join-kernel work (DESIGN.md §4l) and whether it
-    /// overlaid a base segment an earlier query encoded (§4f).
+    /// The evaluation counters: base facts loaded, facts derived,
+    /// extents fetched, join-kernel work (DESIGN.md §4l) and whether the
+    /// load overlaid a base segment an earlier load encoded (§4f).
     Evaluator::Stats stats;
   };
   Counters counters;

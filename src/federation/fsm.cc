@@ -392,6 +392,7 @@ Result<FederatedEvaluator> Fsm::MakeFederatedEvaluator(
   }
   FederatedEvaluator fed;
   fed.evaluator = std::make_unique<Evaluator>();
+  fed.evaluator->set_segment_cache(segments_);
   fed.evaluator->set_failure_policy(options.failure_policy);
   if (options.query_deadline_ms != CancelToken::kNoDeadline &&
       options.query_mode != QueryMode::kDemandDriven) {

@@ -170,9 +170,18 @@ class Fsm {
   /// fault-tolerant AgentConnection configured by `options` (retries,
   /// deadlines, circuit breaking, optional fault injection). Under
   /// FailurePolicy::kPartial a degraded federation still evaluates; the
-  /// evaluator's degraded() record says what was skipped.
+  /// evaluator's degraded() record says what was skipped. The evaluator
+  /// and its demand queries load through segment_cache(), so a connect
+  /// on agents whose data has not moved overlays the extents an earlier
+  /// load encoded (DESIGN.md 4f); a live_updates evaluator's engine
+  /// loads its own single-layer store instead.
   Result<FederatedEvaluator> MakeFederatedEvaluator(
       const GlobalSchema& global, const FederationOptions& options = {}) const;
+
+  /// The encoded base segments every federated evaluator shares. It
+  /// outlives connections; MakeEvaluator's direct evaluators, the
+  /// reference the conformance oracles compare against, never use it.
+  const SegmentCache& segment_cache() const { return *segments_; }
 
  private:
   /// Shared tail of the evaluator builders: concept bindings, rules,
@@ -210,6 +219,7 @@ class Fsm {
   std::vector<Assertion> assertions_;
   DataMappingRegistry mappings_;
   AifRegistry aifs_;
+  std::shared_ptr<SegmentCache> segments_ = std::make_shared<SegmentCache>();
 };
 
 }  // namespace ooint

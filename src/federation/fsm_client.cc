@@ -372,10 +372,14 @@ Result<QueryPlan> FsmClient::Explain(const Query& query) const {
   if (engine_ != nullptr) plan.maintenance = engine_->cumulative();
   if (!plan.demand_mode) {
     // Connect() fetched every extent, so nothing was pruned; the
-    // evaluator's counters say how much latency the overlapped batch hid.
+    // evaluator's counters say how much latency the overlapped batch hid
+    // and whether the load re-encoded the extents or overlaid a segment.
+    // A live-updates engine did its own load, which they do not count.
     plan.pruned_agents.clear();
     plan.MarkDegraded(degraded());
-    const Evaluator::Stats& stats = evaluator_->stats();
+    plan.counters.present = engine_ == nullptr;
+    plan.counters.stats = evaluator_->StatsSnapshot();
+    const Evaluator::Stats& stats = plan.counters.stats;
     plan.fetch_overlap_saved_ms =
         std::max(0.0, stats.fetch_ms_sum - stats.fetch_wall_ms);
     return plan;

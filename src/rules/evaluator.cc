@@ -247,20 +247,37 @@ FactId Evaluator::InsertFact(Fact fact) {
   return store_.Insert(std::move(fact));
 }
 
-std::shared_ptr<const FactStore> Evaluator::SegmentCache::Find(
-    const std::vector<size_t>& key,
-    const std::vector<std::uint64_t>& epochs) const {
+std::shared_ptr<const FactStore> SegmentCache::Find(
+    const Key& key, const std::vector<std::uint64_t>& epochs) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.epochs != epochs) return nullptr;
   return it->second.segment;
 }
 
-void Evaluator::SegmentCache::Store(const std::vector<size_t>& key,
-                                    std::vector<std::uint64_t> epochs,
-                                    std::shared_ptr<const FactStore> segment) {
+void SegmentCache::Store(Key key, std::vector<std::uint64_t> epochs,
+                         std::shared_ptr<const FactStore> segment) {
+  std::map<std::string, std::uint64_t> newest;  // agent -> epoch read
+  for (size_t i = 0; i < key.size(); ++i) {
+    std::uint64_t& epoch = newest[key[i].schema_name];
+    epoch = std::max(epoch, epochs[i]);
+  }
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[key] = {std::move(epochs), std::move(segment)};
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const Key& other = it->first;
+    bool stale = false;
+    for (size_t i = 0; i < other.size() && !stale; ++i) {
+      auto seen = newest.find(other[i].schema_name);
+      stale = seen != newest.end() && it->second.epochs[i] < seen->second;
+    }
+    it = stale ? entries_.erase(it) : std::next(it);
+  }
+  entries_[std::move(key)] = {std::move(epochs), std::move(segment)};
+}
+
+size_t SegmentCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 bool Evaluator::ReadsCurrent(const std::vector<ExtentRead>& reads) {
@@ -338,20 +355,30 @@ Status Evaluator::LoadBaseFacts() {
     epochs.push_back(reply.data_epoch);
   }
 
-  // A demand query's base facts form a segment its store overlays. Only
-  // a complete load at known epochs is shared: a fault-skip or a
-  // truncation leaves a segment other queries must not inherit.
+  // With a segment cache the base facts form a segment the store
+  // overlays. Only a complete load at known epochs is shared: a
+  // fault-skip or a truncation leaves a segment other loads must not
+  // inherit.
   const bool shareable =
-      shared_segments_ != nullptr && loaded.size() == requests.size() &&
+      segments_ != nullptr && loaded.size() == requests.size() &&
       std::find(epochs.begin(), epochs.end(), kNoDataEpoch) == epochs.end();
+  SegmentCache::Key key;
   std::shared_ptr<const FactStore> segment;
-  if (shareable) segment = shared_segments_->Find(segment_key_, epochs);
+  if (shareable) {
+    key.reserve(bindings_decl_.size());
+    for (const ConceptBinding& binding : bindings_decl_) {
+      key.push_back({binding.concept_name,
+                     sources_[binding.source_index].schema_name,
+                     binding.class_name});
+    }
+    segment = segments_->Find(key, epochs);
+  }
   if (segment != nullptr) {
     stats_.base_segments_reused = 1;
   } else {
     std::shared_ptr<FactStore> built;
     FactStore* target = &store_;
-    if (shared_segments_ != nullptr) {
+    if (segments_ != nullptr) {
       built = std::make_shared<FactStore>();
       target = built.get();
     }
@@ -364,9 +391,7 @@ Status Evaluator::LoadBaseFacts() {
       }
     }
     segment = std::move(built);
-    if (shareable) {
-      shared_segments_->Store(segment_key_, std::move(epochs), segment);
-    }
+    if (shareable) segments_->Store(std::move(key), std::move(epochs), segment);
   }
   if (segment != nullptr) store_.AttachSegment(std::move(segment));
   stats_.base_facts = store_.size();
@@ -1292,13 +1317,13 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   sub->mappings_ = mappings_;
   sub->token_ = token;  // the query's deadline bounds the sub-fixpoint
   sub->pool_ = pool_;  // demand fetches overlap like the parent's
+  sub->segments_ = segments_;  // and load through the same segments
   for (const Source& source : sources_) {
     sub->AddBorrowedSource(source.schema_name, source.source);
   }
   // Source indices transfer unchanged: sub's sources mirror ours.
   for (size_t i : plan.bindings) {
     sub->bindings_decl_.push_back(bindings_decl_[i]);
-    sub->segment_key_.push_back(i);
   }
 
   if (program.applied) {
@@ -1319,11 +1344,7 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
   }
   for (const Fact& seed : seed_facts_) sub->AddFact(seed);
 
-  // The sub shares this evaluator's base segments only while it loads.
-  sub->shared_segments_ = segments_.get();
-  const Status evaluated = sub->Evaluate();
-  sub->shared_segments_ = nullptr;
-  OOINT_RETURN_IF_ERROR(evaluated);
+  OOINT_RETURN_IF_ERROR(sub->Evaluate());
   OOINT_ASSIGN_OR_RETURN(out.rows, sub->Query(pattern));
   out.goal_facts = sub->FactsOf(pattern.class_name);
 

@@ -64,8 +64,8 @@ class ExtentSource {
       const std::string& class_name, const CancelToken& token) = 0;
 
   /// Version of the data behind the source: equal epochs mean a
-  /// successful fetch returns the same objects. Demand queries share an
-  /// encoded base segment only across equal epochs (DESIGN.md 4f);
+  /// successful fetch returns the same objects. Loads share an encoded
+  /// base segment only across equal epochs (DESIGN.md 4f);
   /// kNoDataEpoch (the default) never shares.
   virtual std::uint64_t data_epoch() const { return kNoDataEpoch; }
 };
@@ -174,6 +174,46 @@ struct DegradedInfo {
   std::string ToString() const;
 };
 
+/// Encoded base segments (DESIGN.md 4f): per binding list, the immutable
+/// FactStore a complete load encoded, valid at the data epochs its
+/// extents were fetched at. One cache serves every evaluator loading
+/// from the same agents — the Fsm's materialized connects and demand
+/// misses alike — so it outlives any one connection. Thread-safe.
+class SegmentCache {
+ public:
+  /// One bound extent: local class `class_name` of agent `schema_name`
+  /// populates global concept `concept_name`. A key lists a load's
+  /// bindings by content, in load order, so two binding lists share a
+  /// segment only when they would encode the same facts.
+  struct Binding {
+    std::string concept_name;
+    std::string schema_name;
+    std::string class_name;
+    friend auto operator<=>(const Binding&, const Binding&) = default;
+  };
+  using Key = std::vector<Binding>;
+
+  /// Null unless the segment cached for `key` was built at exactly
+  /// `epochs` (the data epoch each binding's fetch saw).
+  std::shared_ptr<const FactStore> Find(
+      const Key& key, const std::vector<std::uint64_t>& epochs) const;
+  /// Records `segment` for `key`, replacing the key's entry, and drops
+  /// every entry that recorded an older epoch for an agent `key` reads:
+  /// data epochs only grow, so such an entry can never match again.
+  void Store(Key key, std::vector<std::uint64_t> epochs,
+             std::shared_ptr<const FactStore> segment);
+  /// Entries held: at most one per distinct binding list.
+  size_t size() const;
+
+ private:
+  struct Entry {
+    std::vector<std::uint64_t> epochs;
+    std::shared_ptr<const FactStore> segment;
+  };
+  mutable std::mutex mu_;
+  std::map<Key, Entry> entries_;
+};
+
 /// Bottom-up evaluator of the "virtual" rules the integration principles
 /// generate (Section 5, Appendix B).
 ///
@@ -249,6 +289,16 @@ class Evaluator {
     pool_ = std::move(pool);
   }
   int thread_count() const { return pool_ == nullptr ? 1 : pool_->size(); }
+
+  /// Loads base facts through `cache` (DESIGN.md 4f): Evaluate() and
+  /// every demand sub-evaluator overlay the segment an earlier load
+  /// encoded when each fetch succeeds at the epochs it was built at, and
+  /// store the complete loads they encode. The Fsm gives every evaluator
+  /// MakeFederatedEvaluator builds its own cache. Without one (the
+  /// default) the store is a single layer and no load is shared.
+  void set_segment_cache(std::shared_ptr<SegmentCache> cache) {
+    segments_ = std::move(cache);
+  }
 
   /// Strict (default) fails fast on the first unreachable source;
   /// partial evaluates what it can and records the rest in degraded().
@@ -340,10 +390,9 @@ class Evaluator {
     /// Their difference is the latency the overlap hid.
     double fetch_ms_sum = 0;
     double fetch_wall_ms = 0;
-    /// 1 when a demand evaluation took its base facts from a segment an
-    /// earlier query encoded (DESIGN.md 4f), else 0 — the one counter
-    /// in which the miss that builds a segment and the misses that
-    /// reuse it differ.
+    /// 1 when the load overlaid a segment an earlier load encoded
+    /// (DESIGN.md 4f), else 0 — the one counter in which the load that
+    /// builds a segment and the loads that reuse it differ.
     size_t base_segments_reused = 0;
 
     /// Accumulates another Stats' join counters (query-local merges).
@@ -357,6 +406,12 @@ class Evaluator {
     }
   };
   const Stats& stats() const { return stats_; }
+  /// A copy of stats() taken under the lock concurrent Query() calls
+  /// merge their join counters under.
+  Stats StatsSnapshot() const {
+    std::lock_guard<std::mutex> lock(*stats_mu_);
+    return stats_;
+  }
 
   /// Everything a demand-driven query returns. `sub` owns the fact
   /// universe `goal_facts` point into — keep the outcome alive as long
@@ -441,31 +496,6 @@ class Evaluator {
     std::string class_name;
   };
 
-  /// Encoded base segments of a demand-mode evaluator (DESIGN.md 4f):
-  /// one per relevant-binding list, valid at the data epochs its
-  /// extents were fetched at. Shared by concurrent demand queries.
-  class SegmentCache {
-   public:
-    /// `key` lists the relevant bindings (indices into bindings_decl_),
-    /// `epochs` the data epoch each one's fetch saw. Null unless the
-    /// cached segment was built at exactly these epochs.
-    std::shared_ptr<const FactStore> Find(
-        const std::vector<size_t>& key,
-        const std::vector<std::uint64_t>& epochs) const;
-    /// Records `segment` for `key`, replacing any older one.
-    void Store(const std::vector<size_t>& key,
-               std::vector<std::uint64_t> epochs,
-               std::shared_ptr<const FactStore> segment);
-
-   private:
-    struct Entry {
-      std::vector<std::uint64_t> epochs;
-      std::shared_ptr<const FactStore> segment;
-    };
-    mutable std::mutex mu_;
-    std::map<std::vector<size_t>, Entry> entries_;
-  };
-
   /// One extent read, timed. An expired token is a fast unwind: the
   /// fetch is not issued at all — no retries burned, no breaker
   /// movement.
@@ -476,11 +506,10 @@ class Evaluator {
   /// then the AddFact() seeds. Under FailurePolicy::kPartial a failing
   /// extent read marks the agent skipped (degraded_) and every concept
   /// the rules derive from its extent (RuleGraph::Downstream)
-  /// incomplete, instead of aborting. A demand sub-evaluator
-  /// (shared_segments_ set) encodes the extents into a base segment its
-  /// store overlays, or reuses a cached one when every fetch succeeded
-  /// at the epochs it was built at. Every issued read is recorded in
-  /// reads_.
+  /// incomplete, instead of aborting. With a segment cache the extents
+  /// are encoded into a base segment the store overlays, or a cached
+  /// one is reused when every fetch succeeded at the epochs it was
+  /// built at. Every issued read is recorded in reads_.
   Status LoadBaseFacts();
 
   /// One body solution: the variable bindings plus the facts matched by
@@ -660,13 +689,9 @@ class Evaluator {
   /// Optional extent-prefetch pool (see set_thread_pool); shared with
   /// demand sub-evaluators.
   std::shared_ptr<ThreadPool> pool_;
-  /// This evaluator's demand queries' base segments (heap allocated so
-  /// the evaluator stays movable).
-  std::unique_ptr<SegmentCache> segments_ = std::make_unique<SegmentCache>();
-  /// Set on a demand sub-evaluator for the duration of its Evaluate():
-  /// the parent's segment cache, and this sub's key into it.
-  SegmentCache* shared_segments_ = nullptr;
-  std::vector<size_t> segment_key_;
+  /// The base segments loads go through (see set_segment_cache); shared
+  /// with demand sub-evaluators. Null: single-layer, unshared loads.
+  std::shared_ptr<SegmentCache> segments_;
 };
 
 }  // namespace ooint

@@ -154,8 +154,8 @@ class FactView {
 /// lifetime (until Clear()).
 ///
 /// Layering (DESIGN.md 4h): a store may be an *overlay* on an
-/// immutable, shared base segment (AttachSegment) — the demand path's
-/// per-query seeds and derived facts over the encoded agent extents.
+/// immutable, shared base segment (AttachSegment) — a federated
+/// evaluator's seeds and derived facts over the encoded agent extents.
 /// The overlay continues the segment's FactIds, per-concept ordinals
 /// and concept ids, so every read above sees one universe: segment
 /// facts come first (they were inserted first), an insert identical to

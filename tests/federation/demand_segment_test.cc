@@ -35,18 +35,24 @@ class DemandSegmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fixture_ = ValueOrDie(MakeGenealogyFixture());
+    BuildFsm(&fsm_);
+    global_ = ValueOrDie(fsm_.IntegrateAll(Fsm::Strategy::kAccumulation));
+    FsmClient client(&fsm_);
+    ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, DemandOptions()));
+    uncle_ = ValueOrDie(client.GlobalNameOf("S2", "uncle"));
+  }
+
+  /// Registers the fixture's agents, populated with kFamilies families,
+  /// and its assertions on `fsm`.
+  void BuildFsm(Fsm* fsm) const {
     std::unique_ptr<FsmAgent> a1 =
         ValueOrDie(FsmAgent::Create("agent1", "ooint", "db1", fixture_.s1));
     std::unique_ptr<FsmAgent> a2 =
         ValueOrDie(FsmAgent::Create("agent2", "ooint", "db2", fixture_.s2));
     ASSERT_OK(PopulateGenealogy(&a1->store(), &a2->store(), kFamilies));
-    ASSERT_OK(fsm_.RegisterAgent(std::move(a1)));
-    ASSERT_OK(fsm_.RegisterAgent(std::move(a2)));
-    ASSERT_OK(fsm_.DeclareAssertions(fixture_.assertion_text));
-    global_ = ValueOrDie(fsm_.IntegrateAll(Fsm::Strategy::kAccumulation));
-    FsmClient client(&fsm_);
-    ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, DemandOptions()));
-    uncle_ = ValueOrDie(client.GlobalNameOf("S2", "uncle"));
+    ASSERT_OK(fsm->RegisterAgent(std::move(a1)));
+    ASSERT_OK(fsm->RegisterAgent(std::move(a2)));
+    ASSERT_OK(fsm->DeclareAssertions(fixture_.assertion_text));
   }
 
   static FederationOptions DemandOptions(FaultInjector* injector = nullptr) {
@@ -172,10 +178,14 @@ TEST_F(DemandSegmentTest, FaultSkippedLoadIsNotShared) {
   options.breaker.failure_threshold = 1000;
   FederatedEvaluator warm =
       ValueOrDie(fsm_.MakeFederatedEvaluator(global_, options));
+  // The cold reference loads through a second Fsm's segments: every
+  // evaluator one Fsm builds shares that Fsm's.
+  Fsm cold_fsm;
+  BuildFsm(&cold_fsm);
   FaultInjector cold_injector;
   options.injector = &cold_injector;
   FederatedEvaluator cold =
-      ValueOrDie(fsm_.MakeFederatedEvaluator(global_, options));
+      ValueOrDie(cold_fsm.MakeFederatedEvaluator(global_, options));
 
   const Evaluator::DemandOutcome healthy =
       ValueOrDie(warm.evaluator->EvaluateDemand(Goal(0).pattern()));
