@@ -68,7 +68,7 @@ if [[ "${1:-}" == "--tsan" ]]; then
   RUN_BENCH=0
   # The suites that exercise shared state across threads; the rest of
   # the tree is single-threaded and only slows the (expensive) TSan run.
-  TEST_FILTER="ThreadPool|Parallel|Connection|Breaker|Fault|QueryCache|Demand|Federat|Conformance|Evaluat|Admission|Cancel|Overload|LiveUpdate|Incremental|Delta|Serving|Cursor|Pipeline|JoinKernel|Planner|Segment"
+  TEST_FILTER="ThreadPool|Parallel|Connection|Breaker|Fault|QueryCache|Demand|Federat|Conformance|Evaluat|Admission|Cancel|Overload|LiveUpdate|Incremental|Delta|Serving|Cursor|Pipeline|JoinKernel|Planner|Segment|Matcher"
   # Force the conformance sweep's parallel-vs-serial oracle onto a
   # fixed 4-worker pool so every seed runs the parallel runtime.
   export OOINT_SOAK_THREADS=4

@@ -12,7 +12,8 @@ namespace ooint {
 /// A bounded top-k accumulator: holds at most `bound` items, the best
 /// (smallest under Less) of everything offered so far. Backed by a
 /// max-heap whose root is the worst held item, so each offer is O(log k)
-/// plus — with de-duplication on — an O(k) equality scan.
+/// plus — with de-duplication on, and only for an offer that beats the
+/// worst held item — an O(k) equality scan.
 ///
 /// `Less` must be a strict weak ordering that is *total* on the offered
 /// items: incomparability (neither a<b nor b<a) is treated as equality.
@@ -49,19 +50,36 @@ class BoundedTopK {
         dedup_(dedup) {}
 
   Offer Push(T item, T* displaced = nullptr) {
+    return Push(std::move(item), displaced, [](T&) {});
+  }
+
+  /// Same, and a kept item passes through `on_keep(T&)` once, just
+  /// before it enters the heap, so a caller can annotate (say, size)
+  /// only the items it keeps.
+  ///
+  /// The bound is tested first: an offer no better than the worst held
+  /// item is dropped after at most two comparisons. With dedup it is a
+  /// duplicate only if it equals that worst item, since every other held
+  /// item is strictly better. Only an offer that beats the worst pays the
+  /// in-heap duplicate scan.
+  template <typename OnKeep>
+  Offer Push(T item, T* displaced, OnKeep&& on_keep) {
+    const bool full = heap_.size() >= bound_;
+    if (full && !less_(item, heap_.front())) {
+      if (dedup_ && !less_(heap_.front(), item)) return Offer::kDuplicate;
+      ++evictions_;
+      return Offer::kRejected;
+    }
     if (dedup_) {
       for (const T& held : heap_) {
         if (!less_(held, item) && !less_(item, held)) return Offer::kDuplicate;
       }
     }
-    if (heap_.size() < bound_) {
+    on_keep(item);
+    if (!full) {
       heap_.push_back(std::move(item));
       std::push_heap(heap_.begin(), heap_.end(), less_);
       return Offer::kKept;
-    }
-    if (!less_(item, heap_.front())) {
-      ++evictions_;
-      return Offer::kRejected;
     }
     std::pop_heap(heap_.begin(), heap_.end(), less_);
     if (displaced != nullptr) *displaced = std::move(heap_.back());

@@ -101,8 +101,6 @@ Result<Page> ServingCursor::NextPage() {
       lookahead_ = std::move(row);
       lookahead_valid_ = true;
       page.has_more = true;
-    } else if (page.rows.size() == options_.page_size) {
-      exhausted_ = true;
     } else {
       exhausted_ = true;
     }

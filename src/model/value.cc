@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <tuple>
 
 #include "common/string_util.h"
 
@@ -52,186 +51,112 @@ Result<Date> Date::Parse(const std::string& text) {
   return d;
 }
 
-Value Value::Boolean(bool b) {
-  Value v;
-  v.kind_ = ValueKind::kBoolean;
-  v.bool_ = b;
-  return v;
-}
+Value Value::Boolean(bool b) { return Make<ValueKind::kBoolean>(b); }
 
-Value Value::Integer(std::int64_t i) {
-  Value v;
-  v.kind_ = ValueKind::kInteger;
-  v.int_ = i;
-  return v;
-}
+Value Value::Integer(std::int64_t i) { return Make<ValueKind::kInteger>(i); }
 
-Value Value::Real(double r) {
-  Value v;
-  v.kind_ = ValueKind::kReal;
-  v.real_ = r;
-  return v;
-}
+Value Value::Real(double r) { return Make<ValueKind::kReal>(r); }
 
-Value Value::Character(char c) {
-  Value v;
-  v.kind_ = ValueKind::kCharacter;
-  v.char_ = c;
-  return v;
-}
+Value Value::Character(char c) { return Make<ValueKind::kCharacter>(c); }
 
 Value Value::String(std::string s) {
-  Value v;
-  v.kind_ = ValueKind::kString;
-  v.string_ = std::move(s);
-  return v;
+  return Make<ValueKind::kString>(std::move(s));
 }
 
-Value Value::OfDate(Date d) {
-  Value v;
-  v.kind_ = ValueKind::kDate;
-  v.date_ = d;
-  return v;
-}
+Value Value::OfDate(Date d) { return Make<ValueKind::kDate>(d); }
 
-Value Value::OfOid(Oid oid) {
-  Value v;
-  v.kind_ = ValueKind::kOid;
-  v.oid_ = std::move(oid);
-  return v;
-}
+Value Value::OfOid(Oid oid) { return Make<ValueKind::kOid>(std::move(oid)); }
 
 Value Value::Set(std::vector<Value> elements) {
-  Value v;
-  v.kind_ = ValueKind::kSet;
-  v.set_ = std::move(elements);
-  return v;
+  return Make<ValueKind::kSet>(std::move(elements));
 }
 
-bool Value::AsBoolean() const {
-  assert(kind_ == ValueKind::kBoolean);
-  return bool_;
+// A wrong-kind read asserts; without asserts it yields the kind's
+// default value, never an exception.
+namespace {
+const std::string kNoString;
+const Date kNoDate;
+const Oid kNoOid;
+const std::vector<Value> kNoSet;
+}  // namespace
+
+template <ValueKind K, typename T>
+const T& Value::Expect(const T& fallback) const {
+  assert(kind() == K);
+  const T* payload = Get<K>();
+  return payload != nullptr ? *payload : fallback;
 }
+
+bool Value::AsBoolean() const { return Expect<ValueKind::kBoolean>(false); }
 std::int64_t Value::AsInteger() const {
-  assert(kind_ == ValueKind::kInteger);
-  return int_;
+  return Expect<ValueKind::kInteger>(std::int64_t{0});
 }
-double Value::AsReal() const {
-  assert(kind_ == ValueKind::kReal);
-  return real_;
-}
-char Value::AsCharacter() const {
-  assert(kind_ == ValueKind::kCharacter);
-  return char_;
-}
+double Value::AsReal() const { return Expect<ValueKind::kReal>(0.0); }
+char Value::AsCharacter() const { return Expect<ValueKind::kCharacter>('\0'); }
 const std::string& Value::AsString() const {
-  assert(kind_ == ValueKind::kString);
-  return string_;
+  return Expect<ValueKind::kString>(kNoString);
 }
-const Date& Value::AsDate() const {
-  assert(kind_ == ValueKind::kDate);
-  return date_;
-}
-const Oid& Value::AsOid() const {
-  assert(kind_ == ValueKind::kOid);
-  return oid_;
-}
+const Date& Value::AsDate() const { return Expect<ValueKind::kDate>(kNoDate); }
+const Oid& Value::AsOid() const { return Expect<ValueKind::kOid>(kNoOid); }
 const std::vector<Value>& Value::AsSet() const {
-  assert(kind_ == ValueKind::kSet);
-  return set_;
+  return Expect<ValueKind::kSet>(kNoSet);
 }
 
 Result<double> Value::AsNumber() const {
-  if (kind_ == ValueKind::kInteger) return static_cast<double>(int_);
-  if (kind_ == ValueKind::kReal) return real_;
+  if (const std::int64_t* i = Get<ValueKind::kInteger>()) {
+    return static_cast<double>(*i);
+  }
+  if (const double* r = Get<ValueKind::kReal>()) return *r;
   return Status::TypeError(
-      StrCat("value of kind ", ValueKindName(kind_), " is not numeric"));
+      StrCat("value of kind ", ValueKindName(kind()), " is not numeric"));
 }
 
 bool Value::SetContains(const Value& element) const {
-  if (kind_ != ValueKind::kSet) return false;
-  for (const Value& v : set_) {
+  const std::vector<Value>* set = Get<ValueKind::kSet>();
+  if (set == nullptr) return false;
+  for (const Value& v : *set) {
     if (v == element) return true;
   }
   return false;
 }
 
 std::string Value::ToString() const {
-  switch (kind_) {
+  switch (kind()) {
     case ValueKind::kNull:
       return "null";
     case ValueKind::kBoolean:
-      return bool_ ? "true" : "false";
+      return AsBoolean() ? "true" : "false";
     case ValueKind::kInteger:
-      return StrCat(int_);
+      return StrCat(AsInteger());
     case ValueKind::kReal:
-      return StrCat(real_);
+      return StrCat(AsReal());
     case ValueKind::kCharacter:
-      return StrCat("'", char_, "'");
+      return StrCat("'", AsCharacter(), "'");
     case ValueKind::kString:
-      return StrCat("\"", string_, "\"");
+      return StrCat("\"", AsString(), "\"");
     case ValueKind::kDate:
-      return date_.ToString();
+      return AsDate().ToString();
     case ValueKind::kOid:
-      return oid_.ToString();
+      return AsOid().ToString();
     case ValueKind::kSet: {
       std::vector<std::string> parts;
-      parts.reserve(set_.size());
-      for (const Value& v : set_) parts.push_back(v.ToString());
+      parts.reserve(AsSet().size());
+      for (const Value& v : AsSet()) parts.push_back(v.ToString());
       return StrCat("{", Join(parts, ", "), "}");
     }
   }
   return "?";
 }
 
+// std::variant compares the index first (kind-major) and then the held
+// payloads with their own == and <: IEEE for reals (NaN equals nothing,
+// -0.0 == 0.0), element-wise for sets.
 bool operator==(const Value& a, const Value& b) {
-  if (a.kind_ != b.kind_) return false;
-  switch (a.kind_) {
-    case ValueKind::kNull:
-      return true;
-    case ValueKind::kBoolean:
-      return a.bool_ == b.bool_;
-    case ValueKind::kInteger:
-      return a.int_ == b.int_;
-    case ValueKind::kReal:
-      return a.real_ == b.real_;
-    case ValueKind::kCharacter:
-      return a.char_ == b.char_;
-    case ValueKind::kString:
-      return a.string_ == b.string_;
-    case ValueKind::kDate:
-      return a.date_ == b.date_;
-    case ValueKind::kOid:
-      return a.oid_ == b.oid_;
-    case ValueKind::kSet:
-      return a.set_ == b.set_;
-  }
-  return false;
+  return a.payload_ == b.payload_;
 }
 
 bool operator<(const Value& a, const Value& b) {
-  if (a.kind_ != b.kind_) return a.kind_ < b.kind_;
-  switch (a.kind_) {
-    case ValueKind::kNull:
-      return false;
-    case ValueKind::kBoolean:
-      return a.bool_ < b.bool_;
-    case ValueKind::kInteger:
-      return a.int_ < b.int_;
-    case ValueKind::kReal:
-      return a.real_ < b.real_;
-    case ValueKind::kCharacter:
-      return a.char_ < b.char_;
-    case ValueKind::kString:
-      return a.string_ < b.string_;
-    case ValueKind::kDate:
-      return a.date_ < b.date_;
-    case ValueKind::kOid:
-      return a.oid_ < b.oid_;
-    case ValueKind::kSet:
-      return a.set_ < b.set_;
-  }
-  return false;
+  return a.payload_ < b.payload_;
 }
 
 const char* CompareOpName(CompareOp op) {

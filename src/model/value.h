@@ -1,8 +1,11 @@
 #ifndef OOINT_MODEL_VALUE_H_
 #define OOINT_MODEL_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/result.h"
@@ -49,10 +52,13 @@ struct Date {
 /// Values are ordinary regular types with total ordering (kind-major) so
 /// they can key std::map/std::set; this is what the integration principles'
 /// value_set computations (union / difference / intersection) operate on.
+///
+/// A value stores only its own kind's payload: one variant alternative per
+/// kind, in ValueKind order, so the variant's index is the kind.
 class Value {
  public:
   /// Constructs the Null value.
-  Value() : kind_(ValueKind::kNull) {}
+  Value() = default;
 
   static Value Null() { return Value(); }
   static Value Boolean(bool b);
@@ -64,10 +70,11 @@ class Value {
   static Value OfOid(Oid oid);
   static Value Set(std::vector<Value> elements);
 
-  ValueKind kind() const { return kind_; }
-  bool is_null() const { return kind_ == ValueKind::kNull; }
+  ValueKind kind() const { return static_cast<ValueKind>(payload_.index()); }
+  bool is_null() const { return kind() == ValueKind::kNull; }
 
-  /// Typed accessors; callers must check kind() first (assert otherwise).
+  /// Typed accessors; callers must check kind() first (assert otherwise;
+  /// without asserts a wrong kind reads that kind's default value).
   bool AsBoolean() const;
   std::int64_t AsInteger() const;
   double AsReal() const;
@@ -94,15 +101,31 @@ class Value {
   friend bool operator>=(const Value& a, const Value& b) { return !(a < b); }
 
  private:
-  ValueKind kind_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  double real_ = 0.0;
-  char char_ = '\0';
-  std::string string_;
-  Date date_;
-  Oid oid_;
-  std::vector<Value> set_;
+  /// Alternative i holds the payload of ValueKind i.
+  using Payload = std::variant<std::monostate, bool, std::int64_t, double,
+                               char, std::string, Date, Oid,
+                               std::vector<Value>>;
+
+  /// The payload of kind K, or null when this value is of another kind.
+  template <ValueKind K>
+  const auto* Get() const {
+    return std::get_if<static_cast<std::size_t>(K)>(&payload_);
+  }
+
+  /// The payload of kind K for a typed accessor: asserts the kind, and
+  /// reads `fallback` for a value of another kind.
+  template <ValueKind K, typename T>
+  const T& Expect(const T& fallback) const;
+
+  template <ValueKind K, typename T>
+  static Value Make(T&& payload) {
+    Value v;
+    v.payload_.template emplace<static_cast<std::size_t>(K)>(
+        std::forward<T>(payload));
+    return v;
+  }
+
+  Payload payload_;
 };
 
 /// Comparison operators usable in `with att τ const` qualifiers and in

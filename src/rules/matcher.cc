@@ -40,15 +40,23 @@ bool FactMatcher::ValuesEqual(const Value& a, const ValueHandle& b) const {
 void FactMatcher::MatchAttr(const std::vector<AttrDescriptor>& descriptors,
                             size_t index, const FactView& fact,
                             std::string_view name, const ValueHandle& stored,
-                            const Bindings& bindings,
+                            Bindings* frame,
                             std::vector<Bindings>* out) const {
   const AttrDescriptor& d = descriptors[index];
 
-  Bindings base = bindings;
+  // A name variable binds to this attribute's name, or must already.
+  auto name_slot = frame->end();
   if (d.attr_is_variable) {
-    Value name_value = Value::String(std::string(name));
-    auto [slot, inserted] = base.emplace(d.attribute, name_value);
-    if (!inserted && slot->second != name_value) return;
+    auto slot = frame->lower_bound(d.attribute);
+    if (slot != frame->end() && slot->first == d.attribute) {
+      if (slot->second.kind() != ValueKind::kString ||
+          slot->second.AsString() != name) {
+        return;
+      }
+    } else {
+      name_slot = frame->emplace_hint(slot, d.attribute,
+                                      Value::String(std::string(name)));
+    }
   }
 
   // A set-valued stored attribute matches element-wise.
@@ -57,42 +65,48 @@ void FactMatcher::MatchAttr(const std::vector<AttrDescriptor>& descriptors,
 
   for (size_t c = 0; c < candidate_count; ++c) {
     const ValueHandle candidate = is_set ? stored.set_element(c) : stored;
-    Bindings next = base;
     switch (d.value.kind) {
       case TermArg::Kind::kConstant:
-        if (!ValuesEqual(d.value.constant, candidate)) continue;
+        if (ValuesEqual(d.value.constant, candidate)) {
+          MatchDescriptors(descriptors, index + 1, fact, frame, out);
+        }
         break;
       case TermArg::Kind::kVariable: {
-        auto bound = next.find(d.value.var);
-        if (bound != next.end()) {
-          if (!ValuesEqual(bound->second, candidate)) continue;
+        auto slot = frame->lower_bound(d.value.var);
+        if (slot != frame->end() && slot->first == d.value.var) {
+          if (ValuesEqual(slot->second, candidate)) {
+            MatchDescriptors(descriptors, index + 1, fact, frame, out);
+          }
         } else {
-          next.emplace(d.value.var, candidate.Materialize());
+          slot = frame->emplace_hint(slot, d.value.var, candidate.Materialize());
+          MatchDescriptors(descriptors, index + 1, fact, frame, out);
+          frame->erase(slot);
         }
         break;
       }
       case TermArg::Kind::kNested: {
-        if (candidate.kind() != ValueKind::kOid || !resolver_) continue;
+        if (candidate.kind() != ValueKind::kOid || !resolver_) break;
         const FactView target = resolver_(candidate.MaterializeOid());
-        if (!target.valid()) continue;
+        if (!target.valid()) break;
+        // The rare path: collect the referenced fact's matches, then
+        // continue down this list from each of them.
         std::vector<Bindings> nested;
-        MatchDescriptors(d.value.nested, 0, target, next, &nested);
-        for (const Bindings& n : nested) {
-          MatchDescriptors(descriptors, index + 1, fact, n, out);
+        MatchDescriptors(d.value.nested, 0, target, frame, &nested);
+        for (Bindings& n : nested) {
+          MatchDescriptors(descriptors, index + 1, fact, &n, out);
         }
-        continue;  // recursion already advanced `index`
+        break;
       }
     }
-    MatchDescriptors(descriptors, index + 1, fact, next, out);
   }
+  if (name_slot != frame->end()) frame->erase(name_slot);
 }
 
 void FactMatcher::MatchDescriptors(
     const std::vector<AttrDescriptor>& descriptors, size_t index,
-    const FactView& fact, const Bindings& bindings,
-    std::vector<Bindings>* out) const {
+    const FactView& fact, Bindings* frame, std::vector<Bindings>* out) const {
   if (index == descriptors.size()) {
-    out->push_back(bindings);
+    out->push_back(*frame);
     return;
   }
   const AttrDescriptor& d = descriptors[index];
@@ -103,32 +117,34 @@ void FactMatcher::MatchDescriptors(
   // iteration is lexicographic by name in both fact backings, matching
   // the historical std::map order.
   if (d.attr_is_variable) {
-    auto it = bindings.find(d.attribute);
-    if (it != bindings.end()) {
+    auto it = frame->find(d.attribute);
+    if (it != frame->end()) {
       if (it->second.kind() != ValueKind::kString) return;
       const std::string& name = it->second.AsString();
       const ValueHandle stored = fact.Find(name);
       if (!stored.valid()) return;
-      MatchAttr(descriptors, index, fact, name, stored, bindings, out);
+      MatchAttr(descriptors, index, fact, name, stored, frame, out);
       return;
     }
     const size_t count = fact.attr_count();
     for (size_t i = 0; i < count; ++i) {
       MatchAttr(descriptors, index, fact, fact.attr_name(i),
-                fact.attr_value(i), bindings, out);
+                fact.attr_value(i), frame, out);
     }
     return;
   }
 
   const ValueHandle stored = fact.Find(d.attribute);
   if (!stored.valid()) return;
-  MatchAttr(descriptors, index, fact, d.attribute, stored, bindings, out);
+  MatchAttr(descriptors, index, fact, d.attribute, stored, frame, out);
 }
 
 void FactMatcher::MatchOTerm(const OTerm& pattern, const FactView& fact,
                              const Bindings& bindings,
                              std::vector<Bindings>* out) const {
-  Bindings base = bindings;
+  // The one copy of the caller's bindings: descriptors bind into it and
+  // undo what they bound, so only a full match copies a row.
+  Bindings frame = bindings;
   switch (pattern.object.kind) {
     case TermArg::Kind::kConstant:
       if (pattern.object.constant.kind() != ValueKind::kOid ||
@@ -137,17 +153,18 @@ void FactMatcher::MatchOTerm(const OTerm& pattern, const FactView& fact,
       }
       break;
     case TermArg::Kind::kVariable: {
-      Value oid_value = Value::OfOid(fact.oid());
-      auto [slot, inserted] = base.emplace(pattern.object.var, oid_value);
-      if (!inserted && !ValuesEqual(slot->second, oid_value)) {
-        return;
+      auto slot = frame.lower_bound(pattern.object.var);
+      if (slot != frame.end() && slot->first == pattern.object.var) {
+        if (!ValuesEqual(slot->second, Value::OfOid(fact.oid()))) return;
+      } else {
+        frame.emplace_hint(slot, pattern.object.var, Value::OfOid(fact.oid()));
       }
       break;
     }
     case TermArg::Kind::kNested:
       return;  // object positions are never nested
   }
-  MatchDescriptors(pattern.attrs, 0, fact, base, out);
+  MatchDescriptors(pattern.attrs, 0, fact, &frame, out);
 }
 
 bool FactMatcher::MatchArgs(const std::vector<TermArg>& args,

@@ -34,8 +34,10 @@ bool ResolveArg(const TermArg& arg, const Bindings& bindings, Value* out);
 ///
 /// Facts are matched through FactView, so packed store facts are
 /// traversed in place — values materialize only when they bind a
-/// variable. The `const Fact&` overloads wrap materialized facts (the
-/// top-down evaluator's memo rows) in a view.
+/// variable. The `const Fact&` overload wraps materialized facts (the
+/// top-down evaluator's memo rows) in a view. A match extends one working
+/// copy of the caller's bindings in place and undoes each binding on
+/// backtrack, so a row is copied only when the whole pattern matches.
 class FactMatcher {
  public:
   using OidResolver = std::function<FactView(const Oid&)>;
@@ -67,24 +69,18 @@ class FactMatcher {
   bool MatchArgs(const std::vector<TermArg>& args, const FactView& fact,
                  Bindings* bindings) const;
 
-  /// Matches the descriptor list starting at `index`.
-  void MatchDescriptors(const std::vector<AttrDescriptor>& descriptors,
-                        size_t index, const FactView& fact,
-                        const Bindings& bindings,
-                        std::vector<Bindings>* out) const;
-  void MatchDescriptors(const std::vector<AttrDescriptor>& descriptors,
-                        size_t index, const Fact& fact,
-                        const Bindings& bindings,
-                        std::vector<Bindings>* out) const {
-    MatchDescriptors(descriptors, index, FactView(&fact), bindings, out);
-  }
-
  private:
+  /// Matches the descriptor list starting at `index`, appending a copy of
+  /// `frame` per full match. Binds into `frame` and erases what it bound
+  /// before returning, so `frame` is unchanged afterwards.
+  void MatchDescriptors(const std::vector<AttrDescriptor>& descriptors,
+                        size_t index, const FactView& fact, Bindings* frame,
+                        std::vector<Bindings>* out) const;
   /// Matches descriptor `index` against one (name, stored value) pair of
-  /// the fact, then continues down the descriptor list.
+  /// the fact, then continues down the descriptor list; `frame` as above.
   void MatchAttr(const std::vector<AttrDescriptor>& descriptors, size_t index,
                  const FactView& fact, std::string_view name,
-                 const ValueHandle& stored, const Bindings& bindings,
+                 const ValueHandle& stored, Bindings* frame,
                  std::vector<Bindings>* out) const;
 
   OidResolver resolver_;

@@ -9,15 +9,27 @@ namespace ooint {
 
 namespace {
 
+size_t DecimalDigits(std::uint64_t n) {
+  size_t digits = 1;
+  for (; n >= 10; n /= 10) ++digits;
+  return digits;
+}
+
 size_t ApproxValueBytes(const Value& value) {
   size_t bytes = sizeof(Value);
   switch (value.kind()) {
     case ValueKind::kString:
       bytes += value.AsString().size();
       break;
-    case ValueKind::kOid:
-      bytes += value.AsOid().ToString().size();
+    case ValueKind::kOid: {
+      // The length of Oid::ToString(): four components, four dots and
+      // the number, without building the string.
+      const Oid& oid = value.AsOid();
+      bytes += oid.agent().size() + oid.dbms().size() +
+               oid.database().size() + oid.relation().size() + 4 +
+               DecimalDigits(oid.number());
       break;
+    }
     case ValueKind::kSet:
       for (const Value& element : value.AsSet()) {
         bytes += ApproxValueBytes(element);
@@ -38,6 +50,26 @@ std::uint64_t RowDigest(const Bindings& row) {
   return key;
 }
 
+/// A row in the top-k heap with its sort value, looked up once (null
+/// when the row lacks it). std::map moves keep their nodes, so the
+/// pointer follows the row through the heap. `bytes` is the row's
+/// ApproxBindingsBytes, charged when the heap keeps it.
+struct HeldRow {
+  Bindings row;
+  const Value* key = nullptr;
+  size_t bytes = 0;
+};
+
+/// RowOrder over held rows, without a lookup per comparison.
+struct HeldRowOrder {
+  const RowOrder* order;
+  bool operator()(const HeldRow& a, const HeldRow& b) const {
+    return order->KeyedLess(a.key, a.row, b.key, b.row);
+  }
+};
+
+using HeldTopK = BoundedTopK<HeldRow, HeldRowOrder>;
+
 }  // namespace
 
 size_t ApproxBindingsBytes(const Bindings& row) {
@@ -53,14 +85,16 @@ size_t ApproxBindingsBytes(const Bindings& row) {
 bool RowOrder::operator()(const Bindings& a, const Bindings& b) const {
   const auto ia = a.find(order_by);
   const auto ib = b.find(order_by);
-  const bool ha = ia != a.end();
-  const bool hb = ib != b.end();
+  return KeyedLess(ia != a.end() ? &ia->second : nullptr, a,
+                   ib != b.end() ? &ib->second : nullptr, b);
+}
+
+bool RowOrder::KeyedLess(const Value* a_key, const Bindings& a,
+                         const Value* b_key, const Bindings& b) const {
   // Rows missing the sort variable go last in either direction.
-  if (ha != hb) return ha;
-  if (ha) {
-    if (ia->second != ib->second) {
-      return descending ? ib->second < ia->second : ia->second < ib->second;
-    }
+  if ((a_key != nullptr) != (b_key != nullptr)) return a_key != nullptr;
+  if (a_key != nullptr && *a_key != *b_key) {
+    return descending ? *b_key < *a_key : *a_key < *b_key;
   }
   // Deterministic tie-break on the full row (always ascending), which
   // also makes incomparability coincide with row equality.
@@ -105,10 +139,11 @@ bool ResultPipeline::PullTransformed(Bindings* row) {
       *row = std::move(raw);
       return true;
     }
+    // Projection moves the kept bindings' nodes: no allocation, no copy.
     Bindings projected;
     for (const std::string& var : spec_.project) {
-      const auto it = raw.find(var);
-      if (it != raw.end()) projected.emplace(it->first, it->second);
+      auto node = raw.extract(var);
+      if (!node.empty()) projected.insert(std::move(node));
     }
     *row = std::move(projected);
     return true;
@@ -144,41 +179,46 @@ bool ResultPipeline::Next(Bindings* row) {
       // With an unbounded sort the O(k) in-heap duplicate scan would be
       // quadratic; dedup up front through the digest store instead.
       const bool heap_dedup = spec_.distinct && spec_.limit > 0;
-      BoundedTopK<Bindings, RowOrder> topk(spec_.limit, order, heap_dedup);
-      Bindings incoming;
-      Bindings displaced;
-      while (PullTransformed(&incoming)) {
-        if (spec_.distinct && !heap_dedup && !DedupAdmit(incoming)) {
+      HeldTopK topk(spec_.limit, HeldRowOrder{&order}, heap_dedup);
+      // Only a row the heap keeps is sized; an evicted row gives back
+      // what it was charged.
+      const auto charge = [&](HeldRow& kept) {
+        if (!heap_dedup) return;
+        kept.bytes = ApproxBindingsBytes(kept.row);
+        HoldBytes(kept.bytes);
+      };
+      HeldRow incoming;
+      HeldRow displaced;
+      while (PullTransformed(&incoming.row)) {
+        if (spec_.distinct && !heap_dedup && !DedupAdmit(incoming.row)) {
           ++stats_.rows_deduped;
           continue;
         }
-        const size_t incoming_bytes =
-            heap_dedup ? ApproxBindingsBytes(incoming) : 0;
-        switch (topk.Push(std::move(incoming), &displaced)) {
-          case BoundedTopK<Bindings, RowOrder>::Offer::kKept:
-            if (heap_dedup) HoldBytes(incoming_bytes);
+        const auto key = incoming.row.find(spec_.order_by);
+        incoming.key = key != incoming.row.end() ? &key->second : nullptr;
+        switch (topk.Push(std::move(incoming), &displaced, charge)) {
+          case HeldTopK::Offer::kKept:
             break;
-          case BoundedTopK<Bindings, RowOrder>::Offer::kKeptEvicted:
-            if (heap_dedup) {
-              HoldBytes(incoming_bytes);
-              ReleaseBytes(ApproxBindingsBytes(displaced));
-            }
+          case HeldTopK::Offer::kKeptEvicted:
+            ReleaseBytes(displaced.bytes);
             break;
-          case BoundedTopK<Bindings, RowOrder>::Offer::kDuplicate:
+          case HeldTopK::Offer::kDuplicate:
             ++stats_.rows_deduped;
             break;
-          case BoundedTopK<Bindings, RowOrder>::Offer::kRejected:
+          case HeldTopK::Offer::kRejected:
             break;
         }
       }
       stats_.heap_evictions = topk.evictions();
-      sorted_ = topk.TakeSorted();
-      if (!heap_dedup) {
-        // Account the final sorted buffer (the dedup path counted rows
-        // as they were admitted into the store).
-        for (const Bindings& held : sorted_) {
-          if (!spec_.distinct) HoldBytes(ApproxBindingsBytes(held));
+      std::vector<HeldRow> held = topk.TakeSorted();
+      sorted_.reserve(held.size());
+      for (HeldRow& h : held) {
+        // Without heap dedup, account the final sorted buffer (the
+        // dedup store counted its rows as they were admitted).
+        if (!heap_dedup && !spec_.distinct) {
+          HoldBytes(ApproxBindingsBytes(h.row));
         }
+        sorted_.push_back(std::move(h.row));
       }
       sorted_ready_ = true;
     }
@@ -186,7 +226,7 @@ bool ResultPipeline::Next(Bindings* row) {
       exhausted_ = true;
       return false;
     }
-    *row = sorted_[sorted_index_++];
+    *row = std::move(sorted_[sorted_index_++]);
     ++emitted_;
     ++stats_.rows_out;
     return true;
@@ -201,8 +241,9 @@ bool ResultPipeline::Next(Bindings* row) {
       continue;
     }
     if (!spec_.distinct) {
-      HoldBytes(ApproxBindingsBytes(candidate));
-      ReleaseBytes(ApproxBindingsBytes(candidate));
+      const size_t bytes = ApproxBindingsBytes(candidate);
+      HoldBytes(bytes);
+      ReleaseBytes(bytes);
     }
     *row = std::move(candidate);
     ++emitted_;

@@ -77,7 +77,8 @@ struct PipelineSpec {
 /// Pipeline instrumentation, including the measured memory proxy for
 /// the bounded-top-k claim (EXPERIMENTS E17): `peak_held_bytes` is the
 /// largest approximate row-payload footprint the pipeline retained at
-/// any instant (top-k heap + dedup store + in-flight row).
+/// any instant (top-k heap + dedup store + in-flight row). It counts
+/// `sizeof(Value)` per bound value, so it moves with the Value layout.
 struct PipelineStats {
   size_t rows_in = 0;
   size_t rows_filtered = 0;
@@ -99,6 +100,10 @@ struct RowOrder {
   std::string order_by;
   bool descending = false;
   bool operator()(const Bindings& a, const Bindings& b) const;
+  /// The same order over rows whose `order_by` values were looked up
+  /// already (null for a row that lacks the variable).
+  bool KeyedLess(const Value* a_key, const Bindings& a, const Value* b_key,
+                 const Bindings& b) const;
 };
 
 /// The composed pipeline, itself a RowSource. With `order_by` set the

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "test_util.h"
 
 namespace ooint {
@@ -68,6 +73,114 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Set({Value::Integer(1), Value::Integer(2)}).ToString(),
             "{1, 2}");
   EXPECT_EQ(Value::OfDate({2000, 1, 5}).ToString(), "2000-01-05");
+}
+
+/// One or more values of every kind, in ascending order: kinds in
+/// ValueKind order, OIDs that differ in each component, nested sets.
+std::vector<Value> AscendingValues() {
+  return {
+      Value::Null(),
+      Value::Boolean(false),
+      Value::Boolean(true),
+      Value::Integer(-3),
+      Value::Integer(0),
+      Value::Integer(7),
+      Value::Real(-1.5),
+      Value::Real(0.0),
+      Value::Real(2.25),
+      Value::Character('a'),
+      Value::Character('b'),
+      Value::String(""),
+      Value::String("a"),
+      Value::String("ab"),
+      Value::String("b"),
+      Value::OfDate({1999, 12, 31}),
+      Value::OfDate({2000, 1, 1}),
+      Value::OfDate({2000, 1, 2}),
+      Value::OfOid(Oid("a", "d", "db", "r", 1)),
+      Value::OfOid(Oid("a", "d", "db", "r", 2)),
+      Value::OfOid(Oid("a", "d", "db", "s", 0)),
+      Value::OfOid(Oid("a", "d", "dc", "a", 0)),
+      Value::OfOid(Oid("a", "e", "a", "a", 0)),
+      Value::OfOid(Oid("b", "a", "a", "a", 0)),
+      Value::Set({}),
+      Value::Set({Value::Integer(1)}),
+      Value::Set({Value::Integer(1), Value::Integer(2)}),
+      Value::Set({Value::Integer(2)}),
+      Value::Set({Value::Set({})}),
+      Value::Set({Value::Set({Value::String("x")})}),
+  };
+}
+
+TEST(ValueTest, EqualityAndOrderAcrossAllNineKinds) {
+  const std::vector<Value> values = AscendingValues();
+  for (size_t i = 0; i < values.size(); ++i) {
+    for (size_t j = 0; j < values.size(); ++j) {
+      SCOPED_TRACE(values[i].ToString() + " vs " + values[j].ToString());
+      EXPECT_EQ(values[i] == values[j], i == j);
+      EXPECT_EQ(values[i] < values[j], i < j);
+    }
+  }
+}
+
+TEST(ValueTest, NanAndSignedZeroKeepIeeeSemantics) {
+  const Value nan = Value::Real(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_NE(nan, nan);
+  EXPECT_FALSE(nan < nan);
+  EXPECT_FALSE(nan < Value::Real(1.0));
+  EXPECT_FALSE(Value::Real(1.0) < nan);
+  // Kind-major order still places a NaN between integers and characters.
+  EXPECT_LT(Value::Integer(1), nan);
+  EXPECT_LT(nan, Value::Character('a'));
+  EXPECT_NE(Value::Set({nan}), Value::Set({nan}));
+
+  EXPECT_EQ(Value::Real(0.0), Value::Real(-0.0));
+  EXPECT_FALSE(Value::Real(-0.0) < Value::Real(0.0));
+  EXPECT_FALSE(Value::Real(0.0) < Value::Real(-0.0));
+  EXPECT_TRUE(std::signbit(Value::Real(-0.0).AsReal()));
+}
+
+TEST(ValueTest, CopyMoveAndSelfAssignmentOfEveryKind) {
+  for (const Value& original : AscendingValues()) {
+    SCOPED_TRACE(original.ToString());
+    Value copy(original);
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.kind(), original.kind());
+    Value moved(std::move(copy));
+    EXPECT_EQ(moved, original);
+
+    // Assignment across kinds, both ways.
+    Value assigned = Value::String("a longer string than any SSO buffer");
+    assigned = original;
+    EXPECT_EQ(assigned, original);
+    Value move_assigned = Value::Set({Value::Integer(1)});
+    move_assigned = std::move(moved);
+    EXPECT_EQ(move_assigned, original);
+    Value to_oid = original;
+    to_oid = Value::OfOid(Oid("a", "d", "db", "r", 9));
+    EXPECT_EQ(to_oid.kind(), ValueKind::kOid);
+
+    const Value& alias = assigned;
+    assigned = alias;
+    EXPECT_EQ(assigned, original);
+    EXPECT_EQ(assigned.ToString(), original.ToString());
+  }
+}
+
+TEST(ValueTest, WrongKindAccessorReadsTheKindsDefault) {
+#ifdef NDEBUG
+  const Value v = Value::Integer(1);
+  EXPECT_FALSE(v.AsBoolean());
+  EXPECT_EQ(Value::String("x").AsInteger(), 0);
+  EXPECT_EQ(v.AsReal(), 0.0);
+  EXPECT_EQ(v.AsCharacter(), '\0');
+  EXPECT_EQ(v.AsString(), "");
+  EXPECT_EQ(v.AsDate(), Date{});
+  EXPECT_TRUE(v.AsOid().empty());
+  EXPECT_TRUE(v.AsSet().empty());
+#else
+  EXPECT_DEATH(Value::Integer(1).AsString(), "");
+#endif
 }
 
 TEST(DateTest, ParseRoundTrip) {

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -217,6 +220,17 @@ TEST(PipelineMemoryTest, BoundedTopKHoldsFarLessThanMaterialization) {
   EXPECT_LT(peak, whole_bytes / 10);
 }
 
+TEST(PipelineMemoryTest, OidSizedAsItsDottedForm) {
+  const size_t null_row = ApproxBindingsBytes(Row({{"o", Value::Null()}}));
+  for (const std::uint64_t number :
+       {std::uint64_t{0}, std::uint64_t{9}, std::uint64_t{10},
+        std::uint64_t{12345}, std::numeric_limits<std::uint64_t>::max()}) {
+    const Oid oid("agent-1", "ooint", "S1db", "brother", number);
+    EXPECT_EQ(ApproxBindingsBytes(Row({{"o", Value::OfOid(oid)}})) - null_row,
+              oid.ToString().size());
+  }
+}
+
 TEST(PipelineRowOrderTest, TotalOrderTieBreaksOnFullRow) {
   const Bindings a = Row({{"x", Value::Integer(1)}, {"y", Value::Integer(1)}});
   const Bindings b = Row({{"x", Value::Integer(1)}, {"y", Value::Integer(2)}});
@@ -253,6 +267,243 @@ TEST(BoundedTopKTest, UnboundedKeepsEverything) {
   EXPECT_EQ(topk.evictions(), 0u);
   const std::vector<int> sorted = topk.TakeSorted();
   for (int i = 0; i < 32; ++i) EXPECT_EQ(sorted[i], i);
+}
+
+TEST(BoundedTopKTest, FullHeapOfferedItsWorstIsADuplicate) {
+  const auto less = [](int a, int b) { return a < b; };
+  using Offer = BoundedTopK<int, decltype(less)>::Offer;
+  BoundedTopK<int, decltype(less)> topk(3, less);
+  topk.Push(5);
+  topk.Push(1);
+  topk.Push(9);
+  EXPECT_EQ(topk.Push(9), Offer::kDuplicate);
+  EXPECT_EQ(topk.evictions(), 0u);
+  // Without dedup the same offer is a plain rejection.
+  BoundedTopK<int, decltype(less)> keep_all(3, less, /*dedup=*/false);
+  keep_all.Push(5);
+  keep_all.Push(1);
+  keep_all.Push(9);
+  EXPECT_EQ(keep_all.Push(9), Offer::kRejected);
+  EXPECT_EQ(keep_all.evictions(), 1u);
+}
+
+/// A test-local copy of BoundedTopK::Push as it was before the bound
+/// check moved ahead of the duplicate scan: the reference for outcomes,
+/// evictions and comparison counts.
+template <typename T, typename Less>
+class ScanFirstTopK {
+ public:
+  using Offer = typename BoundedTopK<T, Less>::Offer;
+
+  ScanFirstTopK(size_t bound, Less less, bool dedup)
+      : bound_(bound == 0 ? std::numeric_limits<size_t>::max() : bound),
+        less_(std::move(less)),
+        dedup_(dedup) {}
+
+  Offer Push(T item, T* displaced = nullptr) {
+    if (dedup_) {
+      for (const T& held : heap_) {
+        if (!less_(held, item) && !less_(item, held)) return Offer::kDuplicate;
+      }
+    }
+    if (heap_.size() < bound_) {
+      heap_.push_back(std::move(item));
+      std::push_heap(heap_.begin(), heap_.end(), less_);
+      return Offer::kKept;
+    }
+    if (!less_(item, heap_.front())) {
+      ++evictions_;
+      return Offer::kRejected;
+    }
+    std::pop_heap(heap_.begin(), heap_.end(), less_);
+    if (displaced != nullptr) *displaced = std::move(heap_.back());
+    heap_.back() = std::move(item);
+    std::push_heap(heap_.begin(), heap_.end(), less_);
+    ++evictions_;
+    return Offer::kKeptEvicted;
+  }
+
+  size_t evictions() const { return evictions_; }
+
+  std::vector<T> TakeSorted() {
+    std::sort_heap(heap_.begin(), heap_.end(), less_);
+    return std::move(heap_);
+  }
+
+ private:
+  size_t bound_;
+  Less less_;
+  bool dedup_;
+  std::vector<T> heap_;
+  size_t evictions_ = 0;
+};
+
+struct CountingLess {
+  size_t* calls;
+  bool operator()(int a, int b) const {
+    ++*calls;
+    return a < b;
+  }
+};
+
+TEST(BoundedTopKTest, BoundRejectedOfferCostsAtMostTwoComparisons) {
+  constexpr size_t kBound = 8;
+  for (const bool dedup : {true, false}) {
+    size_t calls = 0;
+    BoundedTopK<int, CountingLess> topk(kBound, CountingLess{&calls}, dedup);
+    size_t reference_calls = 0;
+    ScanFirstTopK<int, CountingLess> reference(
+        kBound, CountingLess{&reference_calls}, dedup);
+    for (int i = 0; i < static_cast<int>(kBound); ++i) {
+      topk.Push(i);
+      reference.Push(i);
+    }
+    calls = 0;
+    reference_calls = 0;
+    using Offer = BoundedTopK<int, CountingLess>::Offer;
+    EXPECT_EQ(topk.Push(100), Offer::kRejected);
+    reference.Push(100);
+    EXPECT_LE(calls, dedup ? 2u : 1u);
+    // The scan-first Push compared the offer with every held item first.
+    if (dedup) {
+      EXPECT_GE(reference_calls, kBound + 1);
+    }
+  }
+}
+
+TEST(BoundedTopKTest, SeededStreamMatchesTheScanFirstPush) {
+  const auto less = [](int a, int b) { return a < b; };
+  using Offer = BoundedTopK<int, decltype(less)>::Offer;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    const size_t bound = 1 + rng() % 12;
+    const bool dedup = rng() % 4 != 0;
+    BoundedTopK<int, decltype(less)> topk(bound, less, dedup);
+    ScanFirstTopK<int, decltype(less)> reference(bound, less, dedup);
+    for (int i = 0; i < 300; ++i) {
+      const int item = static_cast<int>(rng() % 60);
+      int displaced = -1;
+      int reference_displaced = -1;
+      const Offer got = topk.Push(item, &displaced);
+      const Offer want = reference.Push(item, &reference_displaced);
+      ASSERT_EQ(got, want) << "seed " << seed << " offer " << i;
+      ASSERT_EQ(displaced, reference_displaced);
+      ASSERT_EQ(topk.evictions(), reference.evictions());
+    }
+    EXPECT_EQ(topk.TakeSorted(), reference.TakeSorted());
+  }
+}
+
+/// serve_live's top-k read: 256 families, two children each, streamed in
+/// a seeded order as rows {_self, kid, who}; a few rows repeat and a few
+/// lack the sort variable. The cursor projects to {who, kid}, keeps
+/// distinct rows and orders by kid.
+std::vector<Bindings> ServeLiveShapedStream() {
+  std::vector<Bindings> rows;
+  for (int family = 0; family < 256; ++family) {
+    for (const char child : {'a', 'b'}) {
+      Bindings row;
+      row.emplace("_self",
+                  Value::OfOid(Oid("derived", "ooint", "global", "uncle",
+                                   static_cast<std::uint64_t>(rows.size()))));
+      row.emplace("who", Value::String("U" + std::to_string(family)));
+      if (rows.size() % 61 != 7) {
+        row.emplace("kid", Value::String("C" + std::to_string(family) + child));
+      }
+      rows.push_back(std::move(row));
+    }
+  }
+  std::mt19937_64 rng(11);
+  std::shuffle(rows.begin(), rows.end(), rng);
+  // Projection drops _self, so these become duplicate rows.
+  for (size_t i = 0; i < 6; ++i) rows[100 + i] = rows[300 + 7 * i];
+  return rows;
+}
+
+TEST(PipelineSortTest, ServeLiveShapedTopKMatchesTheWholeSort) {
+  const std::vector<Bindings> stream = ServeLiveShapedStream();
+  ASSERT_EQ(stream.size(), 512u);
+  std::vector<Bindings> projected;
+  for (const Bindings& row : stream) {
+    Bindings p = row;
+    p.erase("_self");
+    projected.push_back(std::move(p));
+  }
+  for (const size_t limit : {size_t{10}, size_t{0}}) {
+    for (const bool descending : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "limit " << limit << " descending " << descending);
+      const RowOrder order{"kid", descending};
+      // The answer: the whole projected stream, distinct, sorted.
+      std::vector<Bindings> sorted = projected;
+      std::sort(sorted.begin(), sorted.end(), order);
+      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      if (limit > 0) sorted.resize(limit);
+
+      // The stats the scan-first heap gives on the same stream.
+      PipelineStats want;
+      want.rows_in = stream.size();
+      want.rows_out = sorted.size();
+      size_t held = 0;
+      if (limit > 0) {
+        ScanFirstTopK<Bindings, RowOrder> reference(limit, order, true);
+        for (const Bindings& row : projected) {
+          const size_t bytes = ApproxBindingsBytes(row);
+          Bindings displaced;
+          switch (reference.Push(row, &displaced)) {
+            case BoundedTopK<Bindings, RowOrder>::Offer::kKept:
+            case BoundedTopK<Bindings, RowOrder>::Offer::kKeptEvicted:
+              held += bytes;
+              want.peak_held_bytes = std::max(want.peak_held_bytes, held);
+              held -= displaced.empty() ? 0 : ApproxBindingsBytes(displaced);
+              break;
+            case BoundedTopK<Bindings, RowOrder>::Offer::kDuplicate:
+              ++want.rows_deduped;
+              break;
+            case BoundedTopK<Bindings, RowOrder>::Offer::kRejected:
+              break;
+          }
+        }
+        want.heap_evictions = reference.evictions();
+        EXPECT_EQ(reference.TakeSorted(), sorted);
+      } else {
+        // Unbounded: the digest store dedups up front and is what is held.
+        std::vector<Bindings> seen;
+        for (const Bindings& row : projected) {
+          if (std::find(seen.begin(), seen.end(), row) != seen.end()) {
+            ++want.rows_deduped;
+            continue;
+          }
+          seen.push_back(row);
+          want.peak_held_bytes += ApproxBindingsBytes(row);
+        }
+      }
+
+      PipelineSpec spec;
+      spec.project = {"who", "kid"};
+      spec.distinct = true;
+      spec.order_by = "kid";
+      spec.descending = descending;
+      spec.limit = limit;
+      auto pipeline = MakePipeline(&stream, spec);
+      std::vector<Bindings> pages;
+      Bindings row;
+      while (pipeline->Next(&row)) pages.push_back(row);
+      EXPECT_TRUE(pages == sorted);
+      if (limit == 0) {
+        // Rows without the sort variable come last in both directions.
+        EXPECT_EQ(pages.back().count("kid"), 0u);
+        EXPECT_EQ(pages.front().count("kid"), 1u);
+      }
+      const PipelineStats& got = pipeline->stats();
+      EXPECT_EQ(got.rows_in, want.rows_in);
+      EXPECT_EQ(got.rows_filtered, 0u);
+      EXPECT_EQ(got.rows_deduped, want.rows_deduped);
+      EXPECT_EQ(got.heap_evictions, want.heap_evictions);
+      EXPECT_EQ(got.rows_out, want.rows_out);
+      EXPECT_EQ(got.peak_held_bytes, want.peak_held_bytes);
+    }
+  }
 }
 
 }  // namespace
