@@ -55,7 +55,7 @@ if [[ "$BUILD_TYPE" != "Release" ]]; then
   echo "=======================================================================" >&2
 fi
 
-cmake --build "$BUILD_DIR" -j --target "$TARGET"
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "$TARGET"
 
 "$BUILD_DIR/bench/$TARGET" \
   --benchmark_filter="$FILTER" \

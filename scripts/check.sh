@@ -43,7 +43,7 @@ if [[ "${1:-}" == "--soak" ]]; then
     CONFIG_ARGS+=(-G Ninja)
   fi
   cmake -B build -S . "${CONFIG_ARGS[@]}"
-  cmake --build build -j --target conformance_soak
+  cmake --build build -j "$(nproc)" --target conformance_soak
   if [[ -n "${OOINT_SOAK_THREADS:-}" ]]; then
     echo "== conformance soak: $COUNT seeds from $START (parallel oracle pinned to ${OOINT_SOAK_THREADS} threads) =="
   else
@@ -81,7 +81,7 @@ if command -v ninja >/dev/null 2>&1 && [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; t
 fi
 
 cmake -B "$BUILD_DIR" -S . "${CONFIG_ARGS[@]}"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 if [[ -n "$TEST_FILTER" ]]; then
   ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$TEST_FILTER"
 else

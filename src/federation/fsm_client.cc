@@ -339,7 +339,7 @@ Result<std::vector<const Fact*>> FsmClient::Extent(
     pattern.object = TermArg::Variable("_self");
     pattern.class_name = concept_name;
     OOINT_ASSIGN_OR_RETURN(auto outcome, Demand(pattern));
-    return outcome->goal_facts;
+    return outcome->sub->FactsOf(concept_name);
   }
   return evaluator_->FactsOf(concept_name);
 }
@@ -432,7 +432,8 @@ Result<std::unique_ptr<ServingCursor>> FsmClient::OpenCursor(
   spec.filters = options.filters;
   spec.project = options.project;
   // Pages always carry distinct rows — Run()'s answer semantics; the
-  // raw query stream is duplicate-inclusive (see OpenQueryStream).
+  // raw query stream is duplicate-inclusive (see OpenQueryStream), and
+  // projection can make any rows equal.
   spec.distinct = true;
   spec.order_by = options.order_by;
   spec.descending = options.descending;
@@ -441,21 +442,12 @@ Result<std::unique_ptr<ServingCursor>> FsmClient::OpenCursor(
   std::unique_ptr<RowSource> source;
   std::shared_ptr<const Evaluator::DemandOutcome> outcome;
   DegradedInfo degraded;
-  bool pin_delta_epoch = false;
   if (query_mode_ == QueryMode::kDemandDriven) {
     OOINT_ASSIGN_OR_RETURN(outcome, Demand(query.pattern()));
     degraded = outcome->degraded;
-    // Stream off the outcome's private sub-evaluator: candidates come
-    // from a PostingsCursor snapshot of its columnar store, and the
-    // shared outcome keeps that store alive — snapshot semantics across
-    // later deltas. The materialized rows are the (rare) fallback.
-    Result<std::unique_ptr<RowSource>> stream =
-        outcome->sub->OpenQueryStream(query.pattern());
-    if (stream.ok()) {
-      source = std::move(stream).value();
-    } else {
-      source = std::make_unique<VectorRowSource>(&outcome->rows);
-    }
+    // Page the rows Run() returns; the shared outcome keeps them alive —
+    // snapshot semantics across later deltas.
+    source = std::make_unique<VectorRowSource>(&outcome->rows);
   } else {
     // Materialized cursors read the live derived store; they pin the
     // delta epoch and fail with the documented epoch error once
@@ -463,7 +455,6 @@ Result<std::unique_ptr<ServingCursor>> FsmClient::OpenCursor(
     degraded = evaluator_->degraded();
     OOINT_ASSIGN_OR_RETURN(source,
                            evaluator_->OpenQueryStream(query.pattern()));
-    pin_delta_epoch = true;
   }
   auto pipeline =
       std::make_unique<ResultPipeline>(std::move(source), std::move(spec));
@@ -471,7 +462,7 @@ Result<std::unique_ptr<ServingCursor>> FsmClient::OpenCursor(
   return std::unique_ptr<ServingCursor>(new ServingCursor(
       this, options, std::move(outcome), std::move(pipeline),
       std::move(degraded), fault_epoch(),
-      delta_batches_.load(std::memory_order_relaxed), pin_delta_epoch));
+      delta_batches_.load(std::memory_order_relaxed)));
 }
 
 ServingStats FsmClient::serving_stats() const {

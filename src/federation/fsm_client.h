@@ -115,10 +115,13 @@ class FsmClient {
   Result<std::vector<Bindings>> Run(const Query& query) const;
 
   /// All facts (local + derived) of a global concept. In demand mode
-  /// the returned pointers stay valid until the cache entry that owns
-  /// them is invalidated (reconnect, epoch bump, breaker change, a
-  /// change at an agent store it read, InvalidateQueryCache) or
-  /// evicted.
+  /// they are the FactsOf() of the unbound goal's outcome sub-evaluator,
+  /// materialized on first ask into its boundary cache. The returned
+  /// pointers stay valid until the cache entry that owns them is
+  /// invalidated (reconnect, epoch bump, breaker change, a change at an
+  /// agent store it read, InvalidateQueryCache) or evicted. An outcome
+  /// the cache does not keep (a deadline-truncated one) has no entry:
+  /// its facts are freed when Extent() returns.
   Result<std::vector<const Fact*>> Extent(const std::string& concept_name) const;
 
   /// The plan for `query`, annotated with the connection's mode and,
@@ -231,7 +234,8 @@ class FsmClient {
   friend class ServingCursor;
 
   /// One memoized demand evaluation. The outcome is shared so Extent()
-  /// pointers survive until the last user lets go.
+  /// pointers and a demand cursor's rows survive until the last user
+  /// lets go.
   struct CacheEntry {
     std::shared_ptr<const Evaluator::DemandOutcome> outcome;
     /// The fault epoch the miss began at.

@@ -12,7 +12,7 @@ ServingCursor::ServingCursor(
     const FsmClient* client, ServingOptions options,
     std::shared_ptr<const Evaluator::DemandOutcome> outcome,
     std::unique_ptr<ResultPipeline> pipeline, DegradedInfo degraded,
-    std::uint64_t fault_epoch, size_t delta_batches, bool pin_delta_epoch)
+    std::uint64_t fault_epoch, size_t delta_batches)
     : client_(client),
       options_(std::move(options)),
       outcome_(std::move(outcome)),
@@ -20,7 +20,6 @@ ServingCursor::ServingCursor(
       degraded_(std::move(degraded)),
       fault_epoch_(fault_epoch),
       delta_batches_(delta_batches),
-      pin_delta_epoch_(pin_delta_epoch),
       last_use_ms_(client->serving_now_ms()) {}
 
 ServingCursor::~ServingCursor() { Close(); }
@@ -71,7 +70,7 @@ Result<Page> ServingCursor::NextPage() {
         "cursor epoch expired: the connection was re-established after "
         "this cursor was opened");
   }
-  if (pin_delta_epoch_ &&
+  if (outcome_ == nullptr &&
       client_->delta_batches_.load(std::memory_order_relaxed) !=
           delta_batches_) {
     // The documented epoch error of materialized cursors: the derived

@@ -73,11 +73,11 @@ struct ServingStats {
 /// A resumable, explicitly-closed answer cursor over one query.
 ///
 /// Lifetime and pinning rules (tested in tests/federation/serving_test):
-///  - A demand-mode cursor streams from the query's private
-///    DemandOutcome and therefore has *snapshot semantics*: ApplyDelta
-///    after open does not change (or invalidate) its pages. The shared
-///    outcome keeps the snapshot's fact universe alive even after the
-///    client's cache evicts it.
+///  - A demand-mode cursor pages the rows of the query's DemandOutcome
+///    (the rows Run() returns) and therefore has *snapshot semantics*:
+///    ApplyDelta after open does not change (or invalidate) its pages.
+///    The shared outcome keeps those rows alive even after the client's
+///    cache evicts it.
 ///  - A materialized cursor streams from the live derived store; any
 ///    ApplyDelta after open fails subsequent NextPage() calls with
 ///    kFailedPrecondition ("cursor epoch expired") — the documented
@@ -115,19 +115,20 @@ class ServingCursor {
                 std::shared_ptr<const Evaluator::DemandOutcome> outcome,
                 std::unique_ptr<ResultPipeline> pipeline,
                 DegradedInfo degraded, std::uint64_t fault_epoch,
-                size_t delta_batches, bool pin_delta_epoch);
+                size_t delta_batches);
 
   const FsmClient* client_;
   ServingOptions options_;
-  /// Demand mode: the pinned snapshot (null on materialized cursors).
+  /// Demand mode: the pinned snapshot whose rows the pipeline pages
+  /// (null on materialized cursors, which pin the delta epoch instead).
   std::shared_ptr<const Evaluator::DemandOutcome> outcome_;
   std::unique_ptr<ResultPipeline> pipeline_;
   /// Kept so pipeline_stats() stays readable after Close().
   PipelineStats final_stats_;
   DegradedInfo degraded_;
   std::uint64_t fault_epoch_;
+  /// The delta epoch at open; checked only without `outcome_`.
   size_t delta_batches_;
-  bool pin_delta_epoch_;
   size_t page_index_ = 0;
   /// One-row lookahead so has_more is exact without overserving.
   bool lookahead_valid_ = false;

@@ -1140,56 +1140,14 @@ Result<std::vector<Bindings>> Evaluator::Query(const OTerm& pattern) const {
   if (!evaluated_) {
     return Status::FailedPrecondition("call Evaluate() before Query()");
   }
-  const FactMatcher matcher = MakeMatcher();
-  // Constant descriptors in the pattern probe the value index directly.
-  // Counters tick into a local Stats merged under a lock, so concurrent
-  // queries on one evaluated federation never race on stats_.
-  const Literal literal = Literal::OfOTerm(pattern);
-  Stats local;
-  JoinScratch scratch;
-  JoinContext ctx;
-  ctx.stats = &local;
-  ctx.scratch = &scratch;
-  ConceptId concept_id = kNoConcept;
-  std::vector<std::uint32_t> candidates;
-  CollectCandidates(ctx, 0, literal, Bindings(), &candidates, &concept_id);
-  {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
-    stats_.AddJoinCounters(local);
-  }
-  std::vector<Bindings> out;
-  for (std::uint32_t ordinal : candidates) {
-    if (live_filter_ != nullptr) {
-      const FactId fid = store_.IdAt(concept_id, ordinal);
-      if (fid < live_filter_->size() && !(*live_filter_)[fid]) continue;
-    }
-    matcher.MatchOTerm(pattern, store_.ViewAt(concept_id, ordinal), Bindings(),
-                       &out);
-  }
-  // De-duplicate bindings on a 64-bit digest with exact verification —
-  // no per-row key strings (the old StrCat/ToString concatenation
-  // allocated a key per candidate row).
-  std::unordered_map<std::uint64_t, std::vector<size_t>> seen;
-  std::vector<Bindings> unique;
-  for (Bindings& b : out) {
-    std::uint64_t key = 0;
-    for (const auto& [var, value] : b) {
-      key = HashCombine(key, HashString(var));
-      key = HashCombine(key, HashValue(value));
-    }
-    std::vector<size_t>& bucket = seen[key];
-    bool duplicate = false;
-    for (size_t idx : bucket) {
-      if (unique[idx] == b) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    bucket.push_back(unique.size());
-    unique.push_back(std::move(b));
-  }
-  return unique;
+  // Each row moves into the store; a ResultPipeline{distinct} drain
+  // would copy every row it keeps.
+  OOINT_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> stream,
+                         OpenQueryStream(pattern));
+  DistinctRows distinct;
+  Bindings row;
+  while (stream->Next(&row)) distinct.Insert(std::move(row));
+  return distinct.TakeRows();
 }
 
 namespace {
@@ -1250,9 +1208,11 @@ Result<std::unique_ptr<RowSource>> Evaluator::OpenQueryStream(
         "call Evaluate() before OpenQueryStream()");
   }
   // The candidate choice (value-index probe vs. ordinal scan) is made
-  // once, up front, exactly as Query() makes it; only the unification
-  // of each candidate is deferred to the pulls.
-  const Literal literal = Literal::OfOTerm(pattern);
+  // once, up front; only the unification of each candidate is deferred
+  // to the pulls. Counters tick into a local Stats merged under a lock,
+  // so concurrent queries on one evaluated federation never race on
+  // stats_.
+  Literal literal = Literal::OfOTerm(pattern);
   Stats local;
   JoinScratch scratch;
   JoinContext ctx;
@@ -1265,9 +1225,9 @@ Result<std::unique_ptr<RowSource>> Evaluator::OpenQueryStream(
     std::lock_guard<std::mutex> lock(*stats_mu_);
     stats_.AddJoinCounters(local);
   }
-  return std::unique_ptr<RowSource>(
-      new QueryStream(pattern, MakeMatcher(), &store_, live_filter_,
-                      concept_id, std::move(candidates)));
+  return std::unique_ptr<RowSource>(new QueryStream(
+      std::move(literal.oterm), MakeMatcher(), &store_, live_filter_,
+      concept_id, std::move(candidates)));
 }
 
 Evaluator::DemandPlan Evaluator::PlanDemand(const OTerm& pattern) const {
@@ -1346,7 +1306,6 @@ Result<Evaluator::DemandOutcome> Evaluator::EvaluateDemand(
 
   OOINT_RETURN_IF_ERROR(sub->Evaluate());
   OOINT_ASSIGN_OR_RETURN(out.rows, sub->Query(pattern));
-  out.goal_facts = sub->FactsOf(pattern.class_name);
 
   // Outward degradation: drop internal magic predicates, mirror the
   // pruned agents in (distinct from fault-skipped ones).

@@ -337,22 +337,23 @@ class Evaluator {
 
   /// Matches `pattern` against the evaluated facts and returns all
   /// variable bindings — the query interface ("?-uncle(John, y)" becomes
-  /// a pattern <_ : uncle | Ussn#: "John", niece_nephew: y>).
+  /// a pattern <_ : uncle | Ussn#: "John", niece_nephew: y>). A drain of
+  /// OpenQueryStream(pattern) into a DistinctRows store: each distinct
+  /// row once, in the order the stream first yields it.
   Result<std::vector<Bindings>> Query(const OTerm& pattern) const;
 
-  /// Streaming variant of Query(): a pull source yielding the pattern's
-  /// match rows one at a time instead of materializing the full answer
-  /// vector. Candidates come from the same probe-or-scan choice as
-  /// Query() (a PostingsCursor snapshot of the best value index, or the
-  /// concept's ordinal range), and each Next() unifies one candidate
-  /// fact zero-copy off the columnar store. Unlike Query() the stream
-  /// does NOT de-duplicate — set attributes can match one fact several
-  /// ways — so consumers needing Query()'s distinct semantics run the
-  /// stream through a ResultPipeline with `distinct` set (the serving
-  /// layer always does). The source borrows this evaluator: it must not
-  /// outlive it, and the store must not gain facts while the stream is
-  /// open (the serving layer pins a snapshot or fails the cursor with
-  /// an epoch error — see FsmClient::OpenCursor).
+  /// The answer path: a pull source yielding the pattern's match rows
+  /// one at a time. The candidates are chosen once, at open (a
+  /// PostingsCursor snapshot of the best value index, or the concept's
+  /// ordinal range), and each Next() unifies one candidate fact
+  /// zero-copy off the columnar store. The stream does NOT de-duplicate
+  /// — set attributes can match one fact several ways, and facts that
+  /// differ only in unmatched attributes bind alike — so Query() drains
+  /// it into a DistinctRows store, and cursors run it through a
+  /// ResultPipeline with `distinct` set. The source borrows this
+  /// evaluator: it must not outlive it, and the store must not gain
+  /// facts while the stream is open (materialized cursors fail with an
+  /// epoch error once a delta lands — see FsmClient::OpenCursor).
   Result<std::unique_ptr<RowSource>> OpenQueryStream(
       const OTerm& pattern) const;
 
@@ -406,19 +407,19 @@ class Evaluator {
     }
   };
   const Stats& stats() const { return stats_; }
-  /// A copy of stats() taken under the lock concurrent Query() calls
-  /// merge their join counters under.
+  /// A copy of stats() taken under the lock concurrent query streams
+  /// (Query() drains one) merge their join counters under.
   Stats StatsSnapshot() const {
     std::lock_guard<std::mutex> lock(*stats_mu_);
     return stats_;
   }
 
-  /// Everything a demand-driven query returns. `sub` owns the fact
-  /// universe `goal_facts` point into — keep the outcome alive as long
-  /// as the pointers are used.
+  /// Everything a demand-driven query returns. `rows` is
+  /// sub->Query(pattern), which Run() returns and demand cursors page;
+  /// `sub` is the evaluated sub-evaluator, whose FactsOf() answers a
+  /// demand Extent(). Fact pointers from `sub` live as long as it does.
   struct DemandOutcome {
     std::vector<Bindings> rows;
-    std::vector<const Fact*> goal_facts;
     /// Degradation of the sub-evaluation (fault-skipped agents etc.),
     /// with the plan's pruned agents in and magic predicates filtered
     /// out. Whether the rewrite ran, and why not, is PlanDemand's.
@@ -681,9 +682,9 @@ class Evaluator {
   /// identified by their attribute values; see ApplyRule).
   std::unordered_map<std::uint64_t, std::vector<FactId>> skolem_seen_;
   mutable Stats stats_;  // probe/scan counters tick inside const joins
-  /// Guards stats_ merges from concurrent const Query() calls. Heap
-  /// allocated so the evaluator stays movable (tests and factories
-  /// return evaluators by value).
+  /// Guards stats_ merges from concurrent const OpenQueryStream()
+  /// calls. Heap allocated so the evaluator stays movable (tests and
+  /// factories return evaluators by value).
   mutable std::unique_ptr<std::mutex> stats_mu_ =
       std::make_unique<std::mutex>();
   /// Optional extent-prefetch pool (see set_thread_pool); shared with

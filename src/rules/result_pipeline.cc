@@ -72,6 +72,16 @@ using HeldTopK = BoundedTopK<HeldRow, HeldRowOrder>;
 
 }  // namespace
 
+bool DistinctRows::Insert(Bindings row) {
+  std::vector<size_t>& bucket = seen_[RowDigest(row)];
+  for (size_t index : bucket) {
+    if (rows_[index] == row) return false;
+  }
+  bucket.push_back(rows_.size());
+  rows_.push_back(std::move(row));
+  return true;
+}
+
 size_t ApproxBindingsBytes(const Bindings& row) {
   // Three pointers + color per red-black node, plus the key string.
   constexpr size_t kNodeOverhead = 4 * sizeof(void*);
@@ -152,13 +162,7 @@ bool ResultPipeline::PullTransformed(Bindings* row) {
 }
 
 bool ResultPipeline::DedupAdmit(const Bindings& row) {
-  const std::uint64_t digest = RowDigest(row);
-  std::vector<size_t>& bucket = seen_[digest];
-  for (size_t index : bucket) {
-    if (kept_[index] == row) return false;
-  }
-  bucket.push_back(kept_.size());
-  kept_.push_back(row);
+  if (!distinct_.Insert(row)) return false;
   HoldBytes(ApproxBindingsBytes(row));
   return true;
 }

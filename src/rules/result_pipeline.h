@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/topk.h"
@@ -40,6 +41,22 @@ class VectorRowSource : public RowSource {
  private:
   const std::vector<Bindings>* rows_;
   size_t index_ = 0;
+};
+
+/// Distinct rows in first-arrival order: each row is keyed by a 64-bit
+/// digest and verified by row equality, so no per-row key strings. The
+/// one row-dedup store of the answer path — Evaluator::Query() drains
+/// its stream into one, and ResultPipeline's streaming dedup keeps one.
+class DistinctRows {
+ public:
+  /// Keeps `row` unless an equal row is held; true when kept.
+  bool Insert(Bindings row);
+  /// The kept rows, in the order they first arrived.
+  std::vector<Bindings> TakeRows() { return std::move(rows_); }
+
+ private:
+  std::unordered_map<std::uint64_t, std::vector<size_t>> seen_;
+  std::vector<Bindings> rows_;
 };
 
 /// One comparison predicate over a result variable. A row that lacks
@@ -121,7 +138,7 @@ class ResultPipeline : public RowSource {
   /// Pulls one upstream row through filter + project. False at EOS.
   bool PullTransformed(Bindings* row);
   bool PassesFilters(const Bindings& row) const;
-  /// True when `row` is new; records it in the dedup store otherwise.
+  /// True when `row` is new, and then holds a copy in the dedup store.
   bool DedupAdmit(const Bindings& row);
   void HoldBytes(size_t bytes);
   void ReleaseBytes(size_t bytes);
@@ -135,10 +152,8 @@ class ResultPipeline : public RowSource {
   std::vector<Bindings> sorted_;
   size_t sorted_index_ = 0;
 
-  /// Streaming dedup store (digest + exact verification, the Query()
-  /// idiom — no per-row key strings).
-  std::unordered_map<std::uint64_t, std::vector<size_t>> seen_;
-  std::vector<Bindings> kept_;
+  /// Streaming dedup store (also the unbounded sort's up-front dedup).
+  DistinctRows distinct_;
 
   size_t emitted_ = 0;
   size_t held_bytes_ = 0;

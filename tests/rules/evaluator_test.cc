@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "assertions/parser.h"
 #include "rules/rule_generator.h"
 #include "test_util.h"
@@ -305,6 +311,61 @@ TEST(EvaluatorTest, SchematicAttributeNameVariables) {
   ASSERT_OK(evaluator.AddRule(std::move(rule)));
   ASSERT_OK(evaluator.Evaluate());
   EXPECT_EQ(evaluator.FactsOf("cell").size(), 2u);
+}
+
+TEST(EvaluatorTest, QueryReturnsEqualRowsOnceInFirstOccurrenceOrder) {
+  // Two facts of one concept share an OID and the matched attribute;
+  // the later one carries an extra attribute. Both bind the pattern
+  // identically, so the raw stream repeats a row that Query() keeps once,
+  // where it first occurred.
+  auto fact = [](std::uint64_t number, std::int64_t a,
+                 std::map<std::string, Value> extra) {
+    Fact f;
+    f.concept_name = "C";
+    f.oid = Oid("agent", "ooint", "db", "c", number);
+    f.attrs = std::move(extra);
+    f.attrs["a"] = Value::Integer(a);
+    return f;
+  };
+  Evaluator evaluator;
+  evaluator.AddFact(fact(1, 10, {}));
+  evaluator.AddFact(fact(2, 20, {}));
+  evaluator.AddFact(fact(1, 10, {{"b", Value::Integer(9)}}));
+  evaluator.AddFact(fact(3, 10, {}));
+  ASSERT_OK(evaluator.Evaluate());
+  ASSERT_EQ(evaluator.FactsOf("C").size(), 4u);
+
+  const auto drain = [&](const OTerm& pattern) {
+    std::unique_ptr<RowSource> stream =
+        ValueOrDie(evaluator.OpenQueryStream(pattern));
+    std::vector<Bindings> rows;
+    Bindings row;
+    while (stream->Next(&row)) rows.push_back(row);
+    return rows;
+  };
+  const Value oid1 = Value::OfOid(Oid("agent", "ooint", "db", "c", 1));
+  const Value oid2 = Value::OfOid(Oid("agent", "ooint", "db", "c", 2));
+  const Value oid3 = Value::OfOid(Oid("agent", "ooint", "db", "c", 3));
+
+  // Scan: every fact of C is a candidate.
+  OTerm scan = Membership("C", "x");
+  scan.attrs.push_back({"a", false, TermArg::Variable("v")});
+  const std::vector<Bindings> streamed = drain(scan);
+  ASSERT_EQ(streamed.size(), 4u);
+  EXPECT_EQ(streamed[0], streamed[2]);
+  const std::vector<Bindings> scanned = ValueOrDie(evaluator.Query(scan));
+  const std::vector<Bindings> want_scan = {
+      {{"x", oid1}, {"v", Value::Integer(10)}},
+      {{"x", oid2}, {"v", Value::Integer(20)}},
+      {{"x", oid3}, {"v", Value::Integer(10)}}};
+  EXPECT_EQ(scanned, want_scan);
+
+  // Probe: the constant descriptor picks the candidates off the index.
+  OTerm probe = Membership("C", "x");
+  probe.attrs.push_back({"a", false, TermArg::Constant(Value::Integer(10))});
+  EXPECT_EQ(drain(probe).size(), 3u);
+  const std::vector<Bindings> want_probe = {{{"x", oid1}}, {{"x", oid3}}};
+  EXPECT_EQ(ValueOrDie(evaluator.Query(probe)), want_probe);
 }
 
 TEST(EvaluatorTest, QueryBeforeEvaluateFails) {

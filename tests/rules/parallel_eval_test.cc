@@ -211,8 +211,8 @@ TEST(ParallelEvalTest, DemandEvaluationMatchesSerial) {
       ValueOrDie(serial.EvaluateDemand(goal));
   const Evaluator::DemandOutcome parallel_outcome =
       ValueOrDie(parallel.EvaluateDemand(goal));
-  EXPECT_EQ(CanonicalKeys(parallel_outcome.goal_facts),
-            CanonicalKeys(serial_outcome.goal_facts));
+  EXPECT_EQ(CanonicalKeys(parallel_outcome.sub->FactsOf(goal.class_name)),
+            CanonicalKeys(serial_outcome.sub->FactsOf(goal.class_name)));
   EXPECT_EQ(parallel_outcome.rows.size(), serial_outcome.rows.size());
   EXPECT_EQ(parallel.PlanDemand(goal).program.applied,
             serial.PlanDemand(goal).program.applied);
