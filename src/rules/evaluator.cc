@@ -805,6 +805,7 @@ void Evaluator::CollectCandidates(const JoinContext& ctx, size_t literal_index,
 }
 
 Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
+                            const std::vector<CompiledOTerm>& compiled,
                             size_t depth, Solution solution,
                             std::vector<Solution>* solutions) const {
   const std::vector<Literal>& body = ctx.rule->body;
@@ -832,7 +833,8 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
     return local_candidates;
   };
   auto recurse = [&](Solution next) {
-    return SolveBody(matcher, ctx, depth + 1, std::move(next), solutions);
+    return SolveBody(matcher, ctx, compiled, depth + 1, std::move(next),
+                     solutions);
   };
   // Incremental world filter: whether this position may see the fact.
   auto admitted = [&](ConceptId concept_id, std::uint32_t ordinal) {
@@ -850,33 +852,34 @@ Status Evaluator::SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
       std::vector<std::uint32_t>& candidates = candidate_buffer();
       CollectCandidates(ctx, pick, literal, solution.bindings, &candidates,
                         &concept_id);
+      // This depth's frame, seeded with the solution's bindings: a
+      // candidate binds handles into it, and only a full match builds
+      // the next solution's Bindings.
+      MatchFrame own_frame;
+      MatchFrame& frame =
+          ctx.scratch != nullptr ? ctx.scratch->FrameAt(depth) : own_frame;
+      frame.Reset(&compiled[pick], &solution.bindings);
       if (!literal.negated) {
         for (std::uint32_t ordinal : candidates) {
           if (!admitted(concept_id, ordinal)) continue;
           const FactView fact = store_.ViewAt(concept_id, ordinal);
-          std::vector<Bindings> matches;
-          matcher.MatchOTerm(literal.oterm, fact, solution.bindings,
-                             &matches);
-          for (Bindings& match : matches) {
-            Solution next = solution;
-            next.bindings = std::move(match);
+          matcher.Match(fact, &frame, [&](const MatchFrame& match) {
+            if (stop()) return;
+            Solution next;
+            next.bindings = match.ToBindings();
+            next.matched = solution.matched;
             next.matched[pick] = fact;
             status = recurse(std::move(next));
-            if (stop()) break;
-          }
+          });
           if (stop()) break;
         }
       } else {
         bool found = false;
         for (std::uint32_t ordinal : candidates) {
           if (!admitted(concept_id, ordinal)) continue;
-          std::vector<Bindings> matches;
-          matcher.MatchOTerm(literal.oterm, store_.ViewAt(concept_id, ordinal),
-                             solution.bindings, &matches);
-          if (!matches.empty()) {
-            found = true;
-            break;
-          }
+          matcher.Match(store_.ViewAt(concept_id, ordinal), &frame,
+                        [&](const MatchFrame&) { found = true; });
+          if (found) break;
         }
         if (!found) status = recurse(std::move(solution));
       }
@@ -970,6 +973,7 @@ Status Evaluator::SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
   // Pre-size the depth pool so CandidatesAt never reallocates while
   // outer recursion frames hold references into it.
   if (ctx.scratch != nullptr) ctx.scratch->EnsureDepths(rule.body.size());
+  const std::vector<CompiledOTerm> compiled = CompileBody(rule);
   Solution init;
   init.matched.assign(rule.body.size(), FactView());
   // Existence components bind nothing the head or another component
@@ -980,11 +984,19 @@ Status Evaluator::SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
     JoinContext check = ctx;
     check.witness_end = end;
     std::vector<Solution> witness;
-    OOINT_RETURN_IF_ERROR(SolveBody(matcher, check, depth, init, &witness));
+    OOINT_RETURN_IF_ERROR(
+        SolveBody(matcher, check, compiled, depth, init, &witness));
     if (witness.empty()) return Status::OK();
     depth = end;
   }
-  return SolveBody(matcher, ctx, depth, std::move(init), solutions);
+  return SolveBody(matcher, ctx, compiled, depth, std::move(init), solutions);
+}
+
+std::vector<CompiledOTerm> Evaluator::CompileBody(const Rule& rule) {
+  std::vector<CompiledOTerm> compiled;
+  compiled.reserve(rule.body.size());
+  for (const Literal& literal : rule.body) compiled.emplace_back(literal.oterm);
+  return compiled;
 }
 
 Result<Evaluator::HeadFact> Evaluator::BuildHeadFact(
@@ -1136,70 +1148,40 @@ Status Evaluator::InsertSolutions(const Rule& rule, const FactMatcher& matcher,
   return Status::OK();
 }
 
+void Evaluator::QueryCandidates(const Literal& literal, ConceptId* concept_id,
+                                std::vector<std::uint32_t>* candidates) const {
+  // The candidate choice (value-index probe vs. ordinal scan) is made
+  // once, up front; only the unification of each candidate is deferred
+  // to the pulls. Counters tick into a local Stats merged under a lock,
+  // so concurrent queries on one evaluated federation never race on
+  // stats_.
+  Stats local;
+  JoinScratch scratch;
+  JoinContext ctx;
+  ctx.stats = &local;
+  ctx.scratch = &scratch;
+  CollectCandidates(ctx, 0, literal, Bindings(), candidates, concept_id);
+  std::lock_guard<std::mutex> lock(*stats_mu_);
+  stats_.AddJoinCounters(local);
+}
+
 Result<std::vector<Bindings>> Evaluator::Query(const OTerm& pattern) const {
   if (!evaluated_) {
     return Status::FailedPrecondition("call Evaluate() before Query()");
   }
-  // Each row moves into the store; a ResultPipeline{distinct} drain
-  // would copy every row it keeps.
-  OOINT_ASSIGN_OR_RETURN(std::unique_ptr<RowSource> stream,
-                         OpenQueryStream(pattern));
-  DistinctRows distinct;
-  Bindings row;
-  while (stream->Next(&row)) distinct.Insert(std::move(row));
+  // The stream OpenQueryStream returns, on the stack; the store keeps
+  // each distinct row's handles, and only those rows are built.
+  Literal literal = Literal::OfOTerm(pattern);
+  ConceptId concept_id = kNoConcept;
+  std::vector<std::uint32_t> candidates;
+  QueryCandidates(literal, &concept_id, &candidates);
+  QueryStream stream(std::move(literal.oterm), MakeMatcher(), &store_,
+                     live_filter_, concept_id, std::move(candidates));
+  DistinctRows distinct(&stream.vars());
+  const ValueHandle* row = nullptr;
+  while (stream.Next(&row)) distinct.Insert(row);
   return distinct.TakeRows();
 }
-
-namespace {
-
-/// The lazily-evaluated half of OpenQueryStream: holds the candidate
-/// ordinals chosen by CollectCandidates and unifies one per pull.
-/// MatchOTerm can emit several rows per candidate (set attributes match
-/// element-wise), so a small per-candidate buffer drains first.
-class QueryStream : public RowSource {
- public:
-  QueryStream(OTerm pattern, FactMatcher matcher, const FactStore* store,
-              const std::vector<std::uint8_t>* live_filter,
-              ConceptId concept_id, std::vector<std::uint32_t> candidates)
-      : pattern_(std::move(pattern)),
-        matcher_(std::move(matcher)),
-        store_(store),
-        live_filter_(live_filter),
-        concept_id_(concept_id),
-        candidates_(std::move(candidates)) {}
-
-  bool Next(Bindings* row) override {
-    while (true) {
-      if (pending_index_ < pending_.size()) {
-        *row = std::move(pending_[pending_index_++]);
-        return true;
-      }
-      if (next_candidate_ >= candidates_.size()) return false;
-      const std::uint32_t ordinal = candidates_[next_candidate_++];
-      if (live_filter_ != nullptr) {
-        const FactId fid = store_->IdAt(concept_id_, ordinal);
-        if (fid < live_filter_->size() && !(*live_filter_)[fid]) continue;
-      }
-      pending_.clear();
-      pending_index_ = 0;
-      matcher_.MatchOTerm(pattern_, store_->ViewAt(concept_id_, ordinal),
-                          Bindings(), &pending_);
-    }
-  }
-
- private:
-  OTerm pattern_;
-  FactMatcher matcher_;
-  const FactStore* store_;
-  const std::vector<std::uint8_t>* live_filter_;
-  ConceptId concept_id_;
-  std::vector<std::uint32_t> candidates_;
-  size_t next_candidate_ = 0;
-  std::vector<Bindings> pending_;
-  size_t pending_index_ = 0;
-};
-
-}  // namespace
 
 Result<std::unique_ptr<RowSource>> Evaluator::OpenQueryStream(
     const OTerm& pattern) const {
@@ -1207,27 +1189,13 @@ Result<std::unique_ptr<RowSource>> Evaluator::OpenQueryStream(
     return Status::FailedPrecondition(
         "call Evaluate() before OpenQueryStream()");
   }
-  // The candidate choice (value-index probe vs. ordinal scan) is made
-  // once, up front; only the unification of each candidate is deferred
-  // to the pulls. Counters tick into a local Stats merged under a lock,
-  // so concurrent queries on one evaluated federation never race on
-  // stats_.
   Literal literal = Literal::OfOTerm(pattern);
-  Stats local;
-  JoinScratch scratch;
-  JoinContext ctx;
-  ctx.stats = &local;
-  ctx.scratch = &scratch;
   ConceptId concept_id = kNoConcept;
   std::vector<std::uint32_t> candidates;
-  CollectCandidates(ctx, 0, literal, Bindings(), &candidates, &concept_id);
-  {
-    std::lock_guard<std::mutex> lock(*stats_mu_);
-    stats_.AddJoinCounters(local);
-  }
-  return std::unique_ptr<RowSource>(new QueryStream(
-      std::move(literal.oterm), MakeMatcher(), &store_, live_filter_,
-      concept_id, std::move(candidates)));
+  QueryCandidates(literal, &concept_id, &candidates);
+  return std::unique_ptr<RowSource>(
+      new QueryStream(std::move(literal.oterm), MakeMatcher(), &store_,
+                      live_filter_, concept_id, std::move(candidates)));
 }
 
 Evaluator::DemandPlan Evaluator::PlanDemand(const OTerm& pattern) const {

@@ -338,15 +338,17 @@ class Evaluator {
   /// Matches `pattern` against the evaluated facts and returns all
   /// variable bindings — the query interface ("?-uncle(John, y)" becomes
   /// a pattern <_ : uncle | Ussn#: "John", niece_nephew: y>). A drain of
-  /// OpenQueryStream(pattern) into a DistinctRows store: each distinct
-  /// row once, in the order the stream first yields it.
+  /// OpenQueryStream(pattern)'s stream into a DistinctRows store: each
+  /// distinct row once, in the order the stream first yields it, built
+  /// as Bindings only after the drain.
   Result<std::vector<Bindings>> Query(const OTerm& pattern) const;
 
-  /// The answer path: a pull source yielding the pattern's match rows
-  /// one at a time. The candidates are chosen once, at open (a
-  /// PostingsCursor snapshot of the best value index, or the concept's
-  /// ordinal range), and each Next() unifies one candidate fact
-  /// zero-copy off the columnar store. The stream does NOT de-duplicate
+  /// The answer path: a QueryStream yielding the pattern's match rows
+  /// one at a time, as value handles. The candidates are chosen once, at
+  /// open (a PostingsCursor snapshot of the best value index, or the
+  /// concept's ordinal range), the pattern is compiled once, and each
+  /// Next() unifies one candidate fact in place off the columnar store,
+  /// materializing nothing. The stream does NOT de-duplicate
   /// — set attributes can match one fact several ways, and facts that
   /// differ only in unmatched attributes bind alike — so Query() drains
   /// it into a DistinctRows store, and cursors run it through a
@@ -567,9 +569,19 @@ class Evaluator {
     std::uint32_t witness_end = 0;
   };
 
+  /// Every body literal's O-term compiled for the matcher, by body
+  /// position (a non-O-term literal gets its empty O-term). Borrows
+  /// `rule`.
+  static std::vector<CompiledOTerm> CompileBody(const Rule& rule);
+
   /// The shared unification machinery, wired to this evaluator's fact
   /// universe and data mappings.
   FactMatcher MakeMatcher() const;
+
+  /// The candidate ordinals of a query literal (Query, OpenQueryStream),
+  /// with its join counters merged into stats_ under the lock.
+  void QueryCandidates(const Literal& literal, ConceptId* concept_id,
+                       std::vector<std::uint32_t>* candidates) const;
 
   /// Records a fact if it is new; returns its FactId or kNoFact.
   FactId InsertFact(Fact fact);
@@ -614,9 +626,10 @@ class Evaluator {
 
   /// Solves the body literals ctx.plan orders at depths `depth` and
   /// deeper (up to ctx.witness_end when set), extending `solution`.
+  /// `compiled` is CompileBody(*ctx.rule), compiled once per solve.
   Status SolveBody(const FactMatcher& matcher, const JoinContext& ctx,
-                   size_t depth, Solution solution,
-                   std::vector<Solution>* solutions) const;
+                   const std::vector<CompiledOTerm>& compiled, size_t depth,
+                   Solution solution, std::vector<Solution>* solutions) const;
 
   /// Computes the body plan for one (rule, delta literal, pivot
   /// literal), with `initial_bound` the variables a seeded solve binds

@@ -102,59 +102,30 @@ std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t v) {
   return FnvBytes(seed ^ kFnvOffset, &v, sizeof(v));
 }
 
-std::uint64_t HashString(const std::string& s) {
+std::uint64_t HashString(std::string_view s) {
   return FnvBytes(kFnvOffset, s.data(), s.size());
 }
 
+namespace {
+
+/// HashOid's recipe, over an OID's components wherever they live.
+std::uint64_t HashOidView(const OidView& oid) {
+  std::uint64_t h = HashString(oid.agent);
+  h = HashCombine(h, HashString(oid.dbms));
+  h = HashCombine(h, HashString(oid.database));
+  h = HashCombine(h, HashString(oid.relation));
+  return HashCombine(h, oid.number);
+}
+
+}  // namespace
+
 std::uint64_t HashOid(const Oid& oid) {
-  std::uint64_t h = HashString(oid.agent());
-  h = HashCombine(h, HashString(oid.dbms()));
-  h = HashCombine(h, HashString(oid.database()));
-  h = HashCombine(h, HashString(oid.relation()));
-  return HashCombine(h, oid.number());
+  return HashOidView({oid.agent(), oid.dbms(), oid.database(), oid.relation(),
+                      oid.number()});
 }
 
 std::uint64_t HashValue(const Value& value) {
-  std::uint64_t h = static_cast<std::uint64_t>(value.kind()) + 1;
-  switch (value.kind()) {
-    case ValueKind::kNull:
-      break;
-    case ValueKind::kBoolean:
-      h = HashCombine(h, value.AsBoolean() ? 1 : 0);
-      break;
-    case ValueKind::kInteger:
-      h = HashCombine(h, static_cast<std::uint64_t>(value.AsInteger()));
-      break;
-    case ValueKind::kReal: {
-      const double d = value.AsReal();
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &d, sizeof(bits));
-      h = HashCombine(h, bits);
-      break;
-    }
-    case ValueKind::kCharacter:
-      h = HashCombine(h, static_cast<std::uint64_t>(value.AsCharacter()));
-      break;
-    case ValueKind::kString:
-      h = HashCombine(h, HashString(value.AsString()));
-      break;
-    case ValueKind::kDate: {
-      const Date& d = value.AsDate();
-      h = HashCombine(h, static_cast<std::uint64_t>(d.year) * 10000 +
-                             static_cast<std::uint64_t>(d.month) * 100 +
-                             static_cast<std::uint64_t>(d.day));
-      break;
-    }
-    case ValueKind::kOid:
-      h = HashCombine(h, HashOid(value.AsOid()));
-      break;
-    case ValueKind::kSet:
-      // Element order is part of set identity (Value::operator==
-      // compares the stored vectors), so hashing in order is exact.
-      for (const Value& e : value.AsSet()) h = HashCombine(h, HashValue(e));
-      break;
-  }
-  return h;
+  return HashHandle(ValueHandle(&value));
 }
 
 std::uint64_t HashFactAttrs(const Fact& fact) {
@@ -216,9 +187,52 @@ ValueHandle ValueHandle::set_element(size_t i) const {
   return ValueHandle(store_, store_->set_elements_[run.first + i]);
 }
 
+bool ValueHandle::AsBoolean() const {
+  if (value_ != nullptr) return value_->AsBoolean();
+  return FactStore::PayloadOf(packed_) != 0;
+}
+
+std::int64_t ValueHandle::AsInteger() const {
+  if (value_ != nullptr) return value_->AsInteger();
+  return store_->DecodeInt(packed_);
+}
+
+double ValueHandle::AsReal() const {
+  if (value_ != nullptr) return value_->AsReal();
+  return store_->reals_[FactStore::PayloadOf(packed_)];
+}
+
+char ValueHandle::AsCharacter() const {
+  if (value_ != nullptr) return value_->AsCharacter();
+  return static_cast<char>(
+      static_cast<unsigned char>(FactStore::PayloadOf(packed_)));
+}
+
+std::string_view ValueHandle::AsString() const {
+  if (value_ != nullptr) return value_->AsString();
+  return store_->symbols_.view(
+      static_cast<std::uint32_t>(FactStore::PayloadOf(packed_)));
+}
+
+Date ValueHandle::AsDate() const {
+  if (value_ != nullptr) return value_->AsDate();
+  return store_->DecodeDate(packed_);
+}
+
+OidView ValueHandle::AsOid() const {
+  if (value_ != nullptr) {
+    const Oid& oid = value_->AsOid();
+    return {oid.agent(), oid.dbms(), oid.database(), oid.relation(),
+            oid.number()};
+  }
+  const FactStore::PackedOid& p = store_->oids_[FactStore::PayloadOf(packed_)];
+  const SymbolPool& symbols = store_->symbols_;
+  return {symbols.view(p.agent), symbols.view(p.dbms),
+          symbols.view(p.database), symbols.view(p.relation), p.number};
+}
+
 bool ValueHandle::Equals(const Value& other) const {
-  if (value_ != nullptr) return *value_ == other;
-  return store_->PackedEqualsValue(packed_, other);
+  return HandlesEqual(*this, ValueHandle(&other));
 }
 
 Value ValueHandle::Materialize() const {
@@ -230,6 +244,140 @@ Oid ValueHandle::MaterializeOid() const {
   if (value_ != nullptr) return value_->AsOid();
   return store_->MaterializeOid(
       static_cast<std::uint32_t>(FactStore::PayloadOf(packed_)));
+}
+
+namespace {
+
+bool OidViewsEqual(const OidView& a, const OidView& b) {
+  return a.number == b.number && a.relation == b.relation &&
+         a.database == b.database && a.dbms == b.dbms && a.agent == b.agent;
+}
+
+}  // namespace
+
+bool HandlesEqual(const ValueHandle& a, const ValueHandle& b) {
+  // Within one layer the dictionaries make ids exact; ids of two layers
+  // (a segment and its overlay) are unrelated, so those compare content.
+  if (a.store_ != nullptr && a.store_ == b.store_) {
+    return a.store_->PackedEqualsPacked(a.packed_, b.packed_);
+  }
+  if (a.value_ != nullptr && b.value_ != nullptr) return *a.value_ == *b.value_;
+  const ValueKind kind = a.kind();
+  if (kind != b.kind()) return false;
+  switch (kind) {
+    case ValueKind::kNull:
+      return true;
+    case ValueKind::kBoolean:
+      return a.AsBoolean() == b.AsBoolean();
+    case ValueKind::kInteger:
+      return a.AsInteger() == b.AsInteger();
+    case ValueKind::kReal:
+      return a.AsReal() == b.AsReal();  // IEEE, as Value::operator==
+    case ValueKind::kCharacter:
+      return a.AsCharacter() == b.AsCharacter();
+    case ValueKind::kString:
+      return a.AsString() == b.AsString();
+    case ValueKind::kDate:
+      return a.AsDate() == b.AsDate();
+    case ValueKind::kOid:
+      return OidViewsEqual(a.AsOid(), b.AsOid());
+    case ValueKind::kSet: {
+      const size_t n = a.set_size();
+      if (n != b.set_size()) return false;
+      for (size_t i = 0; i < n; ++i) {
+        if (!HandlesEqual(a.set_element(i), b.set_element(i))) return false;
+      }
+      return true;
+    }
+  }
+  return false;
+}
+
+bool HandleLess(const ValueHandle& a, const ValueHandle& b) {
+  // Value::operator< is std::variant's: kind first, then the payloads'
+  // own operator< (IEEE for reals, bytewise for strings, component-wise
+  // for OIDs, lexicographic for sets). Symbol ids carry no order.
+  const ValueKind kind = a.kind();
+  const ValueKind other = b.kind();
+  if (kind != other) return kind < other;
+  switch (kind) {
+    case ValueKind::kNull:
+      return false;
+    case ValueKind::kBoolean:
+      return a.AsBoolean() < b.AsBoolean();
+    case ValueKind::kInteger:
+      return a.AsInteger() < b.AsInteger();
+    case ValueKind::kReal:
+      return a.AsReal() < b.AsReal();
+    case ValueKind::kCharacter:
+      return a.AsCharacter() < b.AsCharacter();
+    case ValueKind::kString:
+      return a.AsString() < b.AsString();
+    case ValueKind::kDate:
+      return a.AsDate() < b.AsDate();
+    case ValueKind::kOid: {
+      const OidView x = a.AsOid();
+      const OidView y = b.AsOid();
+      if (x.agent != y.agent) return x.agent < y.agent;
+      if (x.dbms != y.dbms) return x.dbms < y.dbms;
+      if (x.database != y.database) return x.database < y.database;
+      if (x.relation != y.relation) return x.relation < y.relation;
+      return x.number < y.number;
+    }
+    case ValueKind::kSet: {
+      const size_t n = a.set_size();
+      const size_t m = b.set_size();
+      for (size_t i = 0; i < n && i < m; ++i) {
+        const ValueHandle x = a.set_element(i);
+        const ValueHandle y = b.set_element(i);
+        if (HandleLess(x, y)) return true;
+        if (HandleLess(y, x)) return false;
+      }
+      return n < m;
+    }
+  }
+  return false;
+}
+
+std::uint64_t HashHandle(const ValueHandle& v) {
+  // HashValue's recipe (observable: skolem OIDs hash through it), over
+  // in-place reads.
+  std::uint64_t h = static_cast<std::uint64_t>(v.kind()) + 1;
+  switch (v.kind()) {
+    case ValueKind::kNull:
+      break;
+    case ValueKind::kBoolean:
+      h = HashCombine(h, v.AsBoolean() ? 1 : 0);
+      break;
+    case ValueKind::kInteger:
+      h = HashCombine(h, static_cast<std::uint64_t>(v.AsInteger()));
+      break;
+    case ValueKind::kReal:
+      h = HashCombine(h, RealBits(v.AsReal()));
+      break;
+    case ValueKind::kCharacter:
+      h = HashCombine(h, static_cast<std::uint64_t>(v.AsCharacter()));
+      break;
+    case ValueKind::kString:
+      h = HashCombine(h, HashString(v.AsString()));
+      break;
+    case ValueKind::kDate: {
+      const Date d = v.AsDate();
+      h = HashCombine(h, static_cast<std::uint64_t>(d.year) * 10000 +
+                             static_cast<std::uint64_t>(d.month) * 100 +
+                             static_cast<std::uint64_t>(d.day));
+      break;
+    }
+    case ValueKind::kOid:
+      h = HashCombine(h, HashOidView(v.AsOid()));
+      break;
+    case ValueKind::kSet:
+      for (size_t i = 0; i < v.set_size(); ++i) {
+        h = HashCombine(h, HashHandle(v.set_element(i)));
+      }
+      break;
+  }
+  return h;
 }
 
 // --- FactView --------------------------------------------------------------
@@ -275,11 +423,30 @@ ValueHandle FactView::Find(std::string_view name) const {
     auto it = fact_->attrs.find(std::string(name));
     return it == fact_->attrs.end() ? ValueHandle() : ValueHandle(&it->second);
   }
-  const std::uint32_t sym = store_->symbols_.Find(name);
-  if (sym == kNoId) return ValueHandle();
+  return FindSymbol(store_->symbols_.Find(name));
+}
+
+namespace {
+const Value kEmptyOidValue = Value::OfOid(Oid());
+}  // namespace
+
+ValueHandle FactView::oid_handle() const {
+  const std::uint32_t oid_id = store_->records_[local_].oid_id;
+  if (oid_id == kNoId) return ValueHandle(&kEmptyOidValue);
+  return ValueHandle(store_, FactStore::Pack(PackedTag::kOid, oid_id));
+}
+
+ValueHandle FactView::attr_name_handle(size_t i) const {
+  const auto& rec = store_->records_[local_];
+  return ValueHandle(store_, FactStore::Pack(PackedTag::kString,
+                                             store_->attr_names_[rec.attr_begin + i]));
+}
+
+ValueHandle FactView::FindSymbol(std::uint32_t symbol) const {
+  if (symbol == kNoId) return ValueHandle();
   const auto& rec = store_->records_[local_];
   for (std::uint32_t i = 0; i < rec.attr_count; ++i) {
-    if (store_->attr_names_[rec.attr_begin + i] == sym) {
+    if (store_->attr_names_[rec.attr_begin + i] == symbol) {
       return ValueHandle(store_, store_->attr_values_[rec.attr_begin + i]);
     }
   }
@@ -499,51 +666,6 @@ Value FactStore::DecodeValue(PackedValue v) const {
     }
   }
   return Value::Null();
-}
-
-bool FactStore::PackedEqualsValue(PackedValue a, const Value& b) const {
-  if (KindOfTag(TagOf(a)) != b.kind()) return false;
-  switch (TagOf(a)) {
-    case PackedTag::kNull:
-      return true;
-    case PackedTag::kBool:
-      return (PayloadOf(a) != 0) == b.AsBoolean();
-    case PackedTag::kChar:
-      return static_cast<char>(static_cast<unsigned char>(PayloadOf(a))) ==
-             b.AsCharacter();
-    case PackedTag::kIntInline:
-    case PackedTag::kIntBoxed:
-      return DecodeInt(a) == b.AsInteger();
-    case PackedTag::kReal:
-      // IEEE semantics (Value::operator== parity): NaN != NaN even
-      // against itself; -0.0 == 0.0 across distinct pool ids.
-      return reals_[PayloadOf(a)] == b.AsReal();
-    case PackedTag::kString:
-      return symbols_.view(PayloadOf(a)) == b.AsString();
-    case PackedTag::kDateInline:
-    case PackedTag::kDateBoxed:
-      return DecodeDate(a) == b.AsDate();
-    case PackedTag::kOid: {
-      const PackedOid& p = oids_[PayloadOf(a)];
-      const Oid& o = b.AsOid();
-      return p.number == o.number() && symbols_.view(p.agent) == o.agent() &&
-             symbols_.view(p.dbms) == o.dbms() &&
-             symbols_.view(p.database) == o.database() &&
-             symbols_.view(p.relation) == o.relation();
-    }
-    case PackedTag::kSet: {
-      const auto& run = set_runs_[PayloadOf(a)];
-      const std::vector<Value>& elements = b.AsSet();
-      if (run.second != elements.size()) return false;
-      for (std::uint32_t i = 0; i < run.second; ++i) {
-        if (!PackedEqualsValue(set_elements_[run.first + i], elements[i])) {
-          return false;
-        }
-      }
-      return true;
-    }
-  }
-  return false;
 }
 
 bool FactStore::PackedEqualsPacked(PackedValue a, PackedValue b) const {
@@ -960,7 +1082,7 @@ bool FactStore::EquivalentAttrs(FactId id, const Fact& fact) const {
   std::uint32_t i = 0;
   for (const auto& [name, value] : fact.attrs) {
     if (symbols_.view(attr_names_[rec.attr_begin + i]) != name) return false;
-    if (!PackedEqualsValue(attr_values_[rec.attr_begin + i], value)) {
+    if (!ValueHandle(this, attr_values_[rec.attr_begin + i]).Equals(value)) {
       return false;
     }
     ++i;

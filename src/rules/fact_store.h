@@ -21,7 +21,7 @@ namespace ooint {
 /// numbers both fixpoint strategies assign), so its definition is part
 /// of the observable output and must not change.
 std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t v);
-std::uint64_t HashString(const std::string& s);
+std::uint64_t HashString(std::string_view s);
 std::uint64_t HashOid(const Oid& oid);
 std::uint64_t HashValue(const Value& value);
 /// Hash of (concept, attrs) — the Fact::AttrKey() identity.
@@ -60,10 +60,26 @@ enum class PackedTag : std::uint8_t {
   kSet = 10,       // set-run index (contiguous elements, order kept)
 };
 
+/// The components of an OID, read in place (ValueHandle::AsOid).
+struct OidView {
+  std::string_view agent;
+  std::string_view dbms;
+  std::string_view database;
+  std::string_view relation;
+  std::uint64_t number = 0;
+};
+
 /// A value either materialized (a Value somewhere stable) or packed in
-/// a FactStore. The matcher compares, inspects and selectively
-/// materializes through this handle so packed facts are matched without
-/// ever rebuilding their std::map representation.
+/// a FactStore. The matcher binds, compares and inspects through this
+/// handle, and answer rows travel as handles until they leave the
+/// result pipeline, so packed facts are matched and ranked without
+/// rebuilding their values.
+///
+/// A packed handle reads its own layer's dictionaries, so it stays valid
+/// while that store is neither cleared nor destroyed (inserts only
+/// append). Equality and order (HandlesEqual, HandleLess below) are
+/// Value's, whatever backs each side: dictionary ids decide equality
+/// only between two handles of one layer, and never decide order.
 class ValueHandle {
  public:
   ValueHandle() = default;  // invalid (attribute absent)
@@ -79,6 +95,15 @@ class ValueHandle {
   size_t set_size() const;
   ValueHandle set_element(size_t i) const;
 
+  /// Typed reads in place; kind() must be the accessor's kind.
+  bool AsBoolean() const;
+  std::int64_t AsInteger() const;
+  double AsReal() const;
+  char AsCharacter() const;
+  std::string_view AsString() const;
+  Date AsDate() const;
+  OidView AsOid() const;
+
   /// Exact Value::operator== semantics (IEEE for reals, ordered
   /// element-wise for sets) without materializing.
   bool Equals(const Value& other) const;
@@ -88,10 +113,20 @@ class ValueHandle {
   Oid MaterializeOid() const;
 
  private:
+  friend bool HandlesEqual(const ValueHandle& a, const ValueHandle& b);
+
   const Value* value_ = nullptr;
   const FactStore* store_ = nullptr;
   PackedValue packed_ = 0;
 };
+
+/// Materialize(a) == Materialize(b), without materializing.
+bool HandlesEqual(const ValueHandle& a, const ValueHandle& b);
+/// Materialize(a) < Materialize(b) (Value's kind-major order; strings
+/// and OID components by content), without materializing.
+bool HandleLess(const ValueHandle& a, const ValueHandle& b);
+/// HashValue(Materialize(v)), without materializing.
+std::uint64_t HashHandle(const ValueHandle& v);
 
 /// A fact either materialized (a Fact somewhere stable, e.g. the
 /// top-down evaluator's memo rows) or packed in a FactStore. This is
@@ -116,6 +151,17 @@ class FactView {
   ValueHandle attr_value(size_t i) const;
   /// Invalid handle when the fact has no attribute named `name`.
   ValueHandle Find(std::string_view name) const;
+
+  /// The store layer a packed view reads; null for a materialized Fact.
+  const FactStore* layer() const { return store_; }
+  /// Packed views only (layer() != null). The fact's OID: the `kOid`
+  /// word of its layer, or an empty OID's value for a fact without one.
+  ValueHandle oid_handle() const;
+  /// Attribute i's name as a string handle on the layer's symbol.
+  ValueHandle attr_name_handle(size_t i) const;
+  /// The attribute named by symbol `symbol` of layer() (see
+  /// FactStore::FindSymbol); invalid when the fact lacks it.
+  ValueHandle FindSymbol(std::uint32_t symbol) const;
 
  private:
   const Fact* fact_ = nullptr;
@@ -177,6 +223,11 @@ class FactStore {
   /// Returns the id of `name`, or kNoConcept if it was never interned.
   ConceptId FindConcept(const std::string& name) const;
   const std::string& ConceptName(ConceptId id) const;
+  /// The symbol id of `name` in this layer's pool, or kNoId when no
+  /// fact of this layer can carry it (FactView::FindSymbol).
+  std::uint32_t FindSymbol(std::string_view name) const {
+    return symbols_.Find(name);
+  }
   size_t concept_count() const { return concept_symbols_.size(); }
 
   /// Inserts `fact` unless an identical fact (concept, oid, attrs) is
@@ -301,6 +352,7 @@ class FactStore {
  private:
   friend class ValueHandle;
   friend class FactView;
+  friend bool HandlesEqual(const ValueHandle& a, const ValueHandle& b);
 
   struct PackedOid {
     std::uint32_t agent;
@@ -344,7 +396,6 @@ class FactStore {
   std::int64_t DecodeInt(PackedValue v) const;
   Date DecodeDate(PackedValue v) const;
 
-  bool PackedEqualsValue(PackedValue a, const Value& b) const;
   bool PackedEqualsPacked(PackedValue a, PackedValue b) const;
 
   /// Identity digest of a packed value: exact on dictionary ids,

@@ -795,6 +795,7 @@ Status IncrementalEvaluator::SolveSeeded(
   std::set<std::string> bound;
   for (const auto& [var, value] : seed) bound.insert(var);
   const BodyPlan plan = ev_->ComputePlan(rule, -1, -1, std::move(bound));
+  const std::vector<CompiledOTerm> compiled = Evaluator::CompileBody(rule);
   Evaluator::JoinContext ctx;
   ctx.rule = &rule;
   ctx.plan = &plan;
@@ -808,7 +809,7 @@ Status IncrementalEvaluator::SolveSeeded(
   Evaluator::Solution init;
   init.bindings = seed;
   init.matched.assign(rule.body.size(), FactView());
-  return ev_->SolveBody(matcher, ctx, 0, std::move(init), solutions);
+  return ev_->SolveBody(matcher, ctx, compiled, 0, std::move(init), solutions);
 }
 
 void IncrementalEvaluator::MatchingFacts(
@@ -817,15 +818,18 @@ void IncrementalEvaluator::MatchingFacts(
   const ConceptId concept_id = store().FindConcept(literal.concept_name());
   if (concept_id == kNoConcept) return;
   const FactMatcher matcher = ev_->MakeMatcher();
+  const CompiledOTerm pattern(literal.oterm);
+  MatchFrame frame;
+  frame.Reset(&pattern, &bindings);
   const size_t count = store().CountOf(concept_id);
   for (std::uint32_t ordinal = 0; ordinal < count; ++ordinal) {
     const FactId id = store().IdAt(concept_id, ordinal);
     if (id >= world.size() || world[id] == 0) continue;
     const FactView view = store().ViewAt(concept_id, ordinal);
     if (literal.kind == Literal::Kind::kOTerm) {
-      std::vector<Bindings> matches;
-      matcher.MatchOTerm(literal.oterm, view, bindings, &matches);
-      if (!matches.empty()) out->push_back(id);
+      bool matched = false;
+      matcher.Match(view, &frame, [&](const MatchFrame&) { matched = true; });
+      if (matched) out->push_back(id);
       continue;
     }
     Bindings scratch = bindings;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "rules/columnar.h"
+#include "rules/matcher.h"
 
 namespace ooint {
 
@@ -25,17 +26,19 @@ struct JoinKernelStats {
 
 /// Reusable join scratch: one per fixpoint driver (evaluator,
 /// incremental engine, query). Holds the
-/// per-recursion-depth candidate vectors SolveBody materializes into —
-/// so a rule with a k-literal body costs k vector allocations per
-/// *driver*, not per solution row — plus the run buffers the kernels
-/// intersect in. Not thread-safe; each concurrent driver owns its own.
+/// per-recursion-depth candidate vectors SolveBody materializes into and
+/// its per-depth match frames — so a rule with a k-literal body costs k
+/// vector allocations per *driver*, not per solution row — plus the run
+/// buffers the kernels intersect in. Not thread-safe; each concurrent
+/// driver owns its own.
 class JoinScratch {
  public:
-  /// Pre-sizes the depth pool. Must be called before CandidatesAt so
-  /// outer recursion frames' references survive inner frames (the pool
-  /// never reallocates mid-solve).
+  /// Pre-sizes the depth pools. Must be called before CandidatesAt and
+  /// FrameAt so outer recursion frames' references survive inner frames
+  /// (the pools never reallocate mid-solve).
   void EnsureDepths(size_t n) {
     if (depths_.size() < n) depths_.resize(n);
+    if (frames_.size() < n) frames_.resize(n);
   }
 
   /// The candidate buffer of recursion depth `depth` (cleared by the
@@ -46,6 +49,14 @@ class JoinScratch {
     return depths_[depth];
   }
 
+  /// The match frame of recursion depth `depth` (the caller Resets
+  /// it); reused like the candidate buffers, so a solve binds without
+  /// allocating once the frames have grown.
+  MatchFrame& FrameAt(size_t depth) {
+    if (depth >= frames_.size()) frames_.resize(depth + 1);
+    return frames_[depth];
+  }
+
   /// Kernel temporaries — valid only within one CollectCandidates call
   /// (never across recursion).
   std::vector<std::uint32_t> run;
@@ -54,6 +65,7 @@ class JoinScratch {
 
  private:
   std::vector<std::vector<std::uint32_t>> depths_;
+  std::vector<MatchFrame> frames_;
 };
 
 /// First index i in [from, size) with data[i] >= target, located by

@@ -126,9 +126,14 @@ Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
     if (literal.kind == Literal::Kind::kOTerm) {
       ++stats_.joins;
       const std::vector<Fact>& facts = body_facts[literal.oterm.class_name];
+      const CompiledOTerm pattern(literal.oterm);
+      MatchFrame frame;
       for (const Bindings& bindings : solutions) {
+        frame.Reset(&pattern, &bindings);
         for (const Fact& fact : facts) {
-          matcher.MatchOTerm(literal.oterm, fact, bindings, &next);
+          matcher.Match(FactView(&fact), &frame, [&](const MatchFrame& match) {
+            next.push_back(match.ToBindings());
+          });
         }
       }
     } else if (literal.kind == Literal::Kind::kCompare) {

@@ -457,35 +457,74 @@ TEST_F(ServingCursorTest, CursorRacesApplyDeltaCleanly) {
   options.live_updates = true;
   ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, options));
   const Query query = UncleQuery(client);
+  // Every child of every parent: a set-valued attribute matched
+  // element-wise, streamed one row per page, so rows (and the dedup
+  // store's handles) cross page boundaries while deltas land.
+  Query children(ValueOrDie(client.GlobalNameOf("S1", "parent")));
+  children.Select("children", "kid");
+  ServingOptions one_per_page;
+  one_per_page.page_size = 1;
+  // A top-k cursor: the heap holds handle rows until its pages are built.
+  ServingOptions top_k;
+  top_k.page_size = 2;
+  top_k.order_by = "kid";
+  top_k.limit = 5;
+  const RowOrder order{top_k.order_by, top_k.descending};
 
   std::atomic<bool> stop{false};
   std::atomic<int> anomalies{0};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      Result<std::unique_ptr<ServingCursor>> cursor = client.OpenCursor(query);
-      if (!cursor.ok()) {
-        anomalies.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      while (true) {
-        const Result<Page> page = cursor.value()->NextPage();
-        if (!page.ok()) {
-          // The only acceptable failure is the documented epoch expiry.
-          if (page.status().code() != StatusCode::kFailedPrecondition) {
-            anomalies.fetch_add(1, std::memory_order_relaxed);
-          }
-          break;
-        }
-        if (!page.value().has_more) break;
-      }
+  std::atomic<int> unsorted{0};
+  std::atomic<int> pages_read{0};
+  // Reads every page of one cursor; every failure must be the
+  // documented epoch error.
+  const auto read = [&](const Query& q, const ServingOptions& serving,
+                        bool sorted) {
+    Result<std::unique_ptr<ServingCursor>> cursor =
+        client.OpenCursor(q, serving);
+    if (!cursor.ok()) {
+      anomalies.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
+    std::vector<Bindings> rows;
+    while (true) {
+      const Result<Page> page = cursor.value()->NextPage();
+      if (!page.ok()) {
+        if (page.status().code() != StatusCode::kFailedPrecondition ||
+            page.status().message().find("epoch") == std::string::npos) {
+          anomalies.fetch_add(1, std::memory_order_relaxed);
+        }
+        return;
+      }
+      pages_read.fetch_add(1, std::memory_order_relaxed);
+      const std::vector<Bindings>& page_rows = page.value().rows;
+      if (sorted && !std::is_sorted(page_rows.begin(), page_rows.end(), order)) {
+        unsorted.fetch_add(1, std::memory_order_relaxed);
+      }
+      rows.insert(rows.end(), page_rows.begin(), page_rows.end());
+      if (!page.value().has_more) break;
+    }
+    if (sorted && !std::is_sorted(rows.begin(), rows.end(), order)) {
+      unsorted.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::atomic<bool> reading{false};
+  std::thread reader([&] {
+    do {
+      read(query, ServingOptions(), false);
+      read(children, one_per_page, false);
+      read(query, top_k, true);
+      reading.store(true, std::memory_order_release);
+    } while (!stop.load(std::memory_order_acquire));
   });
+  while (!reading.load(std::memory_order_acquire)) std::this_thread::yield();
   for (size_t family = 50; family < 58; ++family) {
     ASSERT_OK(client.ApplyDelta(AddFamily(family)));
   }
   stop.store(true, std::memory_order_release);
   reader.join();
   EXPECT_EQ(anomalies.load(), 0);
+  EXPECT_EQ(unsorted.load(), 0);
+  EXPECT_GT(pages_read.load(), 0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -9,6 +10,7 @@
 #include "common/admission.h"
 #include "common/cancel.h"
 #include "common/string_util.h"
+#include "common/topk.h"
 #include "federation/agent_connection.h"
 #include "federation/explain.h"
 #include "federation/fault_injector.h"
@@ -1605,7 +1607,11 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
     // compared against the *same client's* Run answer, which shares the
     // cached demand snapshot, so the properties hold whatever the
     // faults removed. Page sizes are seed-drawn so boundaries land in
-    // arbitrary places (including exactly-full last pages).
+    // arbitrary places (including exactly-full last pages). A
+    // materialized client repeats the checks on rows whose handles read
+    // a base segment and its overlay, and pages one selected attribute
+    // projected, distinct and ranked, against that client's Run rows
+    // projected, de-duplicated and ranked as Bindings.
     outcome.ran.insert(OracleFamily::kServing);
     {
       auto row_key = [](const Bindings& row) {
@@ -1710,6 +1716,92 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
         }
       };
 
+      // The materialized leg's projected checks: the goal's `attr` as
+      // variable "v", paged distinct and ranked by "v".
+      auto check_projected = [&](const FsmClient& client, std::uint64_t k,
+                                 const std::string& goal,
+                                 const std::string& attr) {
+        Query query(goal);
+        query.Select(attr, "v");
+        const Result<std::vector<Bindings>> whole = client.Run(query);
+        if (!whole.ok()) {
+          outcome.failures.push_back(StrCat("serving: materialized Run on ",
+                                            goal, ".", attr, " failed: ",
+                                            whole.status().ToString()));
+          return;
+        }
+        std::vector<Bindings> projected;
+        for (const Bindings& row : whole.value()) {
+          Bindings p;
+          auto v = row.find("v");
+          if (v != row.end()) p.emplace("v", v->second);
+          projected.push_back(std::move(p));
+        }
+        ServingOptions options;
+        options.page_size = 1 + Draw(c.seed, 202 + k) % 4;
+        options.project = {"v"};
+        std::vector<Bindings> paged;
+        Result<std::unique_ptr<ServingCursor>> cursor =
+            client.OpenCursor(query, options);
+        if (!cursor.ok() || !drain(cursor.value().get(), "materialized",
+                                   goal, projected.size(), &paged)) {
+          if (!cursor.ok()) {
+            outcome.failures.push_back(StrCat(
+                "serving: materialized projected OpenCursor on ", goal,
+                " failed: ", cursor.status().ToString()));
+          }
+          return;
+        }
+        const std::multiset<std::string> want_keys = RowKeys(projected);
+        const std::set<std::string> distinct_keys(want_keys.begin(),
+                                                  want_keys.end());
+        const std::multiset<std::string> got_keys = RowKeys(paged);
+        if (got_keys != std::multiset<std::string>(distinct_keys.begin(),
+                                                   distinct_keys.end())) {
+          outcome.failures.push_back(StrCat(
+              "serving: materialized distinct projection of ", goal, ".",
+              attr, " paged ", paged.size(), " rows vs ",
+              distinct_keys.size(), " distinct projected Run rows"));
+        }
+        options.order_by = "v";
+        options.limit = 1 + Draw(c.seed, 208 + k) % 4;
+        options.descending = Draw(c.seed, 214 + k) % 2 == 1;
+        const RowOrder order{options.order_by, options.descending};
+        BoundedTopK<Bindings, RowOrder> reference(options.limit, order,
+                                                  /*dedup=*/true);
+        for (const Bindings& row : projected) reference.Push(row);
+        const std::vector<Bindings> want = reference.TakeSorted();
+        std::vector<Bindings> ranked;
+        cursor = client.OpenCursor(query, options);
+        if (!cursor.ok() || !drain(cursor.value().get(), "materialized",
+                                   goal, options.limit, &ranked)) {
+          if (!cursor.ok()) {
+            outcome.failures.push_back(StrCat(
+                "serving: materialized top-k OpenCursor on ", goal,
+                " failed: ", cursor.status().ToString()));
+          }
+          return;
+        }
+        bool same = ranked.size() == want.size();
+        for (size_t i = 0; same && i < want.size(); ++i) {
+          same = row_key(ranked[i]) == row_key(want[i]);
+        }
+        if (!same) {
+          outcome.failures.push_back(StrCat(
+              "serving: materialized top-", options.limit, " of ", goal, ".",
+              attr, " by v (descending=", options.descending,
+              ") differs from the ranked projected Run rows"));
+        }
+      };
+
+      FsmClient materialized_client(&federation.fsm);
+      const Status materialized_connect = materialized_client.Connect();
+      if (!materialized_connect.ok()) {
+        outcome.failures.push_back(
+            StrCat("serving: materialized client failed to connect: ",
+                   materialized_connect.ToString()));
+      }
+
       FsmClient serving_client(&federation.fsm);
       FederationOptions serving_options;
       serving_options.query_mode = QueryMode::kDemandDriven;
@@ -1742,6 +1834,13 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
           Query query(goal);
           query.Where(bind_attr, bind_value);
           check_serving(serving_client, "fault-free", k, goal, query);
+          if (materialized_connect.ok()) {
+            check_serving(materialized_client, "materialized", k, goal, query);
+            const auto& attrs = sample->attrs;
+            auto selected = attrs.begin();
+            std::advance(selected, Draw(c.seed, 220 + k) % attrs.size());
+            check_projected(materialized_client, k, goal, selected->first);
+          }
 
           if (c.fault_rate > 0.0) {
             FaultInjector injector(Draw(c.fault_seed, 196 + k),

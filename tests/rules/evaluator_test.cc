@@ -340,7 +340,7 @@ TEST(EvaluatorTest, QueryReturnsEqualRowsOnceInFirstOccurrenceOrder) {
         ValueOrDie(evaluator.OpenQueryStream(pattern));
     std::vector<Bindings> rows;
     Bindings row;
-    while (stream->Next(&row)) rows.push_back(row);
+    while (stream->NextBindings(&row)) rows.push_back(row);
     return rows;
   };
   const Value oid1 = Value::OfOid(Oid("agent", "ooint", "db", "c", 1));

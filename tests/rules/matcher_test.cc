@@ -3,15 +3,21 @@
 // exactly the order, of the copying matcher it replaced — kept below as
 // the reference — through packed FactStore views and materialized Facts
 // alike. Hand-built cases pin each feature of O-term matching; a seeded
-// sweep draws random patterns, facts and starting bindings. The last
-// case runs Query and drains OpenQueryStream from four threads on one
-// evaluated federation, since every match now mutates a working frame.
+// sweep draws random patterns, facts and starting bindings. A second
+// sweep drains the query stream's handle rows over a two-layer store (a
+// segment plus an overlay), de-duplicates them as Query does and ranks
+// them through a top-k pipeline, against the reference's Bindings. The
+// last case runs Query and drains OpenQueryStream from four threads on
+// one evaluated federation, since every match now mutates a working
+// frame.
 
 #include "rules/matcher.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -20,6 +26,7 @@
 #include <vector>
 
 #include "assertions/parser.h"
+#include "common/topk.h"
 #include "datamap/data_mapping.h"
 #include "rules/evaluator.h"
 #include "rules/fact_store.h"
@@ -233,7 +240,12 @@ class World {
     std::vector<Bindings> expected = {bindings};
     std::vector<Bindings> actual = {bindings};
     reference.MatchOTerm(pattern, fact, bindings, &expected);
-    matcher.MatchOTerm(pattern, fact, bindings, &actual);
+    const CompiledOTerm compiled(pattern);
+    MatchFrame frame;
+    frame.Reset(&compiled, &bindings);
+    matcher.Match(fact, &frame, [&](const MatchFrame& match) {
+      actual.push_back(match.ToBindings());
+    });
     EXPECT_EQ(actual, expected)
         << pattern.ToString() << "\nreference:\n"
         << RowsToString(expected) << "in place:\n"
@@ -382,7 +394,9 @@ TEST_F(MatcherFeatureTest, OidIdentityThroughTheMappingRegistry) {
 /// so that repeats, name/value collisions and OID identities are common.
 class RandomWorld {
  public:
-  explicit RandomWorld(std::uint64_t seed) : rng_(seed) {}
+  /// `all_reals` adds 0.0 and NaN to the reals drawn (0.5 and -0.0).
+  explicit RandomWorld(std::uint64_t seed, bool all_reals = false)
+      : rng_(seed), all_reals_(all_reals) {}
 
   Value DrawScalar() {
     switch (Pick(4)) {
@@ -393,6 +407,11 @@ class RandomWorld {
       case 2:
         return Value::OfOid(MakeOid(Pick(3) == 0 ? "twin" : "d", Pick(3)));
       default:
+        if (all_reals_) {
+          static constexpr double kReals[] = {
+              0.5, -0.0, 0.0, std::numeric_limits<double>::quiet_NaN()};
+          return Value::Real(kReals[Pick(4)]);
+        }
         return Value::Real(Pick(2) == 0 ? 0.5 : -0.0);
     }
   }
@@ -461,6 +480,7 @@ class RandomWorld {
 
  private:
   std::mt19937_64 rng_;
+  bool all_reals_;
 };
 
 TEST(MatcherDifferentialTest, SeededPatternsMatchTheCopyingReference) {
@@ -488,6 +508,160 @@ TEST(MatcherDifferentialTest, SeededPatternsMatchTheCopyingReference) {
   }
   // The sweep must exercise matching, not only mismatches.
   EXPECT_GT(rows_total, 1000u);
+}
+
+/// The C facts and D targets split over a segment and an overlay (the
+/// demand sub-evaluator's shape). The overlay also re-states segment C
+/// facts under their own OIDs with one more attribute, so one pattern
+/// binds equal rows in both layers, and Query-style de-duplication has
+/// to see equal values across the two layers' dictionaries.
+class LayeredWorld {
+ public:
+  LayeredWorld(const std::vector<Fact>& segment_facts,
+               const std::vector<Fact>& overlay_facts,
+               const std::vector<Fact>& targets) {
+    auto segment = std::make_shared<FactStore>();
+    for (const Fact& f : segment_facts) segment->Insert(f);
+    for (size_t i = 0; i < targets.size(); i += 2) segment->Insert(targets[i]);
+    overlay_.AttachSegment(std::move(segment));
+    for (const Fact& f : overlay_facts) overlay_.Insert(f);
+    for (size_t i = 1; i < targets.size(); i += 2) overlay_.Insert(targets[i]);
+  }
+
+  DataMappingRegistry* mappings() { return &mappings_; }
+  const FactStore& store() const { return overlay_; }
+
+  FactMatcher::OidResolver Resolver() const {
+    return [this](const Oid& oid) { return overlay_.ViewByOid(oid); };
+  }
+
+  /// Every C ordinal, in order: the scan a query without a probe makes.
+  std::vector<std::uint32_t> Ordinals() const {
+    std::vector<std::uint32_t> ordinals(overlay_.CountOf(Concept()));
+    for (std::uint32_t i = 0; i < ordinals.size(); ++i) ordinals[i] = i;
+    return ordinals;
+  }
+  ConceptId Concept() const { return overlay_.FindConcept("C"); }
+
+  /// The copying reference's rows over the same views, in ordinal order.
+  std::vector<Bindings> ReferenceRows(const OTerm& pattern) const {
+    const CopyingMatcher reference(Resolver(), &mappings_);
+    std::vector<Bindings> rows;
+    for (const std::uint32_t ordinal : Ordinals()) {
+      reference.MatchOTerm(pattern, overlay_.ViewAt(Concept(), ordinal), {},
+                           &rows);
+    }
+    return rows;
+  }
+
+  QueryStream Stream(const OTerm& pattern) const {
+    return QueryStream(pattern, FactMatcher(Resolver(), &mappings_),
+                       &overlay_, nullptr, Concept(), Ordinals());
+  }
+
+ private:
+  FactStore overlay_;
+  DataMappingRegistry mappings_;
+};
+
+/// Query's de-duplication over Bindings, as the evaluator kept it before
+/// rows became handles: a row is dropped when a kept row has the same
+/// digest and compares equal.
+std::vector<Bindings> ReferenceDistinct(const std::vector<Bindings>& rows) {
+  std::vector<Bindings> kept;
+  std::vector<std::uint64_t> digests;
+  for (const Bindings& row : rows) {
+    std::uint64_t digest = 0;
+    for (const auto& [var, value] : row) {
+      digest = HashCombine(digest, HashString(var));
+      digest = HashCombine(digest, HashValue(value));
+    }
+    bool seen = false;
+    for (size_t k = 0; k < kept.size() && !seen; ++k) {
+      seen = digests[k] == digest && kept[k] == row;
+    }
+    if (seen) continue;
+    kept.push_back(row);
+    digests.push_back(digest);
+  }
+  return kept;
+}
+
+TEST(MatcherDifferentialTest, StreamRowsOverTwoLayersMatchTheReference) {
+  size_t rows_total = 0;
+  size_t deduped_total = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    RandomWorld draw(seed, /*all_reals=*/true);
+    std::vector<Fact> segment_facts;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      segment_facts.push_back(MakeFact("C", MakeOid("c", i), draw.DrawAttrs()));
+    }
+    std::vector<Fact> overlay_facts;
+    for (std::uint64_t i = 0; i < 2; ++i) {
+      Fact restated = segment_facts[draw.Pick(segment_facts.size())];
+      restated.attrs["s"] = draw.DrawValue();
+      overlay_facts.push_back(std::move(restated));
+    }
+    overlay_facts.push_back(MakeFact("C", MakeOid("c", 3), draw.DrawAttrs()));
+    std::vector<Fact> targets;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      targets.push_back(MakeFact("D", MakeOid("d", i), draw.DrawAttrs()));
+    }
+    LayeredWorld world(segment_facts, overlay_facts, targets);
+    world.mappings()->DeclareSameObject(MakeOid("twin", 1), MakeOid("d", 1));
+    world.mappings()->DeclareSameObject(MakeOid("alias", 2), MakeOid("c", 2));
+    for (int p = 0; p < 24; ++p) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " pattern " << p);
+      const OTerm pattern = draw.DrawPattern();
+      const std::vector<Bindings> expected = world.ReferenceRows(pattern);
+
+      // The stream's rows, materialized as Page rows are.
+      QueryStream stream = world.Stream(pattern);
+      std::vector<Bindings> streamed;
+      Bindings row;
+      while (stream.NextBindings(&row)) streamed.push_back(row);
+      ASSERT_EQ(RowsToString(streamed), RowsToString(expected))
+          << pattern.ToString();
+
+      // Query's drain: distinct handle rows, built only at the end.
+      QueryStream again = world.Stream(pattern);
+      DistinctRows distinct(&again.vars());
+      const ValueHandle* cells = nullptr;
+      while (again.Next(&cells)) distinct.Insert(cells);
+      const std::vector<Bindings> kept = distinct.TakeRows();
+      ASSERT_EQ(RowsToString(kept), RowsToString(ReferenceDistinct(expected)))
+          << pattern.ToString();
+
+      // A distinct top-3 cursor over the stream ranks handle rows from
+      // both layers as RowOrder ranks their Bindings.
+      if (!again.vars().empty()) {
+        PipelineSpec spec;
+        spec.distinct = true;
+        spec.order_by = again.vars()[seed % again.vars().size()];
+        spec.descending = p % 2 == 1;
+        spec.limit = 3;
+        const RowOrder order{spec.order_by, spec.descending};
+        BoundedTopK<Bindings, RowOrder> reference(spec.limit, order);
+        for (const Bindings& r : expected) reference.Push(r);
+        ResultPipeline pipeline(
+            std::make_unique<QueryStream>(pattern,
+                                          FactMatcher(world.Resolver(),
+                                                      world.mappings()),
+                                          &world.store(), nullptr,
+                                          world.Concept(), world.Ordinals()),
+            spec);
+        std::vector<Bindings> ranked;
+        while (pipeline.Next(&row)) ranked.push_back(row);
+        ASSERT_EQ(RowsToString(ranked), RowsToString(reference.TakeSorted()))
+            << pattern.ToString() << " by " << spec.order_by;
+      }
+      rows_total += expected.size();
+      deduped_total += expected.size() - kept.size();
+    }
+  }
+  // The sweep must match rows, and equal rows across the layers.
+  EXPECT_GT(rows_total, 1000u);
+  EXPECT_GT(deduped_total, 100u);
 }
 
 /// A genealogy federation evaluated once, then read from four threads.
@@ -529,7 +703,7 @@ TEST(MatcherConcurrencyTest, ConcurrentQueriesAndStreamsOnOneFederation) {
         evaluator.OpenQueryStream(pattern);
     if (!stream.ok()) return rows;
     Bindings row;
-    while (stream.value()->Next(&row)) rows.push_back(row);
+    while (stream.value()->NextBindings(&row)) rows.push_back(row);
     return rows;
   };
   std::vector<std::vector<Bindings>> answers;

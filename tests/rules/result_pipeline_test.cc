@@ -2,19 +2,26 @@
 // filter → project → distinct → sort/limit composition, the bounded
 // top-k heap (exact distinct top-k in O(k) memory), the total row
 // order the sort stage relies on, and the peak-held-bytes memory
-// accounting the E17 experiment reads.
+// accounting the E17 experiment reads. The pipeline ranks and
+// de-duplicates handle rows and builds only the rows it emits; a seeded
+// sweep holds it to the all-Bindings pipeline it replaced, kept below
+// as the reference, over Value-backed and two-layer packed sources.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "common/topk.h"
+#include "rules/fact_store.h"
 #include "rules/result_pipeline.h"
 
 namespace ooint {
@@ -26,10 +33,10 @@ Bindings Row(std::initializer_list<std::pair<std::string, Value>> pairs) {
   return row;
 }
 
-std::vector<Bindings> Drain(RowSource* source) {
+std::vector<Bindings> Drain(ResultPipeline* pipeline) {
   std::vector<Bindings> rows;
   Bindings row;
-  while (source->Next(&row)) rows.push_back(row);
+  while (pipeline->Next(&row)) rows.push_back(row);
   return rows;
 }
 
@@ -504,6 +511,420 @@ TEST(PipelineSortTest, ServeLiveShapedTopKMatchesTheWholeSort) {
       EXPECT_EQ(got.peak_held_bytes, want.peak_held_bytes);
     }
   }
+}
+
+/// The pipeline before rows became handles: every row a Bindings from
+/// the source on, projected by moving map nodes, de-duplicated by a
+/// digest map verified by Bindings equality and ranked by RowOrder —
+/// the reference for rows and every PipelineStats field.
+class BindingsPipeline {
+ public:
+  BindingsPipeline(const std::vector<Bindings>* rows, PipelineSpec spec)
+      : rows_(rows), spec_(std::move(spec)) {}
+
+  const PipelineStats& stats() const { return stats_; }
+
+  bool Next(Bindings* row) {
+    if (exhausted_) return false;
+    if (spec_.limit > 0 && emitted_ >= spec_.limit) {
+      exhausted_ = true;
+      return false;
+    }
+    if (!spec_.order_by.empty()) {
+      if (!sorted_ready_) Sort();
+      if (sorted_index_ >= sorted_.size()) {
+        exhausted_ = true;
+        return false;
+      }
+      *row = std::move(sorted_[sorted_index_++]);
+      ++emitted_;
+      ++stats_.rows_out;
+      return true;
+    }
+    Bindings candidate;
+    while (PullTransformed(&candidate)) {
+      if (spec_.distinct && !DedupAdmit(candidate)) {
+        ++stats_.rows_deduped;
+        continue;
+      }
+      if (!spec_.distinct) {
+        const size_t bytes = ApproxBindingsBytes(candidate);
+        HoldBytes(bytes);
+        ReleaseBytes(bytes);
+      }
+      *row = std::move(candidate);
+      ++emitted_;
+      ++stats_.rows_out;
+      return true;
+    }
+    exhausted_ = true;
+    return false;
+  }
+
+ private:
+  struct HeldRow {
+    Bindings row;
+    size_t bytes = 0;
+  };
+  struct HeldRowOrder {
+    RowOrder order;
+    bool operator()(const HeldRow& a, const HeldRow& b) const {
+      return order(a.row, b.row);
+    }
+  };
+
+  void Sort() {
+    using HeldTopK = BoundedTopK<HeldRow, HeldRowOrder>;
+    const bool heap_dedup = spec_.distinct && spec_.limit > 0;
+    HeldTopK topk(spec_.limit,
+                  HeldRowOrder{RowOrder{spec_.order_by, spec_.descending}},
+                  heap_dedup);
+    const auto charge = [&](HeldRow& kept) {
+      if (!heap_dedup) return;
+      kept.bytes = ApproxBindingsBytes(kept.row);
+      HoldBytes(kept.bytes);
+    };
+    HeldRow incoming;
+    HeldRow displaced;
+    while (PullTransformed(&incoming.row)) {
+      if (spec_.distinct && !heap_dedup && !DedupAdmit(incoming.row)) {
+        ++stats_.rows_deduped;
+        continue;
+      }
+      switch (topk.Push(std::move(incoming), &displaced, charge)) {
+        case HeldTopK::Offer::kKept:
+          break;
+        case HeldTopK::Offer::kKeptEvicted:
+          ReleaseBytes(displaced.bytes);
+          break;
+        case HeldTopK::Offer::kDuplicate:
+          ++stats_.rows_deduped;
+          break;
+        case HeldTopK::Offer::kRejected:
+          break;
+      }
+    }
+    stats_.heap_evictions = topk.evictions();
+    for (HeldRow& h : topk.TakeSorted()) {
+      if (!heap_dedup && !spec_.distinct) HoldBytes(ApproxBindingsBytes(h.row));
+      sorted_.push_back(std::move(h.row));
+    }
+    sorted_ready_ = true;
+  }
+
+  bool PassesFilters(const Bindings& row) const {
+    for (const RowFilter& filter : spec_.filters) {
+      const auto it = row.find(filter.var);
+      if (it == row.end()) return false;
+      const Result<bool> verdict = Compare(it->second, filter.op, filter.value);
+      if (!verdict.ok() || !verdict.value()) return false;
+    }
+    return true;
+  }
+
+  bool PullTransformed(Bindings* row) {
+    while (index_ < rows_->size()) {
+      Bindings raw = (*rows_)[index_++];
+      ++stats_.rows_in;
+      if (!PassesFilters(raw)) {
+        ++stats_.rows_filtered;
+        continue;
+      }
+      if (spec_.project.empty()) {
+        *row = std::move(raw);
+        return true;
+      }
+      Bindings projected;
+      for (const std::string& var : spec_.project) {
+        auto node = raw.extract(var);
+        if (!node.empty()) projected.insert(std::move(node));
+      }
+      *row = std::move(projected);
+      return true;
+    }
+    return false;
+  }
+
+  bool DedupAdmit(const Bindings& row) {
+    std::uint64_t digest = 0;
+    for (const auto& [var, value] : row) {
+      digest = HashCombine(digest, HashString(var));
+      digest = HashCombine(digest, HashValue(value));
+    }
+    std::vector<size_t>& bucket = seen_[digest];
+    for (size_t index : bucket) {
+      if (kept_[index] == row) return false;
+    }
+    bucket.push_back(kept_.size());
+    kept_.push_back(row);
+    HoldBytes(ApproxBindingsBytes(row));
+    return true;
+  }
+
+  void HoldBytes(size_t bytes) {
+    held_bytes_ += bytes;
+    stats_.peak_held_bytes = std::max(stats_.peak_held_bytes, held_bytes_);
+  }
+  void ReleaseBytes(size_t bytes) { held_bytes_ -= std::min(held_bytes_, bytes); }
+
+  const std::vector<Bindings>* rows_;
+  size_t index_ = 0;
+  PipelineSpec spec_;
+  PipelineStats stats_;
+  bool sorted_ready_ = false;
+  std::vector<Bindings> sorted_;
+  size_t sorted_index_ = 0;
+  std::map<std::uint64_t, std::vector<size_t>> seen_;
+  std::vector<Bindings> kept_;
+  size_t emitted_ = 0;
+  size_t held_bytes_ = 0;
+  bool exhausted_ = false;
+};
+
+/// Rows rendered value by value, so NaN rows compare as text.
+std::string RowsText(const std::vector<Bindings>& rows) {
+  std::string text;
+  for (const Bindings& row : rows) {
+    text += "{";
+    for (const auto& [var, value] : row) {
+      text += var + "=" + value.ToString() + " ";
+    }
+    text += "}\n";
+  }
+  return text;
+}
+
+std::string StatsText(const PipelineStats& s) {
+  return "in=" + std::to_string(s.rows_in) +
+         " filtered=" + std::to_string(s.rows_filtered) +
+         " deduped=" + std::to_string(s.rows_deduped) +
+         " evictions=" + std::to_string(s.heap_evictions) +
+         " out=" + std::to_string(s.rows_out) +
+         " peak=" + std::to_string(s.peak_held_bytes);
+}
+
+/// Draws row values from small pools — so repeats, ties and both
+/// zeros are common — and strings in an order unrelated to their text,
+/// so a store's symbol ids disagree with the string order.
+class RowDraw {
+ public:
+  explicit RowDraw(std::uint64_t seed) : rng_(seed) {}
+
+  Value Scalar() {
+    static const char* const kStrings[] = {"pear", "apple", "mango", "fig",
+                                           "banana"};
+    switch (Pick(6)) {
+      case 0:
+        return Value::Integer(static_cast<std::int64_t>(Pick(4)));
+      case 1:
+      case 2:
+        return Value::String(kStrings[Pick(5)]);
+      case 3: {
+        static constexpr double kReals[] = {
+            -0.0, 0.0, 1.5, std::numeric_limits<double>::quiet_NaN()};
+        return Value::Real(kReals[Pick(4)]);
+      }
+      case 4:
+        return Value::OfOid(Oid(Pick(2) == 0 ? "b0" : "a1", "ooint", "db",
+                                "r", Pick(3)));
+      default:
+        return Pick(4) == 0 ? Value::Null() : Value::Character('a' + Pick(3));
+    }
+  }
+
+  Value Any() {
+    if (Pick(6) != 0) return Scalar();
+    std::vector<Value> elements;
+    for (size_t i = Pick(3); i > 0; --i) elements.push_back(Scalar());
+    return Value::Set(std::move(elements));
+  }
+
+  size_t Pick(size_t n) { return static_cast<size_t>(rng_() % n); }
+
+ private:
+  std::mt19937_64 rng_;
+};
+
+/// A two-layer store of R facts {a, b, c} (some re-stated in the overlay
+/// under their segment OIDs) and the stream of <o : R | a: x, b: y, c: z>.
+class PackedRows {
+ public:
+  PackedRows(RowDraw* draw, size_t facts) {
+    pattern_.object = TermArg::Variable("o");
+    pattern_.class_name = "R";
+    pattern_.attrs = {{"a", false, TermArg::Variable("x")},
+                      {"b", false, TermArg::Variable("y")},
+                      {"c", false, TermArg::Variable("z")}};
+    auto segment = std::make_shared<FactStore>();
+    std::vector<Fact> drawn;
+    for (size_t i = 0; i < facts; ++i) {
+      Fact fact;
+      fact.concept_name = "R";
+      fact.oid = Oid("agent", "ooint", "db", "r", draw->Pick(facts));
+      fact.attrs = {{"a", draw->Any()}, {"b", draw->Any()}, {"c", draw->Any()}};
+      drawn.push_back(fact);
+      if (i < facts / 2) segment->Insert(std::move(fact));
+    }
+    store_.AttachSegment(std::move(segment));
+    for (size_t i = facts / 2; i < facts; ++i) store_.Insert(drawn[i]);
+    for (size_t i = 0; i < facts / 4; ++i) {
+      Fact restated = drawn[draw->Pick(facts / 2)];
+      restated.attrs["d"] = draw->Scalar();
+      store_.Insert(std::move(restated));
+    }
+  }
+
+  std::unique_ptr<RowSource> Stream() const {
+    const ConceptId concept_id = store_.FindConcept("R");
+    std::vector<std::uint32_t> ordinals(store_.CountOf(concept_id));
+    for (std::uint32_t i = 0; i < ordinals.size(); ++i) ordinals[i] = i;
+    return std::make_unique<QueryStream>(
+        pattern_,
+        FactMatcher([this](const Oid& oid) { return store_.ViewByOid(oid); },
+                    nullptr),
+        &store_, nullptr, concept_id, std::move(ordinals));
+  }
+
+ private:
+  OTerm pattern_;
+  FactStore store_;
+};
+
+/// Every spec the sweep runs: filters × projection × distinct × order ×
+/// direction × limit.
+std::vector<PipelineSpec> AllSpecs() {
+  const std::vector<std::vector<RowFilter>> filters = {
+      {},
+      {{"x", CompareOp::kGe, Value::Integer(1)}},
+      {{"y", CompareOp::kNe, Value::String("fig")},
+       {"z", CompareOp::kLt, Value::String("mango")}}};
+  const std::vector<std::vector<std::string>> projections = {
+      {}, {"x", "y"}, {"y", "absent", "y"}, {"z"}};
+  std::vector<PipelineSpec> specs;
+  for (const auto& f : filters) {
+    for (const auto& project : projections) {
+      for (const bool distinct : {false, true}) {
+        for (const char* order_by : {"", "x", "y", "absent"}) {
+          for (const bool descending : {false, true}) {
+            for (const size_t limit : {size_t{0}, size_t{3}}) {
+              if (order_by[0] == '\0' && descending) continue;
+              PipelineSpec spec;
+              spec.filters = f;
+              spec.project = project;
+              spec.distinct = distinct;
+              spec.order_by = order_by;
+              spec.descending = descending;
+              spec.limit = limit;
+              specs.push_back(std::move(spec));
+            }
+          }
+        }
+      }
+    }
+  }
+  return specs;
+}
+
+std::string SpecText(const PipelineSpec& spec) {
+  std::string text = "filters=" + std::to_string(spec.filters.size()) +
+                     " project=" + std::to_string(spec.project.size()) +
+                     " distinct=" + std::to_string(spec.distinct) +
+                     " order_by=" + spec.order_by +
+                     " descending=" + std::to_string(spec.descending) +
+                     " limit=" + std::to_string(spec.limit);
+  return text;
+}
+
+/// Runs `spec` over the first `n` rows of `stream` both ways; the source
+/// factory must yield exactly those rows.
+void ExpectSameAsReference(
+    const std::vector<Bindings>& stream, size_t n, const PipelineSpec& spec,
+    const std::function<std::unique_ptr<RowSource>()>& source) {
+  const std::vector<Bindings> prefix(stream.begin(), stream.begin() + n);
+  BindingsPipeline reference(&prefix, spec);
+  std::vector<Bindings> want;
+  Bindings row;
+  while (reference.Next(&row)) want.push_back(row);
+  ResultPipeline pipeline(source(), spec);
+  std::vector<Bindings> got;
+  while (pipeline.Next(&row)) got.push_back(row);
+  ASSERT_EQ(RowsText(got), RowsText(want)) << SpecText(spec) << " n=" << n;
+  ASSERT_EQ(StatsText(pipeline.stats()), StatsText(reference.stats()))
+      << SpecText(spec) << " n=" << n;
+}
+
+/// Feeds only the first `n` rows of another source.
+class PrefixSource : public RowSource {
+ public:
+  PrefixSource(std::unique_ptr<RowSource> source, size_t n)
+      : source_(std::move(source)), left_(n) {}
+  const std::vector<std::string>& vars() const override {
+    return source_->vars();
+  }
+  bool Next(const ValueHandle** row) override {
+    if (left_ == 0) return false;
+    --left_;
+    return source_->Next(row);
+  }
+
+ private:
+  std::unique_ptr<RowSource> source_;
+  size_t left_;
+};
+
+TEST(PipelineEquivalenceTest, SeededStreamsMatchTheBindingsPipeline) {
+  const std::vector<PipelineSpec> specs = AllSpecs();
+  size_t heap_offers = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    RowDraw draw(seed);
+    // Demand-shaped: a cached outcome's rows, some lacking a variable.
+    std::vector<Bindings> outcome_rows;
+    for (size_t i = 0; i < 40; ++i) {
+      Bindings row;
+      for (const char* var : {"x", "y", "z"}) {
+        if (draw.Pick(8) != 0) row.emplace(var, draw.Any());
+      }
+      outcome_rows.push_back(std::move(row));
+    }
+    for (size_t i = 0; i < 6; ++i) {
+      outcome_rows[draw.Pick(40)] = outcome_rows[draw.Pick(40)];
+    }
+    // Packed: a two-layer store's stream, and its rows as the reference
+    // input.
+    const PackedRows packed(&draw, 24);
+    std::vector<Bindings> packed_rows;
+    {
+      std::unique_ptr<RowSource> stream = packed.Stream();
+      Bindings row;
+      while (stream->NextBindings(&row)) packed_rows.push_back(row);
+    }
+    ASSERT_GT(packed_rows.size(), 10u);
+
+    for (const PipelineSpec& spec : specs) {
+      const bool top_k = !spec.order_by.empty() && spec.limit > 0;
+      // Top-k runs every prefix too: equal rows and stats after each
+      // offer mean each offer was kept, evicted, rejected or found a
+      // duplicate exactly as the reference's Push classified it.
+      for (size_t n = top_k ? 0 : outcome_rows.size(); n <= outcome_rows.size();
+           ++n) {
+        ExpectSameAsReference(outcome_rows, n, spec, [&] {
+          return std::make_unique<PrefixSource>(
+              std::make_unique<VectorRowSource>(&outcome_rows), n);
+        });
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      for (size_t n = top_k ? 0 : packed_rows.size(); n <= packed_rows.size();
+           ++n) {
+        ExpectSameAsReference(packed_rows, n, spec, [&] {
+          return std::make_unique<PrefixSource>(packed.Stream(), n);
+        });
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      if (top_k) heap_offers += outcome_rows.size() + packed_rows.size();
+    }
+  }
+  EXPECT_GT(heap_offers, 10000u);
 }
 
 }  // namespace
