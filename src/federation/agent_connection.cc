@@ -4,29 +4,10 @@
 #include <chrono>
 #include <thread>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace ooint {
-
-namespace {
-
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t HashName(const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 const char* BreakerStateName(BreakerState state) {
   switch (state) {
@@ -49,7 +30,7 @@ AgentConnection::AgentConnection(std::string agent_name,
       retry_(retry),
       breaker_(breaker),
       injector_(injector),
-      jitter_state_(retry.jitter_seed ^ HashName(agent_name_)),
+      jitter_state_(retry.jitter_seed ^ HashString(agent_name_)),
       retry_tokens_(retry.retry_budget_max) {}
 
 void AgentConnection::Wait(double ms, const CancelToken& token) {
@@ -74,7 +55,7 @@ void AgentConnection::RefillRetryBudget() {
 
 double AgentConnection::NextJitter() {
   const double unit =
-      static_cast<double>(SplitMix64(&jitter_state_) >> 11) * 0x1.0p-53;
+      static_cast<double>(SplitMix64Next(&jitter_state_) >> 11) * 0x1.0p-53;
   return 0.5 + 0.5 * unit;
 }
 

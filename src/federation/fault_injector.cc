@@ -1,26 +1,10 @@
 #include "federation/fault_injector.h"
 
+#include "common/hash.h"
+
 namespace ooint {
 
 namespace {
-
-/// splitmix64: tiny, high-quality, and fully deterministic — the same
-/// generator the FactStore hashes build on.
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t HashName(const std::string& name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (const char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 double UnitInterval(std::uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
@@ -72,14 +56,14 @@ FaultInjector::AgentSchedule& FaultInjector::ScheduleFor(
     const std::string& agent) {
   AgentSchedule& schedule = schedules_[agent];
   if (seeded_ && !schedule.stream_seeded) {
-    schedule.stream = seed_ ^ HashName(agent);
+    schedule.stream = seed_ ^ HashString(agent);
     schedule.stream_seeded = true;
   }
   if (latency_enabled_ && !schedule.latency_seeded) {
     // Salted so the latency stream is independent of the fault stream
     // even for the same (seed, agent) pair.
     schedule.latency_stream =
-        seed_ ^ HashName(agent) ^ 0xa5a5a5a5deadbeefULL;
+        seed_ ^ HashString(agent) ^ 0xa5a5a5a5deadbeefULL;
     schedule.latency_seeded = true;
   }
   return schedule;
@@ -121,11 +105,11 @@ Fault FaultInjector::Next(const std::string& agent) {
   }
   if (schedule.always_set) return MakeFault(schedule.always);
   if (seeded_ && fault_rate_ > 0) {
-    if (UnitInterval(SplitMix64(&schedule.stream)) < fault_rate_) {
+    if (UnitInterval(SplitMix64Next(&schedule.stream)) < fault_rate_) {
       static const FaultKind kKinds[] = {
           FaultKind::kUnavailable, FaultKind::kDeadlineExceeded,
           FaultKind::kSlowResponse, FaultKind::kTruncatedExtent};
-      const std::uint64_t pick = SplitMix64(&schedule.stream) % 4;
+      const std::uint64_t pick = SplitMix64Next(&schedule.stream) % 4;
       return MakeFault(kKinds[pick]);
     }
   }
@@ -133,8 +117,9 @@ Fault FaultInjector::Next(const std::string& agent) {
   if (latency_enabled_) {
     // Successful attempt under a latency profile: shape its latency
     // from the dedicated per-agent stream.
-    const double roll = UnitInterval(SplitMix64(&schedule.latency_stream));
-    const double jitter = UnitInterval(SplitMix64(&schedule.latency_stream));
+    std::uint64_t& stream = schedule.latency_stream;
+    const double roll = UnitInterval(SplitMix64Next(&stream));
+    const double jitter = UnitInterval(SplitMix64Next(&stream));
     ok.latency_ms = roll < latency_.slow_fraction
                         ? latency_.slow_ms
                         : latency_.base_ms + jitter * latency_.jitter_ms;

@@ -431,10 +431,9 @@ Result<std::unique_ptr<ServingCursor>> FsmClient::OpenCursor(
   PipelineSpec spec;
   spec.filters = options.filters;
   spec.project = options.project;
-  // Pages always carry distinct rows — Run()'s answer semantics; the
-  // raw query stream is duplicate-inclusive (see OpenQueryStream), and
-  // projection can make any rows equal.
-  spec.distinct = true;
+  // The pipeline de-duplicates, so pages carry Run()'s distinct rows
+  // although the raw query stream is duplicate-inclusive (see
+  // OpenQueryStream).
   spec.order_by = options.order_by;
   spec.descending = options.descending;
   spec.limit = options.limit;

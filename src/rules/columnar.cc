@@ -4,15 +4,6 @@ namespace ooint {
 
 namespace {
 
-std::uint64_t FnvView(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 std::uint32_t LoadU32(const std::uint8_t* p) {
   std::uint32_t v;
   std::memcpy(&v, p, sizeof(v));
@@ -46,7 +37,7 @@ constexpr std::uint32_t kMaxVarint = 5;
 }  // namespace
 
 std::uint32_t SymbolPool::Intern(std::string_view s) {
-  const std::uint64_t hash = FnvView(s);
+  const std::uint64_t hash = HashString(s);
   return table_.FindOrInsert(
       hash, [&](std::uint32_t id) { return strings_[id] == s; },
       [&] {
@@ -56,7 +47,7 @@ std::uint32_t SymbolPool::Intern(std::string_view s) {
 }
 
 std::uint32_t SymbolPool::Find(std::string_view s) const {
-  const std::uint64_t hash = FnvView(s);
+  const std::uint64_t hash = HashString(s);
   return table_.Find(hash,
                      [&](std::uint32_t id) { return strings_[id] == s; });
 }
@@ -236,7 +227,7 @@ void PostingsPool::Clear() {
 
 size_t PostingsIndex::SlotOf(std::uint64_t key) const {
   const size_t mask = slots_.size() - 1;
-  size_t i = MixHash(key) & mask;
+  size_t i = SplitMix64(key) & mask;
   while (slots_[i].ref != kEmptyRef && slots_[i].key != key) {
     i = (i + 1) & mask;
   }
@@ -250,7 +241,7 @@ void PostingsIndex::Grow() {
   const size_t mask = cap - 1;
   for (const Slot& slot : old) {
     if (slot.ref == kEmptyRef) continue;
-    size_t i = MixHash(slot.key) & mask;
+    size_t i = SplitMix64(slot.key) & mask;
     while (slots_[i].ref != kEmptyRef) i = (i + 1) & mask;
     slots_[i] = slot;
   }

@@ -9,6 +9,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.h"
+
 namespace ooint {
 
 /// Low-level building blocks of the columnar FactStore (DESIGN.md 4h):
@@ -17,15 +19,6 @@ namespace ooint {
 /// with a streaming, snapshot-safe cursor.
 
 inline constexpr std::uint32_t kNoId = 0xffffffffu;
-
-/// 64-bit finalizer (splitmix64) used to spread interning hashes and
-/// index keys over the open-addressing tables.
-inline std::uint64_t MixHash(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Open-addressing (linear probing) table mapping 64-bit hashes to
 /// dense 32-bit ids whose elements live in an external pool. The table
@@ -41,7 +34,7 @@ class IdTable {
   std::uint32_t Find(std::uint64_t hash, const Eq& eq) const {
     if (used_ == 0) return kNoId;
     const size_t mask = ids_.size() - 1;
-    for (size_t i = MixHash(hash) & mask;; i = (i + 1) & mask) {
+    for (size_t i = SplitMix64(hash) & mask;; i = (i + 1) & mask) {
       if (ids_[i] == kNoId) return kNoId;
       if (hashes_[i] == hash && eq(ids_[i])) return ids_[i];
     }
@@ -54,14 +47,14 @@ class IdTable {
                              const Make& make) {
     if (ids_.empty()) Grow();
     size_t mask = ids_.size() - 1;
-    size_t i = MixHash(hash) & mask;
+    size_t i = SplitMix64(hash) & mask;
     for (; ids_[i] != kNoId; i = (i + 1) & mask) {
       if (hashes_[i] == hash && eq(ids_[i])) return ids_[i];
     }
     if ((used_ + 1) * 10 >= ids_.size() * 7) {
       Grow();
       mask = ids_.size() - 1;
-      i = MixHash(hash) & mask;
+      i = SplitMix64(hash) & mask;
       while (ids_[i] != kNoId) i = (i + 1) & mask;
     }
     const std::uint32_t id = make();
@@ -92,7 +85,7 @@ class IdTable {
     const size_t mask = cap - 1;
     for (size_t i = 0; i < old_ids.size(); ++i) {
       if (old_ids[i] == kNoId) continue;
-      size_t j = MixHash(old_hashes[i]) & mask;
+      size_t j = SplitMix64(old_hashes[i]) & mask;
       while (ids_[j] != kNoId) j = (j + 1) & mask;
       ids_[j] = old_ids[i];
       hashes_[j] = old_hashes[i];

@@ -231,7 +231,6 @@ Status Evaluator::AddRule(Rule rule) {
 void Evaluator::Reset() {
   evaluated_ = false;
   store_.Clear();
-  skolem_seen_.clear();
   stats_ = Stats();
   degraded_ = DegradedInfo();
   reads_.clear();
@@ -241,10 +240,6 @@ FactMatcher Evaluator::MakeMatcher() const {
   if (resolver_override_) return FactMatcher(resolver_override_, mappings_);
   return FactMatcher(
       [this](const Oid& oid) { return store_.ViewByOid(oid); }, mappings_);
-}
-
-FactId Evaluator::InsertFact(Fact fact) {
-  return store_.Insert(std::move(fact));
 }
 
 std::shared_ptr<const FactStore> SegmentCache::Find(
@@ -397,7 +392,7 @@ Status Evaluator::LoadBaseFacts() {
   stats_.base_facts = store_.size();
   // Seeds load after the extents, into the overlay when there is one.
   for (const Fact& seed : seed_facts_) {
-    if (InsertFact(seed) != kNoFact) ++stats_.base_facts;
+    if (store_.Insert(seed) != kNoFact) ++stats_.base_facts;
   }
   if (!direct.empty()) {
     for (const auto& [concept_name, tainted] :
@@ -430,8 +425,8 @@ Status Evaluator::Evaluate() {
   }
   const Status status = EvaluateImpl();
   if (!status.ok() && token_.active()) {
-    // Deadline/cancellation unwind contract: the store, skolem table
-    // and stats are left bit-identical to a never-started evaluation
+    // Deadline/cancellation unwind contract: the store and stats are
+    // left bit-identical to a never-started evaluation
     // (conformance family 9 checks exactly this).
     Reset();
   }
@@ -999,11 +994,11 @@ std::vector<CompiledOTerm> Evaluator::CompileBody(const Rule& rule) {
   return compiled;
 }
 
-Result<Evaluator::HeadFact> Evaluator::BuildHeadFact(
-    const Rule& rule, const FactMatcher& matcher, const Solution& solution) {
+Result<Fact> Evaluator::BuildHeadFact(const Rule& rule,
+                                     const FactMatcher& matcher,
+                                     const Solution& solution) {
   const Literal& head = rule.head.front();
-  HeadFact out;
-  Fact& fact = out.fact;
+  Fact fact;
   if (head.kind == Literal::Kind::kPredicate) {
     fact.concept_name = head.pred_name;
     for (size_t i = 0; i < head.args.size(); ++i) {
@@ -1014,7 +1009,7 @@ Result<Evaluator::HeadFact> Evaluator::BuildHeadFact(
       }
       fact.attrs[StrCat(i)] = std::move(v);
     }
-    return out;
+    return fact;
   }
 
   // O-term head.
@@ -1067,82 +1062,55 @@ Result<Evaluator::HeadFact> Evaluator::BuildHeadFact(
 
   // Object position: bound variable / constant OID, or a skolem OID
   // for existential ('_'-prefixed or unbound) object variables.
-  bool skolem = true;
+  const Value* self = nullptr;
   if (head.oterm.object.is_constant()) {
     if (head.oterm.object.constant.kind() == ValueKind::kOid) {
-      fact.oid = head.oterm.object.constant.AsOid();
-      skolem = false;
+      self = &head.oterm.object.constant;
     }
   } else if (head.oterm.object.is_variable()) {
     auto it = solution.bindings.find(head.oterm.object.var);
     if (it != solution.bindings.end() &&
         it->second.kind() == ValueKind::kOid) {
-      fact.oid = it->second.AsOid();
-      skolem = false;
+      self = &it->second;
     }
   }
-  if (skolem) {
+  if (self == nullptr) {
     // Derived entities are identified by their attribute values; the
     // skolem OID is content-addressed (the hash of those values) so
     // both fixpoint strategies — and the incremental engine — assign
     // identical OIDs regardless of derivation order.
-    out.skolem = true;
-    out.skolem_key = HashFactAttrs(fact);
-    fact.oid =
-        Oid("derived", "ooint", "global", fact.concept_name, out.skolem_key);
-  } else {
-    // Merge the attributes of every matched body fact describing the
-    // same entity, so membership rules (<x: IS_AB> <= <x: A>, ...)
-    // carry the entity's data into the integrated class. Slots are in
-    // body order, keeping the merge independent of the join order.
-    for (const FactView& matched : solution.matched) {
-      if (!matched.valid() || matched.oid_empty()) continue;
-      if (!matcher.ValuesEqual(Value::OfOid(matched.oid()),
-                               Value::OfOid(fact.oid))) {
-        continue;
-      }
-      const size_t count = matched.attr_count();
-      for (size_t i = 0; i < count; ++i) {
-        std::string name(matched.attr_name(i));
-        if (fact.attrs.find(name) == fact.attrs.end()) {
-          fact.attrs.emplace(std::move(name),
-                             matched.attr_value(i).Materialize());
-        }
+    fact.oid = Oid("derived", "ooint", "global", fact.concept_name,
+                   HashFactAttrs(fact));
+    return fact;
+  }
+  fact.oid = self->AsOid();
+  // Merge the attributes of every matched body fact describing the
+  // same entity, so membership rules (<x: IS_AB> <= <x: A>, ...) carry
+  // the entity's data into the integrated class. Slots are in body
+  // order, keeping the merge independent of the join order.
+  for (const FactView& matched : solution.matched) {
+    if (!matched.valid() || matched.oid_empty()) continue;
+    if (!matcher.ValuesEqual(*self, matched.oid_handle())) continue;
+    const size_t count = matched.attr_count();
+    for (size_t i = 0; i < count; ++i) {
+      std::string name(matched.attr_name(i));
+      if (fact.attrs.find(name) == fact.attrs.end()) {
+        fact.attrs.emplace(std::move(name),
+                           matched.attr_value(i).Materialize());
       }
     }
   }
-  return out;
+  return fact;
 }
 
 Status Evaluator::InsertSolutions(const Rule& rule, const FactMatcher& matcher,
                                   const std::vector<Solution>& solutions,
                                   size_t* inserted) {
   for (const Solution& solution : solutions) {
-    OOINT_ASSIGN_OR_RETURN(HeadFact head,
-                           BuildHeadFact(rule, matcher, solution));
-    if (head.skolem) {
-      // Skolem de-duplication by attribute values, exact-verified
-      // against the packed store — no materialization, no string keys.
-      std::vector<FactId>& seen = skolem_seen_[head.skolem_key];
-      bool duplicate = false;
-      for (FactId f : seen) {
-        if (store_.EquivalentAttrs(f, head.fact)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      const FactId stored = InsertFact(std::move(head.fact));
-      if (stored != kNoFact) {
-        seen.push_back(stored);
-        ++stats_.derived_facts;
-        ++*inserted;
-      }
-    } else {
-      if (InsertFact(std::move(head.fact)) != kNoFact) {
-        ++stats_.derived_facts;
-        ++*inserted;
-      }
+    OOINT_ASSIGN_OR_RETURN(Fact head, BuildHeadFact(rule, matcher, solution));
+    if (store_.Insert(std::move(head)) != kNoFact) {
+      ++stats_.derived_facts;
+      ++*inserted;
     }
   }
   return Status::OK();

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cancel.h"
@@ -352,7 +351,7 @@ class Evaluator {
   /// — set attributes can match one fact several ways, and facts that
   /// differ only in unmatched attributes bind alike — so Query() drains
   /// it into a DistinctRows store, and cursors run it through a
-  /// ResultPipeline with `distinct` set. The source borrows this
+  /// ResultPipeline, which de-duplicates too. The source borrows this
   /// evaluator: it must not outlive it, and the store must not gain
   /// facts while the stream is open (materialized cursors fail with an
   /// epoch error once a delta lands — see FsmClient::OpenCursor).
@@ -583,9 +582,6 @@ class Evaluator {
   void QueryCandidates(const Literal& literal, ConceptId* concept_id,
                        std::vector<std::uint32_t>* candidates) const;
 
-  /// Records a fact if it is new; returns its FactId or kNoFact.
-  FactId InsertFact(Fact fact);
-
   /// Evaluates one rule under `ctx` and inserts the derived facts;
   /// `inserted` reports how many were new. SolveRule + InsertSolutions.
   Status ApplyRule(const FactMatcher& matcher, const JoinContext& ctx,
@@ -599,14 +595,6 @@ class Evaluator {
   Status SolveRule(const FactMatcher& matcher, const JoinContext& ctx,
                    std::vector<Solution>* solutions) const;
 
-  /// One instantiated rule head: the fact, plus whether its entity is a
-  /// content-addressed skolem (and under which HashFactAttrs key).
-  struct HeadFact {
-    Fact fact;
-    bool skolem = false;
-    std::uint64_t skolem_key = 0;
-  };
-
   /// Instantiates `rule`'s head for one body solution: predicate heads
   /// get positional attributes, O-term heads flatten their descriptors
   /// (nested ones to dotted names), bound-OID heads merge the attributes
@@ -614,12 +602,14 @@ class Evaluator {
   /// existential heads receive their content-addressed skolem OID. Pure
   /// — the store is untouched; InsertSolutions and the incremental
   /// evaluator share it so derived facts are bit-identical either way.
-  static Result<HeadFact> BuildHeadFact(const Rule& rule,
-                                        const FactMatcher& matcher,
-                                        const Solution& solution);
+  static Result<Fact> BuildHeadFact(const Rule& rule,
+                                    const FactMatcher& matcher,
+                                    const Solution& solution);
 
   /// The write half: instantiates `rule`'s head for every solution and
-  /// inserts the new facts (skolem de-duplication included).
+  /// inserts the new facts. The store's de-duplication is the only one:
+  /// a skolem OID hashes the fact's concept and attributes, so two
+  /// derivations of one entity are one (concept, OID, attributes) fact.
   Status InsertSolutions(const Rule& rule, const FactMatcher& matcher,
                          const std::vector<Solution>& solutions,
                          size_t* inserted);
@@ -690,10 +680,6 @@ class Evaluator {
   /// everything-stored-is-live behaviour bit for bit.
   const std::vector<std::uint8_t>* live_filter_ = nullptr;
   FactMatcher::OidResolver resolver_override_;
-  /// Skolem de-duplication: hash of (concept_id, attrs) -> stored fact
-  /// ids, exact-verified against the packed store (derived entities are
-  /// identified by their attribute values; see ApplyRule).
-  std::unordered_map<std::uint64_t, std::vector<FactId>> skolem_seen_;
   mutable Stats stats_;  // probe/scan counters tick inside const joins
   /// Guards stats_ merges from concurrent const OpenQueryStream()
   /// calls. Heap allocated so the evaluator stays movable (tests and

@@ -5,17 +5,6 @@
 namespace ooint {
 
 namespace {
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t FnvBytes(std::uint64_t h, const void* data, size_t n) {
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 std::uint64_t RealBits(double d) {
   std::uint64_t bits = 0;
@@ -34,8 +23,8 @@ std::uint64_t RealBits(double d) {
 /// extent. Internal keys are never observable, so they get a full
 /// splitmix64 avalanche per combine instead.
 std::uint64_t MixCombine(std::uint64_t seed, std::uint64_t v) {
-  return MixHash(seed ^ (MixHash(v) + 0x9e3779b97f4a7c15ull + (seed << 6) +
-                         (seed >> 2)));
+  return SplitMix64(seed ^ (SplitMix64(v) + 0x9e3779b97f4a7c15ull +
+                            (seed << 6) + (seed >> 2)));
 }
 
 // Inline-int range: 60-bit two's complement.
@@ -99,11 +88,7 @@ size_t MaterializedFactBytes(const Fact& fact) {
 }  // namespace
 
 std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t v) {
-  return FnvBytes(seed ^ kFnvOffset, &v, sizeof(v));
-}
-
-std::uint64_t HashString(std::string_view s) {
-  return FnvBytes(kFnvOffset, s.data(), s.size());
+  return Fnv1a(seed ^ kFnvOffset, &v, sizeof(v));
 }
 
 namespace {
@@ -382,47 +367,27 @@ std::uint64_t HashHandle(const ValueHandle& v) {
 
 // --- FactView --------------------------------------------------------------
 
+FactId FactView::id() const { return store_->fact_base_ + local_; }
+
 bool FactView::oid_empty() const {
-  if (fact_ != nullptr) return fact_->oid.empty();
   return store_->records_[local_].oid_id == kNoId;
 }
 
-Oid FactView::oid() const {
-  if (fact_ != nullptr) return fact_->oid;
-  const std::uint32_t oid_id = store_->records_[local_].oid_id;
-  return oid_id == kNoId ? Oid() : store_->MaterializeOid(oid_id);
-}
-
 size_t FactView::attr_count() const {
-  if (fact_ != nullptr) return fact_->attrs.size();
   return store_->records_[local_].attr_count;
 }
 
 std::string_view FactView::attr_name(size_t i) const {
-  if (fact_ != nullptr) {
-    auto it = fact_->attrs.begin();
-    std::advance(it, i);
-    return it->first;
-  }
   const auto& rec = store_->records_[local_];
   return store_->symbols_.view(store_->attr_names_[rec.attr_begin + i]);
 }
 
 ValueHandle FactView::attr_value(size_t i) const {
-  if (fact_ != nullptr) {
-    auto it = fact_->attrs.begin();
-    std::advance(it, i);
-    return ValueHandle(&it->second);
-  }
   const auto& rec = store_->records_[local_];
   return ValueHandle(store_, store_->attr_values_[rec.attr_begin + i]);
 }
 
 ValueHandle FactView::Find(std::string_view name) const {
-  if (fact_ != nullptr) {
-    auto it = fact_->attrs.find(std::string(name));
-    return it == fact_->attrs.end() ? ValueHandle() : ValueHandle(&it->second);
-  }
   return FindSymbol(store_->symbols_.Find(name));
 }
 
@@ -874,6 +839,9 @@ FactId FactStore::InsertOrFind(Fact fact, bool* was_new) {
   const ConceptId concept_id = InternConcept(fact.concept_name);
   const std::uint32_t oid_id = fact.oid.empty() ? kNoId : InternOid(fact.oid);
 
+  // Encoding a set appends a run even when an equal one is stored.
+  const size_t set_runs = set_runs_.size();
+  const size_t set_elements = set_elements_.size();
   scratch_attrs_.clear();
   for (const auto& [name, value] : fact.attrs) {
     // std::map iterates sorted by name, so the run is stored in
@@ -908,7 +876,14 @@ FactId FactStore::InsertOrFind(Fact fact, bool* was_new) {
         break;
       }
     }
-    if (equal) return candidate;  // duplicate
+    if (equal) {
+      // A duplicate's other components were interned by the fact it
+      // duplicates, so dropping the runs just appended leaves the store
+      // as it was.
+      set_runs_.resize(set_runs);
+      set_elements_.resize(set_elements);
+      return candidate;
+    }
   }
 
   if (was_new != nullptr) *was_new = true;
@@ -993,37 +968,6 @@ std::vector<const Fact*> FactStore::FactsOf(const std::string& name) const {
   return FactsOf(FindConcept(name));
 }
 
-const Fact* FactStore::FindByOid(const Oid& oid) const {
-  if (oid.empty()) return nullptr;
-  if (segment_ != nullptr) {
-    if (const Fact* fact = segment_->FindByOid(oid)) return fact;
-  }
-  const std::uint32_t oid_id = FindOid(oid);
-  if (oid_id == kNoId) return nullptr;
-  // Fact ids are appended ascending, so the first posting is the
-  // first-inserted fact with this OID (the precedence contract). The
-  // index is keyed by dictionary id — exact, no hash re-verification.
-  PostingsCursor cursor = by_oid_.Find(oid_id);
-  std::uint32_t fid = 0;
-  if (cursor.Next(&fid)) return Materialize(fid);
-  return nullptr;
-}
-
-const Fact* FactStore::FindByOid(const Oid& oid, ConceptId concept_id) const {
-  if (oid.empty()) return nullptr;
-  if (segment_ != nullptr && concept_id < segment_->concept_count()) {
-    if (const Fact* fact = segment_->FindByOid(oid, concept_id)) return fact;
-  }
-  const std::uint32_t oid_id = FindOid(oid);
-  if (oid_id == kNoId) return nullptr;
-  PostingsCursor cursor = by_oid_.Find(oid_id);
-  std::uint32_t fid = 0;
-  while (cursor.Next(&fid)) {
-    if (RecordOf(fid).concept_id == concept_id) return Materialize(fid);
-  }
-  return nullptr;
-}
-
 FactView FactStore::ViewByOid(const Oid& oid) const {
   if (oid.empty()) return FactView();
   if (segment_ != nullptr) {
@@ -1032,6 +976,8 @@ FactView FactStore::ViewByOid(const Oid& oid) const {
   }
   const std::uint32_t oid_id = FindOid(oid);
   if (oid_id == kNoId) return FactView();
+  // Fact ids are appended ascending, so the first posting is the
+  // first-inserted fact with this OID (the precedence contract).
   PostingsCursor cursor = by_oid_.Find(oid_id);
   std::uint32_t fid = 0;
   if (cursor.Next(&fid)) return ViewById(fid);

@@ -9,19 +9,20 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "rules/columnar.h"
 #include "rules/fact.h"
 
 namespace ooint {
 
-/// 64-bit content hashes used across the evaluators (FNV-1a based).
-/// Hashes are an accelerator only: every user verifies candidates with
-/// exact equality, so a collision can cost time but never correctness.
-/// HashFactAttrs also content-addresses skolem OIDs (the derived-OID
-/// numbers both fixpoint strategies assign), so its definition is part
-/// of the observable output and must not change.
+/// 64-bit content hashes used across the evaluators (FNV-1a based, with
+/// HashString from common/hash.h). Hashes are an accelerator only: every
+/// user verifies candidates with exact equality, so a collision can cost
+/// time but never correctness. HashFactAttrs also content-addresses
+/// skolem OIDs (the derived-OID numbers both fixpoint strategies
+/// assign), so its definition is part of the observable output and must
+/// not change.
 std::uint64_t HashCombine(std::uint64_t seed, std::uint64_t v);
-std::uint64_t HashString(std::string_view s);
 std::uint64_t HashOid(const Oid& oid);
 std::uint64_t HashValue(const Value& value);
 /// Hash of (concept, attrs) — the Fact::AttrKey() identity.
@@ -128,23 +129,23 @@ bool HandleLess(const ValueHandle& a, const ValueHandle& b);
 /// HashValue(Materialize(v)), without materializing.
 std::uint64_t HashHandle(const ValueHandle& v);
 
-/// A fact either materialized (a Fact somewhere stable, e.g. the
-/// top-down evaluator's memo rows) or packed in a FactStore. This is
-/// what the matcher and the evaluator's join paths traverse; attribute
-/// iteration order is lexicographic by name in both backings (std::map
-/// order / the packed runs are stored sorted by name).
+/// A stored fact: one packed record of a FactStore layer, read in place.
+/// This is what the matcher and every evaluation path traverse;
+/// attributes iterate in lexicographic name order (the packed runs are
+/// stored sorted by name, std::map's order).
 class FactView {
  public:
   FactView() = default;  // invalid
-  explicit FactView(const Fact* fact) : fact_(fact) {}
   /// Record `local` of `store`'s own layer (FactStore::ViewById maps a
   /// FactId to the layer that holds it).
   FactView(const FactStore* store, std::uint32_t local)
       : store_(store), local_(local) {}
 
-  bool valid() const { return fact_ != nullptr || store_ != nullptr; }
+  bool valid() const { return store_ != nullptr; }
+  /// The fact's FactId in the universe of the store that handed out the
+  /// view (a segment's ids are its overlays' ids).
+  FactId id() const;
   bool oid_empty() const;
-  Oid oid() const;
 
   size_t attr_count() const;
   std::string_view attr_name(size_t i) const;
@@ -152,10 +153,10 @@ class FactView {
   /// Invalid handle when the fact has no attribute named `name`.
   ValueHandle Find(std::string_view name) const;
 
-  /// The store layer a packed view reads; null for a materialized Fact.
+  /// The store layer the view reads.
   const FactStore* layer() const { return store_; }
-  /// Packed views only (layer() != null). The fact's OID: the `kOid`
-  /// word of its layer, or an empty OID's value for a fact without one.
+  /// The fact's OID: the `kOid` word of its layer, or an empty OID's
+  /// value for a fact without one.
   ValueHandle oid_handle() const;
   /// Attribute i's name as a string handle on the layer's symbol.
   ValueHandle attr_name_handle(size_t i) const;
@@ -164,7 +165,6 @@ class FactView {
   ValueHandle FindSymbol(std::uint32_t symbol) const;
 
  private:
-  const Fact* fact_ = nullptr;
   const FactStore* store_ = nullptr;
   std::uint32_t local_ = 0;
 };
@@ -180,12 +180,15 @@ class FactView {
 /// Contract (unchanged from the pre-columnar store, which survives as
 /// ReferenceFactStore — a differential oracle enforces bit-identical
 /// fact sets):
-///  - hashed exact de-duplication on (concept, oid, attrs);
+///  - hashed exact de-duplication on (concept, oid, attrs) — the one
+///    place a fact's identity is decided, derived facts' included (a
+///    skolem OID is a hash of concept and attributes), and a duplicate
+///    insert leaves the store as it was;
 ///  - per-concept extents in insertion order, addressable by ordinal
 ///    (semi-naive delta ranges are [begin, end) ordinal windows);
-///  - FindByOid returns the FIRST-inserted fact with the OID (base
-///    facts load before derived ones, so base data wins); the
-///    concept-aware overload disambiguates;
+///  - ViewByOid returns the FIRST-inserted fact with the OID (base
+///    facts load before derived ones, so base data wins); ProbeOid
+///    answers the concept-scoped lookup;
 ///  - Probe streams the per-concept ordinals of facts whose attribute
 ///    equals the value (or is a set containing it; sets are indexed
 ///    element-wise to mirror the matcher's convention). Candidates may
@@ -194,10 +197,10 @@ class FactView {
 ///    empty cursor — exactly the old "no hash bucket" empty join.
 ///
 /// Boundary APIs that hand out `const Fact*` (FactsOf, FactAt,
-/// FindByOid, FactById) materialize lazily into a mutex-guarded cache;
-/// the evaluation hot paths use FactView/PostingsCursor and never
-/// materialize. Materialized pointers stay valid for the store's
-/// lifetime (until Clear()).
+/// FactById) materialize lazily into a mutex-guarded cache, whose one
+/// production caller is Evaluator::FactsOf; every evaluation path reads
+/// FactView/PostingsCursor and never materializes. Materialized
+/// pointers stay valid for the store's lifetime (until Clear()).
 ///
 /// Layering (DESIGN.md 4h): a store may be an *overlay* on an
 /// immutable, shared base segment (AttachSegment) — a federated
@@ -231,7 +234,8 @@ class FactStore {
   size_t concept_count() const { return concept_symbols_.size(); }
 
   /// Inserts `fact` unless an identical fact (concept, oid, attrs) is
-  /// already stored. Returns the new FactId, or kNoFact on duplicate.
+  /// already stored. Returns the new FactId, or kNoFact on duplicate; a
+  /// duplicate leaves the store unchanged.
   FactId Insert(Fact fact);
 
   /// Like Insert, but on a duplicate returns the *existing* FactId
@@ -287,12 +291,8 @@ class FactStore {
     return id < fact_base_ ? segment_->OrdinalOf(id) : RecordOf(id).ordinal;
   }
 
-  /// First-inserted fact with `oid` (see class comment); nullptr if
-  /// absent. Materializing.
-  const Fact* FindByOid(const Oid& oid) const;
-  /// First-inserted fact with `oid` belonging to `concept_id`.
-  const Fact* FindByOid(const Oid& oid, ConceptId concept_id) const;
-  /// Packed equivalent of FindByOid for the matcher's resolver.
+  /// The first-inserted fact with `oid` (see class comment), segment
+  /// first; invalid if absent. The matcher's OID resolver.
   FactView ViewByOid(const Oid& oid) const;
 
   /// Streaming per-concept ordinals (non-decreasing) of facts whose
@@ -311,8 +311,8 @@ class FactStore {
                 std::vector<std::uint32_t>* out) const;
 
   /// True iff the stored fact has `fact`'s concept name and exactly its
-  /// attribute map — the skolem-deduplication verification, evaluated
-  /// against the packed run without interning or materializing.
+  /// attribute map — FindExisting's verification, evaluated against the
+  /// packed run without interning or materializing.
   bool EquivalentAttrs(FactId id, const Fact& fact) const;
 
   void Clear();

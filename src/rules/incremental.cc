@@ -312,9 +312,8 @@ Status IncrementalEvaluator::DeletePhase(
                                            *death_round, &sols));
           for (const Evaluator::Solution& sol : sols) {
             OOINT_ASSIGN_OR_RETURN(
-                Evaluator::HeadFact head,
-                Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
-            const FactId target = store().FindExisting(head.fact);
+                Fact head, Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
+            const FactId target = store().FindExisting(head);
             if (target == kNoFact) continue;
             DecrementDerivation(target, r, death_round, &next, overdeleted,
                                 stats);
@@ -359,9 +358,9 @@ Status IncrementalEvaluator::DeletePhase(
               // fact into the head.
               sol.matched[m] = FactView();
               OOINT_ASSIGN_OR_RETURN(
-                  Evaluator::HeadFact head,
+                  Fact head,
                   Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
-              const FactId target = store().FindExisting(head.fact);
+              const FactId target = store().FindExisting(head);
               if (target == kNoFact) continue;
               DecrementDerivation(target, 1, death_round, &next, overdeleted,
                                   stats);
@@ -452,17 +451,16 @@ Result<std::int64_t> IncrementalEvaluator::CountDerivations(
     FactId fact_id, const std::vector<Plan>& plans,
     const std::vector<std::uint8_t>& world,
     std::map<const Rule*, std::vector<FactId>>* full_solutions) {
-  const Fact* fact = store().FactById(fact_id);
-  if (fact == nullptr) {
-    return Status::Internal("over-deleted fact vanished from the store");
-  }
+  const FactView fact = store().ViewById(fact_id);
+  const std::string& concept_name =
+      store().ConceptName(store().ConceptOf(fact_id));
   const FactMatcher matcher = ev_->MakeMatcher();
   std::int64_t total = 0;
   for (const Plan& plan : plans) {
     const Rule& rule = *plan.rule;
-    if (rule.head.front().concept_name() != fact->concept_name) continue;
+    if (rule.head.front().concept_name() != concept_name) continue;
     Bindings seed;
-    const HeadUnify unify = UnifyHead(rule, *fact, matcher, &seed);
+    const HeadUnify unify = UnifyHead(rule, fact, matcher, &seed);
     if (unify == HeadUnify::kNoMatch) continue;
     // Rederivation sits between the deletion and insertion rounds of
     // the batch order: positive factors show old-and-still-live facts
@@ -480,9 +478,9 @@ Result<std::int64_t> IncrementalEvaluator::CountDerivations(
       std::vector<Evaluator::Solution> sols;
       OOINT_RETURN_IF_ERROR(SolveSeeded(rule, seed, admit, &sols));
       for (const Evaluator::Solution& sol : sols) {
-        OOINT_ASSIGN_OR_RETURN(Evaluator::HeadFact head,
-                               Evaluator::BuildHeadFact(rule, matcher, sol));
-        if (store().FindExisting(head.fact) == fact_id) ++total;
+        OOINT_ASSIGN_OR_RETURN(
+            Fact head, Evaluator::BuildHeadFact(rule, matcher, sol));
+        if (store().FindExisting(head) == fact_id) ++total;
       }
       continue;
     }
@@ -495,9 +493,9 @@ Result<std::int64_t> IncrementalEvaluator::CountDerivations(
       std::vector<FactId> head_ids;
       head_ids.reserve(sols.size());
       for (const Evaluator::Solution& sol : sols) {
-        OOINT_ASSIGN_OR_RETURN(Evaluator::HeadFact head,
-                               Evaluator::BuildHeadFact(rule, matcher, sol));
-        head_ids.push_back(store().FindExisting(head.fact));
+        OOINT_ASSIGN_OR_RETURN(
+            Fact head, Evaluator::BuildHeadFact(rule, matcher, sol));
+        head_ids.push_back(store().FindExisting(head));
       }
       it = full_solutions->emplace(&rule, std::move(head_ids)).first;
     }
@@ -591,9 +589,9 @@ Status IncrementalEvaluator::InsertPhase(int stratum,
               if (matches.empty() || matches.front() != g) continue;
               sol.matched[m] = FactView();
               OOINT_ASSIGN_OR_RETURN(
-                  Evaluator::HeadFact head,
+                  Fact head,
                   Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
-              IncrementDerivation(std::move(head.fact), r, &birth_round,
+              IncrementDerivation(std::move(head), r, &birth_round,
                                   &born_queue);
             }
           }
@@ -623,10 +621,8 @@ Status IncrementalEvaluator::InsertPhase(int stratum,
                                            birth_round, &sols));
           for (const Evaluator::Solution& sol : sols) {
             OOINT_ASSIGN_OR_RETURN(
-                Evaluator::HeadFact head,
-                Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
-            IncrementDerivation(std::move(head.fact), r, &birth_round,
-                                &born_queue);
+                Fact head, Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
+            IncrementDerivation(std::move(head), r, &birth_round, &born_queue);
           }
         }
       }
@@ -644,10 +640,8 @@ Status IncrementalEvaluator::InsertPhase(int stratum,
             SolveSeeded(*plan.rule, Bindings{}, admit, &sols));
         for (const Evaluator::Solution& sol : sols) {
           OOINT_ASSIGN_OR_RETURN(
-              Evaluator::HeadFact head,
-              Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
-          IncrementDerivation(std::move(head.fact), r, &birth_round,
-                              &born_queue);
+              Fact head, Evaluator::BuildHeadFact(*plan.rule, matcher, sol));
+          IncrementDerivation(std::move(head), r, &birth_round, &born_queue);
         }
       }
     }
@@ -838,7 +832,7 @@ void IncrementalEvaluator::MatchingFacts(
 }
 
 IncrementalEvaluator::HeadUnify IncrementalEvaluator::UnifyHead(
-    const Rule& rule, const Fact& fact, const FactMatcher& matcher,
+    const Rule& rule, const FactView& fact, const FactMatcher& matcher,
     Bindings* seed) const {
   const Literal& head = rule.head.front();
   if (head.kind == Literal::Kind::kPredicate) {
@@ -847,9 +841,8 @@ IncrementalEvaluator::HeadUnify IncrementalEvaluator::UnifyHead(
         return HeadUnify::kUnsupported;
       }
     }
-    return matcher.MatchArgs(head.args, FactView(&fact), seed)
-               ? HeadUnify::kBindings
-               : HeadUnify::kNoMatch;
+    return matcher.MatchArgs(head.args, fact, seed) ? HeadUnify::kBindings
+                                                    : HeadUnify::kNoMatch;
   }
   if (head.kind != Literal::Kind::kOTerm) return HeadUnify::kUnsupported;
   const OTerm& oterm = head.oterm;
@@ -857,7 +850,7 @@ IncrementalEvaluator::HeadUnify IncrementalEvaluator::UnifyHead(
     if (oterm.object.constant.kind() != ValueKind::kOid) {
       return HeadUnify::kUnsupported;
     }
-    if (!matcher.ValuesEqual(oterm.object.constant, Value::OfOid(fact.oid))) {
+    if (!matcher.ValuesEqual(oterm.object.constant, fact.oid_handle())) {
       return HeadUnify::kNoMatch;
     }
   } else if (oterm.object.is_variable()) {
@@ -868,11 +861,11 @@ IncrementalEvaluator::HeadUnify IncrementalEvaluator::UnifyHead(
     if (!var.empty() && var[0] != '_' && VarInBody(rule, var)) {
       auto bound = seed->find(var);
       if (bound != seed->end()) {
-        if (!matcher.ValuesEqual(bound->second, Value::OfOid(fact.oid))) {
+        if (!matcher.ValuesEqual(bound->second, fact.oid_handle())) {
           return HeadUnify::kNoMatch;
         }
       } else {
-        (*seed)[var] = Value::OfOid(fact.oid);
+        (*seed)[var] = fact.oid_handle().Materialize();
       }
     }
   } else {
@@ -883,24 +876,23 @@ IncrementalEvaluator::HeadUnify IncrementalEvaluator::UnifyHead(
     // head unification cannot invert — fall back to the full solve.
     if (d.attr_is_variable) return HeadUnify::kUnsupported;
     if (d.value.is_nested()) return HeadUnify::kUnsupported;
-    auto it = fact.attrs.find(d.attribute);
+    const ValueHandle stored = fact.Find(d.attribute);
     if (d.value.is_constant()) {
-      if (it == fact.attrs.end() ||
-          !matcher.ValuesEqual(d.value.constant, it->second)) {
+      if (!stored.valid() || !matcher.ValuesEqual(d.value.constant, stored)) {
         return HeadUnify::kNoMatch;
       }
       continue;
     }
     const std::string& var = d.value.var;
     if (!var.empty() && var[0] == '_') continue;  // existential: unset
-    if (it == fact.attrs.end()) return HeadUnify::kNoMatch;
+    if (!stored.valid()) return HeadUnify::kNoMatch;
     auto bound = seed->find(var);
     if (bound != seed->end()) {
-      if (!matcher.ValuesEqual(bound->second, it->second)) {
+      if (!matcher.ValuesEqual(bound->second, stored)) {
         return HeadUnify::kNoMatch;
       }
     } else {
-      (*seed)[var] = it->second;
+      (*seed)[var] = stored.Materialize();
     }
   }
   return HeadUnify::kBindings;

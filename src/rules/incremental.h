@@ -238,7 +238,7 @@ class IncrementalEvaluator {
 
   /// Unifies stored fact `fact` with `rule`'s head; on kBindings,
   /// `seed` holds the variable bindings the head structure pins.
-  HeadUnify UnifyHead(const Rule& rule, const Fact& fact,
+  HeadUnify UnifyHead(const Rule& rule, const FactView& fact,
                       const FactMatcher& matcher, Bindings* seed) const;
 
   /// One decremented derivation of `target` during delete round

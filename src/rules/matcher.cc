@@ -97,7 +97,6 @@ void MatchFrame::Reset(const CompiledOTerm* pattern, const Bindings* seed) {
   seed_ = seed;
   slots_.assign(pattern->slot_count(), Slot());
   top_ = kNoSlot;
-  owned_.clear();
   if (seed == nullptr || seed->empty()) return;
   for (size_t i = 0; i < slots_.size(); ++i) {
     auto it = seed->find(pattern->vars_[i]);
@@ -111,11 +110,6 @@ Bindings MatchFrame::ToBindings() const {
     row.emplace(pattern_->vars_[slot], slots_[slot].value.Materialize());
   }
   return row;
-}
-
-ValueHandle MatchFrame::Own(Value value) {
-  owned_.push_back(std::make_unique<Value>(std::move(value)));
-  return ValueHandle(owned_.back().get());
 }
 
 // --- FactMatcher -----------------------------------------------------------
@@ -204,13 +198,11 @@ void FactMatcher::MatchFrom(const Goal& goal, MatchFrame* frame,
 
   // Candidate attributes: the literal one, or — for variable-named
   // descriptors (schematic discrepancies, Section 2) — every attribute
-  // of the fact consistent with the name variable's binding. Attribute
-  // iteration is lexicographic by name in both fact backings.
+  // of the fact consistent with the name variable's binding, in
+  // lexicographic name order.
   if (d.name_slot == CompiledOTerm::kNoSlot) {
     const ValueHandle stored =
-        fact.layer() != nullptr
-            ? fact.FindSymbol(pattern.SymbolIn(fact.layer(), goal.at))
-            : fact.Find(d.source->attribute);
+        fact.FindSymbol(pattern.SymbolIn(fact.layer(), goal.at));
     if (stored.valid()) MatchValue(goal, stored, frame, on_match);
     return;
   }
@@ -224,10 +216,7 @@ void FactMatcher::MatchFrom(const Goal& goal, MatchFrame* frame,
   const size_t count = fact.attr_count();
   for (size_t i = 0; i < count; ++i) {
     const std::uint32_t mark = frame->top_;
-    frame->Bind(d.name_slot,
-                fact.layer() != nullptr
-                    ? fact.attr_name_handle(i)
-                    : frame->Own(Value::String(std::string(fact.attr_name(i)))));
+    frame->Bind(d.name_slot, fact.attr_name_handle(i));
     MatchValue(goal, fact.attr_value(i), frame, on_match);
     frame->UndoTo(mark);
   }
@@ -241,16 +230,10 @@ void FactMatcher::Match(const FactView& fact, MatchFrame* frame,
   switch (object.kind) {
     case TermArg::Kind::kConstant:
       if (object.constant.kind() != ValueKind::kOid) return;
-      if (fact.layer() != nullptr
-              ? !ValuesEqual(object.constant, fact.oid_handle())
-              : !ValuesEqual(object.constant, Value::OfOid(fact.oid()))) {
-        return;
-      }
+      if (!ValuesEqual(object.constant, fact.oid_handle())) return;
       break;
     case TermArg::Kind::kVariable: {
-      const ValueHandle self = fact.layer() != nullptr
-                                   ? fact.oid_handle()
-                                   : frame->Own(Value::OfOid(fact.oid()));
+      const ValueHandle self = fact.oid_handle();
       const ValueHandle& bound = frame->slots_[pattern.object_slot_].value;
       if (bound.valid()) {
         if (!ValuesEqual(bound, self)) return;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,11 +84,10 @@ class CompiledOTerm {
 /// Where a match binds: one ValueHandle per slot of a compiled pattern,
 /// and an undo trail of the slots bound since the last Reset, threaded
 /// through the slots themselves, so a backtrack unbinds exactly what it
-/// bound and a partial match allocates nothing. A packed fact binds
-/// handles into its own layer — its OID is the layer's `kOid` word, an
-/// attribute name its symbol — and only a materialized Fact's OID or
-/// attribute name is copied into a value the frame owns until the next
-/// Reset. Reusable: Reset keeps capacity.
+/// bound and a partial match allocates nothing. A fact binds handles
+/// into its own store layer — its OID is the layer's `kOid` word, an
+/// attribute name its symbol — so the frame owns no values. Reusable:
+/// Reset keeps capacity.
 class MatchFrame {
  public:
   /// Points the frame at `pattern` with every slot unbound, then binds
@@ -128,13 +126,11 @@ class MatchFrame {
       top_ = slot.below;
     }
   }
-  ValueHandle Own(Value value);
 
   const CompiledOTerm* pattern_ = nullptr;
   const Bindings* seed_ = nullptr;
   std::vector<Slot> slots_;
   std::uint32_t top_ = kNoSlot;  // the most recently bound slot
-  std::vector<std::unique_ptr<Value>> owned_;
 };
 
 /// Shared O-term-against-fact unification used by both evaluators and
@@ -151,7 +147,7 @@ class MatchFrame {
 ///    ("oi1 = oi2 in terms of data mapping").
 ///
 /// Facts are matched through FactView and bound into a MatchFrame of
-/// handles, so packed store facts are traversed in place and a value
+/// handles, so stored facts are traversed in place and a value
 /// materializes only when a full match is turned into Bindings.
 class FactMatcher {
  public:

@@ -348,7 +348,7 @@ void ResultPipeline::DrainSorted() {
   // set is. limit == 0 degrades to a full sort.
   // With an unbounded sort the O(k) in-heap duplicate scan would be
   // quadratic; dedup up front through the digest store instead.
-  const bool heap_dedup = spec_.distinct && spec_.limit > 0;
+  const bool heap_dedup = spec_.limit > 0;
   HeldTopK topk(spec_.limit, HeldRowOrder{this}, heap_dedup);
   const size_t width = vars_.size();
   // An offer is classified against the heap in place; only a row the
@@ -368,7 +368,7 @@ void ResultPipeline::DrainSorted() {
   };
   HeldRow displaced;
   while (PullTransformed(&in_flight_)) {
-    if (spec_.distinct && !heap_dedup && !DedupAdmit(in_flight_)) {
+    if (!heap_dedup && !DedupAdmit(in_flight_)) {
       ++stats_.rows_deduped;
       continue;
     }
@@ -389,12 +389,9 @@ void ResultPipeline::DrainSorted() {
   }
   in_flight_ = nullptr;
   stats_.heap_evictions = topk.evictions();
-  for (const HeldRow& held : topk.TakeSorted()) {
-    // Without heap dedup, account the final sorted buffer (the dedup
-    // store counted its rows as they were admitted).
-    if (!heap_dedup && !spec_.distinct) HoldBytes(ApproxRowBytes(Cells(held.row)));
-    sorted_.push_back(held.row);
-  }
+  // Without heap dedup the dedup store counted the rows as it admitted
+  // them.
+  for (const HeldRow& held : topk.TakeSorted()) sorted_.push_back(held.row);
 }
 
 bool ResultPipeline::Next(Bindings* row) {
@@ -419,18 +416,13 @@ bool ResultPipeline::Next(Bindings* row) {
     return true;
   }
 
-  // Streaming path: one row at a time; only the dedup store (when
-  // distinct) accumulates.
+  // Streaming path: one row at a time; only the dedup store
+  // accumulates.
   const ValueHandle* candidate = nullptr;
   while (PullTransformed(&candidate)) {
-    if (spec_.distinct && !DedupAdmit(candidate)) {
+    if (!DedupAdmit(candidate)) {
       ++stats_.rows_deduped;
       continue;
-    }
-    if (!spec_.distinct) {
-      const size_t bytes = ApproxRowBytes(candidate);
-      HoldBytes(bytes);
-      ReleaseBytes(bytes);
     }
     *row = MaterializeRow(vars_, candidate);
     ++emitted_;

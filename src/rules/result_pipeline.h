@@ -129,16 +129,14 @@ struct RowFilter {
 };
 
 /// Declarative pipeline shape: filter → project → dedup → sort/limit →
-/// (the caller paginates by pulling).
+/// (the caller paginates by pulling). The (projected) output rows are
+/// always distinct, so pages reproduce Run()'s answer semantics;
+/// projection can otherwise manufacture duplicates.
 struct PipelineSpec {
   std::vector<RowFilter> filters;
   /// Variables to keep (empty = identity projection). Variables absent
   /// from a row are simply absent from its projection.
   std::vector<std::string> project;
-  /// Exact de-duplication of the (projected) output rows. The serving
-  /// layer always enables this so pages reproduce Run()'s distinct
-  /// answer semantics; projection can otherwise manufacture duplicates.
-  bool distinct = false;
   /// Sort variable (empty = stream order, no sort). Rows missing the
   /// variable sort after all rows that have it, in either direction;
   /// ties break on the full row ordering (ascending), making the sort
@@ -186,7 +184,7 @@ struct RowOrder {
 /// Next() drains the upstream through a bounded top-k heap of handle
 /// rows (at most `limit` rows held; `limit` == 0 degrades to a full
 /// sort) and then emits in order; without it rows stream through one at
-/// a time and only the dedup store (when `distinct`) accumulates.
+/// a time and only the dedup store accumulates.
 /// A row is materialized only when Next() emits it, so a row the filter,
 /// the dedup or the heap discards is never built.
 class ResultPipeline {

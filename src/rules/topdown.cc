@@ -1,7 +1,7 @@
 #include "rules/topdown.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/string_util.h"
 #include "rules/matcher.h"
@@ -58,9 +58,9 @@ Status TopDownEvaluator::AddRule(Rule rule) {
   return Status::OK();
 }
 
-Result<std::vector<Fact>> TopDownEvaluator::BaseFacts(
+Result<TopDownEvaluator::Extent> TopDownEvaluator::BaseFacts(
     const std::string& concept_name) {
-  std::vector<Fact> out;
+  Extent out;
   auto it = bindings_decl_.find(concept_name);
   if (it == bindings_decl_.end()) return out;
   for (const ConceptBinding& binding : it->second) {
@@ -73,14 +73,14 @@ Result<std::vector<Fact>> TopDownEvaluator::BaseFacts(
       const Object* object = source.store->Find(oid);
       if (object == nullptr) continue;
       Fact fact = Fact::FromObject(concept_name, *object);
-      universe_.Insert(fact);
-      out.push_back(std::move(fact));
+      const FactId id = universe_.InsertOrFind(fact);
+      out.Add(std::move(fact), id);
     }
   }
   return out;
 }
 
-Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
+Result<TopDownEvaluator::Extent> TopDownEvaluator::ApplyRule(
     const Rule& rule, const std::map<std::string, Value>& seed) {
   ++stats_.rule_invocations;
 
@@ -91,14 +91,14 @@ Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
       [this](const Oid& oid) { return universe_.ViewByOid(oid); }, nullptr);
 
   // Pre-evaluate each body concept_name (the recursive calls of Appendix B).
-  std::map<std::string, std::vector<Fact>> body_facts;
+  std::map<std::string, const Extent*> body_facts;
   for (const Literal& literal : rule.body) {
     if (literal.kind != Literal::Kind::kOTerm) continue;
     const std::string& concept_name = literal.oterm.class_name;
     if (body_facts.count(concept_name) != 0) continue;
-    Result<std::vector<Fact>> facts = Evaluate(concept_name);
+    Result<const Extent*> facts = Solve(concept_name);
     if (!facts.ok()) return facts.status();
-    body_facts.emplace(concept_name, std::move(facts).value());
+    body_facts.emplace(concept_name, facts.value());
   }
 
   // Cost-based body order: extent estimates are the sizes of the
@@ -113,7 +113,7 @@ Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
     const Literal& l = rule.body[i];
     if (l.kind != Literal::Kind::kOTerm) continue;
     pin.extent_cost[i] =
-        static_cast<double>(body_facts[l.oterm.class_name].size());
+        static_cast<double>(body_facts[l.oterm.class_name]->ids.size());
   }
   for (const auto& [var, value] : seed) pin.initial_bound.insert(var);
   const BodyPlan plan = PlanBody(pin, PlannerMode::kCostBased);
@@ -125,15 +125,19 @@ Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
     std::vector<Bindings> next;
     if (literal.kind == Literal::Kind::kOTerm) {
       ++stats_.joins;
-      const std::vector<Fact>& facts = body_facts[literal.oterm.class_name];
+      // The body concept's facts, read as the records they were
+      // inserted as.
+      const std::vector<FactId>& ids =
+          body_facts[literal.oterm.class_name]->ids;
       const CompiledOTerm pattern(literal.oterm);
       MatchFrame frame;
       for (const Bindings& bindings : solutions) {
         frame.Reset(&pattern, &bindings);
-        for (const Fact& fact : facts) {
-          matcher.Match(FactView(&fact), &frame, [&](const MatchFrame& match) {
-            next.push_back(match.ToBindings());
-          });
+        for (const FactId id : ids) {
+          matcher.Match(universe_.ViewById(id), &frame,
+                        [&](const MatchFrame& match) {
+                          next.push_back(match.ToBindings());
+                        });
         }
       }
     } else if (literal.kind == Literal::Kind::kCompare) {
@@ -169,10 +173,11 @@ Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
 
   // Instantiate the head for each solution.
   const OTerm& head = rule.head.front().oterm;
-  std::vector<Fact> out;
-  // Hashed exact de-duplication on (concept, oid, attrs); skolem OIDs
-  // are content-addressed, so pre-skolem duplicates collapse here too.
-  std::unordered_map<std::uint64_t, std::vector<size_t>> seen;
+  Extent out;
+  // The universe's de-duplication on (concept, oid, attrs) decides which
+  // head facts are one; skolem OIDs are content-addressed, so pre-skolem
+  // duplicates collapse there too.
+  std::unordered_set<FactId> seen;
   for (const Bindings& bindings : solutions) {
     Fact fact;
     fact.concept_name = head.class_name;
@@ -219,20 +224,9 @@ Result<std::vector<Fact>> TopDownEvaluator::ApplyRule(
       fact.oid = Oid("derived", "ooint", "global", fact.concept_name,
                      HashFactAttrs(fact));
     }
-    std::vector<size_t>& bucket = seen[HashFactCanonical(fact)];
-    bool duplicate = false;
-    for (size_t index : bucket) {
-      const Fact& other = out[index];
-      if (other.oid == fact.oid && other.concept_name == fact.concept_name &&
-          other.attrs == fact.attrs) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (duplicate) continue;
-    bucket.push_back(out.size());
-    universe_.Insert(fact);
-    out.push_back(std::move(fact));
+    const FactId id = universe_.InsertOrFind(fact);
+    if (!seen.insert(id).second) continue;
+    out.Add(std::move(fact), id);
   }
   return out;
 }
@@ -256,10 +250,10 @@ Result<std::vector<Fact>> TopDownEvaluator::EvaluateFiltered(
   };
 
   // temp: filtered base extents.
-  Result<std::vector<Fact>> base = BaseFacts(concept_name);
+  Result<Extent> base = BaseFacts(concept_name);
   if (!base.ok()) return base.status();
   std::vector<Fact> result;
-  for (Fact& fact : base.value()) {
+  for (Fact& fact : base.value().facts) {
     if (matches_filter(fact)) result.push_back(std::move(fact));
   }
 
@@ -283,9 +277,9 @@ Result<std::vector<Fact>> TopDownEvaluator::EvaluateFiltered(
         seed.emplace(d.value.var, it->second);
       }
       if (contradiction) continue;
-      Result<std::vector<Fact>> derived = ApplyRule(rule, seed);
+      Result<Extent> derived = ApplyRule(rule, seed);
       if (!derived.ok()) return derived.status();
-      for (Fact& fact : derived.value()) {
+      for (Fact& fact : derived.value().facts) {
         if (matches_filter(fact)) result.push_back(std::move(fact));
       }
     }
@@ -295,10 +289,17 @@ Result<std::vector<Fact>> TopDownEvaluator::EvaluateFiltered(
 
 Result<std::vector<Fact>> TopDownEvaluator::Evaluate(
     const std::string& concept_name) {
+  Result<const Extent*> extent = Solve(concept_name);
+  if (!extent.ok()) return extent.status();
+  return extent.value()->facts;
+}
+
+Result<const TopDownEvaluator::Extent*> TopDownEvaluator::Solve(
+    const std::string& concept_name) {
   auto memo = memo_.find(concept_name);
   if (memo != memo_.end()) {
     ++stats_.memo_hits;
-    return memo->second;
+    return &memo->second;
   }
   if (in_progress_.count(concept_name) != 0) {
     return Status::Unsupported(
@@ -308,50 +309,32 @@ Result<std::vector<Fact>> TopDownEvaluator::Evaluate(
   in_progress_.insert(concept_name);
 
   // temp := ∪_{s ∈ S} results of evaluating q against s.
-  Result<std::vector<Fact>> base = BaseFacts(concept_name);
+  Result<Extent> base = BaseFacts(concept_name);
   if (!base.ok()) {
     in_progress_.erase(concept_name);
     return base.status();
   }
-  std::vector<Fact> result = std::move(base).value();
-  // Hashed exact de-duplication on (concept, oid, attrs). Skolem OIDs
-  // are content-addressed hashes of (concept, attrs), so derived facts
-  // that agree on attributes collapse under canonical identity too.
-  std::unordered_map<std::uint64_t, std::vector<size_t>> seen;
-  auto is_duplicate = [&](const Fact& fact) {
-    std::vector<size_t>& bucket = seen[HashFactCanonical(fact)];
-    for (size_t index : bucket) {
-      const Fact& other = result[index];
-      if (other.oid == fact.oid && other.concept_name == fact.concept_name &&
-          other.attrs == fact.attrs) {
-        return true;
-      }
-    }
-    return false;
-  };
-  for (size_t i = 0; i < result.size(); ++i) {
-    seen[HashFactCanonical(result[i])].push_back(i);
-  }
-
-  // result := temp ∪ temp' for every rule defining q.
+  Extent result = std::move(base).value();
+  // result := temp ∪ temp' for every rule defining q, a derived fact
+  // once unless the universe already holds it as one of result's.
+  std::unordered_set<FactId> held(result.ids.begin(), result.ids.end());
   auto rules = rules_by_head_.find(concept_name);
   if (rules != rules_by_head_.end()) {
     for (size_t index : rules->second) {
-      Result<std::vector<Fact>> derived = ApplyRule(rules_[index], {});
+      Result<Extent> derived = ApplyRule(rules_[index], {});
       if (!derived.ok()) {
         in_progress_.erase(concept_name);
         return derived.status();
       }
-      for (Fact& fact : derived.value()) {
-        if (is_duplicate(fact)) continue;
-        seen[HashFactCanonical(fact)].push_back(result.size());
-        result.push_back(std::move(fact));
+      Extent& facts = derived.value();
+      for (size_t i = 0; i < facts.ids.size(); ++i) {
+        if (!held.insert(facts.ids[i]).second) continue;
+        result.Add(std::move(facts.facts[i]), facts.ids[i]);
       }
     }
   }
   in_progress_.erase(concept_name);
-  memo_.emplace(concept_name, result);
-  return result;
+  return &memo_.emplace(concept_name, std::move(result)).first->second;
 }
 
 }  // namespace ooint

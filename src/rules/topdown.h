@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -84,25 +85,44 @@ class TopDownEvaluator {
     std::string class_name;
   };
 
+  /// Facts of one concept, and the universe_ record each was inserted
+  /// as, in the same order. Rule bodies match the records; the facts
+  /// are what Evaluate returns.
+  struct Extent {
+    std::vector<Fact> facts;
+    std::vector<FactId> ids;
+
+    void Add(Fact fact, FactId id) {
+      facts.push_back(std::move(fact));
+      ids.push_back(id);
+    }
+  };
+
+  /// evaluation(q, Q), memoized: the extent of `concept_name`, which
+  /// stays valid for the evaluator's life.
+  Result<const Extent*> Solve(const std::string& concept_name);
+
   /// Base extents: evaluating q directly against every schema s ∈ S.
-  Result<std::vector<Fact>> BaseFacts(const std::string& concept_name);
+  Result<Extent> BaseFacts(const std::string& concept_name);
 
   /// Evaluates one rule body by joining the recursively evaluated body
-  /// concepts; returns the instantiated head facts. `seed` pre-binds
-  /// variables (constant propagation); empty for plain evaluation.
-  Result<std::vector<Fact>> ApplyRule(
-      const Rule& rule, const std::map<std::string, Value>& seed);
+  /// concepts; returns the instantiated head facts, each once. `seed`
+  /// pre-binds variables (constant propagation); empty for plain
+  /// evaluation.
+  Result<Extent> ApplyRule(const Rule& rule,
+                           const std::map<std::string, Value>& seed);
 
   std::vector<Source> sources_;
   std::map<std::string, std::vector<ConceptBinding>> bindings_decl_;
   std::vector<Rule> rules_;
   std::map<std::string, std::vector<size_t>> rules_by_head_;
 
-  std::map<std::string, std::vector<Fact>> memo_;
+  std::map<std::string, Extent> memo_;
   std::set<std::string> in_progress_;
   /// Every fact seen so far (base and derived), indexed by OID for
   /// nested-descriptor navigation — the same indexed store the
-  /// bottom-up evaluator uses.
+  /// bottom-up evaluator uses. Its de-duplication decides which facts
+  /// are one, and rule bodies match its records.
   FactStore universe_;
   Stats stats_;
 };

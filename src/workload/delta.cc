@@ -6,41 +6,6 @@ namespace ooint {
 
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t Draw(std::uint64_t seed, std::uint64_t index) {
-  return SplitMix64(seed ^ (index * 0x2545f4914f6cdd1dULL));
-}
-
-/// Same pool scheme as the instance generator's, so delta-inserted
-/// keys collide with the population and rule joins find partners.
-Value PoolValue(ValueKind kind, std::uint64_t draw, size_t pool) {
-  const std::uint64_t d = draw % (pool == 0 ? 1 : pool);
-  switch (kind) {
-    case ValueKind::kString:
-      return Value::String(StrCat("k", d));
-    case ValueKind::kInteger:
-      return Value::Integer(static_cast<std::int64_t>(d));
-    case ValueKind::kReal:
-      return Value::Real(static_cast<double>(d) + 0.5);
-    case ValueKind::kBoolean:
-      return Value::Boolean(d % 2 == 0);
-    case ValueKind::kCharacter:
-      return Value::Character(static_cast<char>('a' + (d % 26)));
-    case ValueKind::kDate:
-      return Value::OfDate({2000 + static_cast<int>(d % 30),
-                            1 + static_cast<int>(draw % 12),
-                            1 + static_cast<int>((draw >> 8) % 28)});
-    default:
-      return Value::Null();
-  }
-}
-
 /// A fresh scalar-only object of class `id`: every non-class-typed
 /// attribute gets a pool value (multi-valued ones a 0..2 element set).
 /// Aggregations are deliberately left unset — delta objects stand

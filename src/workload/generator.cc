@@ -2,23 +2,18 @@
 
 #include <set>
 
+#include "common/hash.h"
 #include "common/string_util.h"
+#include "workload/populator.h"
 
 namespace ooint {
 
 namespace {
 
-/// SplitMix64: deterministic, platform-independent pseudo-randomness
-/// (std::mt19937 distributions vary across standard libraries).
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
+/// Seeded draws (Draw, splitmix64) rather than std::mt19937, whose
+/// distributions vary across standard libraries.
 double Rand01(std::uint64_t seed, std::uint64_t index) {
-  return static_cast<double>(SplitMix64(seed ^ (index * 0x2545f4914f6cdd1dULL)) >> 11) /
+  return static_cast<double>(Draw(seed, index) >> 11) /
          static_cast<double>(1ULL << 53);
 }
 

@@ -3,26 +3,15 @@
 #include <cstdio>
 #include <set>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 
 namespace ooint {
-
-namespace {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t Draw(std::uint64_t seed, std::uint64_t index) {
   return SplitMix64(seed ^ (index * 0x2545f4914f6cdd1dULL));
 }
 
-/// One pool value of the requested kind. Pools are schema-independent,
-/// so keys generated for two different stores collide and cross-schema
-/// joins (derivation rules matching on key equality) find partners.
 Value PoolValue(ValueKind kind, std::uint64_t draw, size_t pool) {
   const std::uint64_t d = draw % (pool == 0 ? 1 : pool);
   switch (kind) {
@@ -44,8 +33,6 @@ Value PoolValue(ValueKind kind, std::uint64_t draw, size_t pool) {
       return Value::Null();
   }
 }
-
-}  // namespace
 
 Result<StoreSpec> GenerateInstances(const Schema& schema,
                                     const PopulateOptions& options) {

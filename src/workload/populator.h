@@ -72,6 +72,17 @@ Result<std::vector<Oid>> ApplySpec(const StoreSpec& spec,
 /// accepts, with aggregation targets as ref(o<j>) references.
 std::string StoreSpecToText(const StoreSpec& spec);
 
+/// The generators' seeded draw: value `index` of stream `seed`
+/// (splitmix64). Generated worlds, populations and delta traces all
+/// draw through it, so their pinned outputs share one definition.
+std::uint64_t Draw(std::uint64_t seed, std::uint64_t index);
+
+/// One pool value of `kind` from `draw`, the pool holding `pool` values
+/// per kind. Pools are schema-independent, so keys generated for two
+/// different stores (or a store and a delta) collide and cross-schema
+/// joins (derivation rules matching on key equality) find partners.
+Value PoolValue(ValueKind kind, std::uint64_t draw, size_t pool);
+
 }  // namespace ooint
 
 #endif  // OOINT_WORKLOAD_POPULATOR_H_

@@ -24,22 +24,12 @@
 #include "rules/magic.h"
 #include "rules/ref_fact_store.h"
 #include "workload/generator.h"
+#include "workload/populator.h"
 
 namespace ooint {
 namespace harness {
 
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t Draw(std::uint64_t seed, std::uint64_t salt) {
-  return SplitMix64(seed ^ (salt * 0x2545f4914f6cdd1dULL));
-}
 
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& sep) {
@@ -1357,27 +1347,34 @@ Result<OracleOutcome> CheckCase(const ConcreteCase& c) {
           }
         }
       }
-      // FindByOid, both overloads, for every stored OID.
+      // OID lookups for every stored OID, against the reference's
+      // FindByOid overloads: ViewByOid (the matcher's resolver, first
+      // inserted first) and the first ProbeOid ordinal (the join path's
+      // concept-scoped lookup).
       for (const Fact* fact : diverged ? std::vector<const Fact*>{} : replay) {
         if (fact->oid.empty()) continue;
         const Fact* by_ref = ref.FindByOid(fact->oid);
-        const Fact* by_col = col.FindByOid(fact->oid);
-        if (by_ref == nullptr || by_col == nullptr ||
-            by_ref->CanonicalKey() != by_col->CanonicalKey()) {
+        const FactView by_col = col.ViewByOid(fact->oid);
+        if (by_ref == nullptr || !by_col.valid() ||
+            by_ref->CanonicalKey() !=
+                col.FactById(by_col.id())->CanonicalKey()) {
           outcome.failures.push_back(StrCat(
-              "store-differential: FindByOid(", fact->oid.ToString(),
-              ") disagrees between the reference and columnar stores"));
+              "store-differential: ViewByOid(", fact->oid.ToString(),
+              ") disagrees with the reference FindByOid"));
           break;
         }
         const ConceptId ref_cid = ref.FindConcept(fact->concept_name);
         const ConceptId col_cid = col.FindConcept(fact->concept_name);
         const Fact* scoped_ref = ref.FindByOid(fact->oid, ref_cid);
-        const Fact* scoped_col = col.FindByOid(fact->oid, col_cid);
-        if (scoped_ref == nullptr || scoped_col == nullptr ||
-            scoped_ref->CanonicalKey() != scoped_col->CanonicalKey()) {
+        std::vector<std::uint32_t> ordinals;
+        col.ProbeOid(col_cid, fact->oid, &ordinals);
+        if (scoped_ref == nullptr || ordinals.empty() ||
+            scoped_ref->CanonicalKey() !=
+                col.FactAt(col_cid, ordinals.front())->CanonicalKey()) {
           outcome.failures.push_back(StrCat(
-              "store-differential: FindByOid(", fact->oid.ToString(), ", ",
-              fact->concept_name, ") disagrees between the stores"));
+              "store-differential: ProbeOid(", fact->concept_name, ", ",
+              fact->oid.ToString(), ") disagrees with the reference "
+              "FindByOid"));
           break;
         }
       }

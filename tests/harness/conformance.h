@@ -60,8 +60,9 @@ enum class OracleFamily {
   /// fact universe is replayed, in insertion order, into both a fresh
   /// columnar FactStore and the pre-columnar ReferenceFactStore; the
   /// two must agree on every observable — per-concept CanonicalKey
-  /// sequences (bit-identical fact sets in insertion order), FindByOid
-  /// for every stored OID (both overloads), verified Probe result sets
+  /// sequences (bit-identical fact sets in insertion order), the
+  /// reference FindByOid for every stored OID (both overloads) against
+  /// ViewByOid and ProbeOid, verified Probe result sets
   /// for every (fact, attribute, scalar value / set element), and
   /// duplicate re-insertion answers.
   kStoreDifferential,

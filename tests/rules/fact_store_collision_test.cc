@@ -5,7 +5,7 @@
 // bits, so unrelated facts collide constantly. Every observable must
 // still be exact, because each digest lookup re-verifies candidates
 // against the packed payloads: de-duplication never drops a distinct
-// fact, FindByOid / ProbeOid never return a foreign OID, and Probe's
+// fact, ViewByOid / ProbeOid never return a foreign OID, and Probe's
 // candidate stream re-verified the matcher's way never yields a false
 // positive the caller can observe.
 
@@ -87,19 +87,23 @@ TEST_P(CollidingFactStoreTest, FindByOidNeverReturnsForeignOid) {
               kNoFact);
   }
   for (std::uint32_t i = 0; i < oids.size(); ++i) {
-    const Fact* found = store.FindByOid(oids[i]);
-    ASSERT_NE(found, nullptr);
+    const FactView found = store.ViewByOid(oids[i]);
+    ASSERT_TRUE(found.valid());
     // Exact: the fact found owns exactly the probed OID.
-    EXPECT_EQ(found->oid, oids[i]);
-    EXPECT_EQ(found->attrs.at("i"), Value::Integer(i));
-    const Fact* scoped = store.FindByOid(oids[i], store.FindConcept("c"));
-    ASSERT_NE(scoped, nullptr);
-    EXPECT_EQ(scoped->oid, oids[i]);
+    EXPECT_EQ(found.oid_handle().MaterializeOid(), oids[i]);
+    EXPECT_TRUE(found.Find("i").Equals(Value::Integer(i)));
+    std::vector<std::uint32_t> ordinals;
+    store.ProbeOid(store.FindConcept("c"), oids[i], &ordinals);
+    ASSERT_EQ(ordinals.size(), 1u);
+    EXPECT_EQ(store.ViewAt(store.FindConcept("c"), ordinals[0])
+                  .oid_handle()
+                  .MaterializeOid(),
+              oids[i]);
   }
   // Absent OIDs (including ones whose masked hash collides with a
   // stored one) still miss.
-  EXPECT_EQ(store.FindByOid(MakeOid("rel0", 1000)), nullptr);
-  EXPECT_EQ(store.FindByOid(MakeOid("other", 0)), nullptr);
+  EXPECT_FALSE(store.ViewByOid(MakeOid("rel0", 1000)).valid());
+  EXPECT_FALSE(store.ViewByOid(MakeOid("other", 0)).valid());
 }
 
 TEST_P(CollidingFactStoreTest, ProbeOidIsExactUnderCollisions) {

@@ -173,16 +173,20 @@ TEST(FactStoreSegmentTest, OidLookupsGiveTheSegmentPrecedence) {
   ASSERT_NE(twin, kNoFact);
   ASSERT_NE(other, kNoFact);
 
-  EXPECT_EQ(overlay.FindByOid(shared)->attrs.size(), 1u);  // the segment's
-  EXPECT_EQ(overlay.ViewByOid(shared).attr_count(), 1u);
+  const FactView first = overlay.ViewByOid(shared);
+  EXPECT_EQ(first.id(), 1u);  // the segment's
+  EXPECT_EQ(first.layer(), segment.get());
+  EXPECT_EQ(first.attr_count(), 1u);
   const ConceptId person = overlay.FindConcept("person");
   const ConceptId employee = overlay.FindConcept("employee");
-  EXPECT_EQ(overlay.FindByOid(shared, person), segment->FindByOid(shared));
-  EXPECT_EQ(overlay.FindByOid(shared, employee)->concept_name, "employee");
 
   std::vector<std::uint32_t> ordinals;
   overlay.ProbeOid(person, shared, &ordinals);
   EXPECT_EQ(ordinals, (std::vector<std::uint32_t>{1, overlay.OrdinalOf(twin)}));
+  ordinals.clear();
+  overlay.ProbeOid(employee, shared, &ordinals);
+  ASSERT_EQ(ordinals.size(), 1u);
+  EXPECT_EQ(overlay.IdAt(employee, ordinals[0]), other);
   std::vector<FactId> ids;
   overlay.FactIdsWithOid(shared, &ids);
   EXPECT_EQ(ids, (std::vector<FactId>{1, twin, other}));
@@ -231,7 +235,7 @@ TEST(FactStoreSegmentTest, ClearDetachesTheSegment) {
   EXPECT_EQ(overlay.size(), 0u);
   EXPECT_EQ(overlay.concept_count(), 0u);
   EXPECT_EQ(overlay.FindConcept("person"), kNoConcept);
-  EXPECT_EQ(overlay.FindByOid(MakeOid("person", 0)), nullptr);
+  EXPECT_FALSE(overlay.ViewByOid(MakeOid("person", 0)).valid());
   EXPECT_TRUE(overlay.FactsOf("person").empty());
   // A cleared overlay is an ordinary store again.
   EXPECT_EQ(overlay.Insert(MakeFact("person", MakeOid("person", 0),

@@ -1,7 +1,8 @@
 // Unit coverage for the columnar FactStore: interning, exact
 // de-duplication, extent ordinals, the packed (concept, attribute,
 // value) postings index, and the *defined* OID collision precedence
-// (first-inserted fact wins; the concept-aware overload disambiguates).
+// (first-inserted fact wins; ProbeOid disambiguates by concept), and a
+// duplicate insert that leaves the store as it was.
 // The materializing boundary (FactAt / FactById) must return stable
 // pointers, and FactView must expose attributes in the same
 // lexicographic order a materialized Fact's std::map iterates in.
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "rules/fact_store.h"
@@ -52,6 +54,54 @@ TEST(FactStoreTest, InsertDeduplicatesExactly) {
   other_oid.oid = MakeOid("person", 2);
   EXPECT_NE(store.Insert(other_oid), kNoFact);
   EXPECT_EQ(store.size(), 3u);
+}
+
+/// Every byte count of a breakdown, for whole-store comparisons.
+std::vector<size_t> Bytes(const FactStore::MemoryBreakdown& m) {
+  return {m.record_bytes,     m.attr_bytes,       m.symbol_bytes,
+          m.value_pool_bytes, m.attr_index_bytes, m.oid_index_bytes,
+          m.dedup_bytes,      m.materialized_bytes};
+}
+
+TEST(FactStoreTest, DuplicatesOfASetValuedFactLeaveTheStoreUnchanged) {
+  // Encoding a set appends its runs before the duplicate check finds
+  // the stored fact; a duplicate must take them back out.
+  const Value tags = Value::Set(
+      {Value::String("a"), Value::Set({Value::Integer(1), Value::Integer(2)})});
+  const Fact fact =
+      MakeFact("doc", MakeOid("doc", 1), {{"n", Value::Integer(1)},
+                                          {"tags", tags}});
+  const auto check = [&](FactStore* store) {
+    const FactId id = store->Insert(fact);
+    ASSERT_NE(id, kNoFact);
+    EXPECT_EQ(store->Insert(fact), kNoFact);
+    const std::vector<size_t> after_first = Bytes(store->memory());
+    const size_t size = store->size();
+    for (int i = 0; i < 1000; ++i) {
+      EXPECT_EQ(store->Insert(fact), kNoFact);
+      bool was_new = true;
+      EXPECT_EQ(store->InsertOrFind(fact, &was_new), id);
+      EXPECT_FALSE(was_new);
+    }
+    EXPECT_EQ(Bytes(store->memory()), after_first);
+    EXPECT_EQ(store->size(), size);
+    // The kept runs still read back, and a new set lands after them.
+    EXPECT_EQ(store->ViewById(id).Find("tags").Materialize(), tags);
+    const Value other = Value::Set({Value::String("b")});
+    const FactId next = store->Insert(
+        MakeFact("doc", MakeOid("doc", 2), {{"tags", other}}));
+    ASSERT_NE(next, kNoFact);
+    EXPECT_EQ(store->ViewById(next).Find("tags").Materialize(), other);
+    EXPECT_EQ(store->ViewById(id).Find("tags").Materialize(), tags);
+  };
+  FactStore single;
+  check(&single);
+  // On an overlay the fact and its duplicates are the overlay's own.
+  auto segment = std::make_shared<FactStore>();
+  segment->Insert(MakeFact("doc", MakeOid("doc", 0), {{"tags", tags}}));
+  FactStore overlay;
+  overlay.AttachSegment(segment);
+  check(&overlay);
 }
 
 TEST(FactStoreTest, ExtentsKeepInsertionOrderWithStablePointers) {
@@ -120,7 +170,7 @@ TEST(FactStoreTest, MaterializationRoundTripsEveryValueKind) {
     EXPECT_EQ(view.attr_value(i).Materialize(), value);
     ++i;
   }
-  // And the exact-equivalence check used by skolem dedup agrees.
+  // And the exact-equivalence check FindExisting verifies with agrees.
   EXPECT_TRUE(store.EquivalentAttrs(id, fact));
   Fact tweaked = fact;
   tweaked.attrs["bool"] = Value::Boolean(false);
@@ -129,9 +179,9 @@ TEST(FactStoreTest, MaterializationRoundTripsEveryValueKind) {
 
 TEST(FactStoreTest, OidCollisionPrecedenceIsFirstInserted) {
   // Two concepts deriving the same entity used to hit an unordered-map
-  // emplace race; the contract is explicit: FindByOid(oid) returns the
+  // emplace race; the contract is explicit: ViewByOid(oid) returns the
   // FIRST-inserted fact (base facts load before derived ones, so base
-  // data wins), and the concept-aware overload picks per concept.
+  // data wins), and ProbeOid picks per concept.
   FactStore store;
   const Oid shared = MakeOid("person", 7);
   const FactId base = store.Insert(
@@ -140,18 +190,18 @@ TEST(FactStoreTest, OidCollisionPrecedenceIsFirstInserted) {
       MakeFact("IS_AB(person)", shared, {{"vip", Value::Boolean(true)}}));
   ASSERT_NE(base, kNoFact);
   ASSERT_NE(derived, kNoFact);
-  EXPECT_EQ(store.FindByOid(shared), store.FactById(base));
-  EXPECT_EQ(store.FindByOid(shared, store.FindConcept("IS(S1.person)")),
-            store.FactById(base));
-  EXPECT_EQ(store.FindByOid(shared, store.FindConcept("IS_AB(person)")),
-            store.FactById(derived));
-  EXPECT_EQ(store.FindByOid(MakeOid("person", 8)), nullptr);
+  EXPECT_EQ(store.ViewByOid(shared).id(), base);
+  EXPECT_FALSE(store.ViewByOid(MakeOid("person", 8)).valid());
 
   std::vector<std::uint32_t> ordinals;
+  store.ProbeOid(store.FindConcept("IS(S1.person)"), shared, &ordinals);
+  ASSERT_EQ(ordinals.size(), 1u);
+  EXPECT_EQ(store.IdAt(store.FindConcept("IS(S1.person)"), ordinals[0]), base);
+  ordinals.clear();
   store.ProbeOid(store.FindConcept("IS_AB(person)"), shared, &ordinals);
   ASSERT_EQ(ordinals.size(), 1u);
-  EXPECT_EQ(store.FactAt(store.FindConcept("IS_AB(person)"), ordinals[0]),
-            store.FactById(derived));
+  EXPECT_EQ(store.IdAt(store.FindConcept("IS_AB(person)"), ordinals[0]),
+            derived);
 }
 
 TEST(FactStoreTest, ProbeFindsAttrValuesAndSetElements) {
@@ -261,7 +311,7 @@ TEST(FactStoreTest, ClearResetsEverything) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.concept_count(), 0u);
   EXPECT_EQ(store.FindConcept("p"), kNoConcept);
-  EXPECT_EQ(store.FindByOid(MakeOid("p", 1)), nullptr);
+  EXPECT_FALSE(store.ViewByOid(MakeOid("p", 1)).valid());
   EXPECT_EQ(store.memory().materialized_bytes, 0u);
   // The store is reusable after Clear.
   EXPECT_NE(store.Insert(MakeFact("p", MakeOid("p", 1),

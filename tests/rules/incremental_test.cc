@@ -235,6 +235,31 @@ TEST(IncrementalTest, DuplicateBaseSupportNeedsTwoDeletes) {
   w.ExpectMatchesRebuild(kPathConcepts);
 }
 
+TEST(IncrementalTest, RevivingASetValuedBaseFactKeepsTheStoreFlat) {
+  // Every revival re-inserts the stored fact: its set attribute must
+  // not leave a new run behind each time.
+  World w(PathClosureRules());
+  Fact tagged = Edge("a", "b");
+  tagged.attrs["tags"] = Value::Set(
+      {Value::String("x"), Value::Set({Value::Integer(1), Value::Integer(2)})});
+  w.Adopt({tagged, Edge("b", "c")});
+  BaseDelta remove;
+  remove.deletes.push_back(tagged);
+  BaseDelta revive;
+  revive.inserts.push_back(tagged);
+  w.Apply(remove);
+  w.Apply(revive);
+  const size_t after_first = w.ev.fact_store().memory().packed_total();
+  for (int i = 1; i < 200; ++i) {
+    w.Apply(remove);
+    EXPECT_EQ(w.ev.FactsOf("path").size(), 1u);
+    w.Apply(revive);
+  }
+  EXPECT_EQ(w.ev.fact_store().memory().packed_total(), after_first);
+  EXPECT_EQ(w.ev.FactsOf("path").size(), 3u);
+  w.ExpectMatchesRebuild(kPathConcepts);
+}
+
 TEST(IncrementalTest, AlternateDerivationSurvivesOverDeletion) {
   // Diamond: a→b directly and a→m→b. Deleting edge(a,b) over-deletes
   // path(a,b) (recursive concept, lost support), but the a→m→b

@@ -1,9 +1,9 @@
 // Differential coverage for FactMatcher's in-place binding (DESIGN.md
 // §4k, the row cost model): the matcher must emit exactly the rows, in
 // exactly the order, of the copying matcher it replaced — kept below as
-// the reference — through packed FactStore views and materialized Facts
-// alike. Hand-built cases pin each feature of O-term matching; a seeded
-// sweep draws random patterns, facts and starting bindings. A second
+// the reference — through packed FactStore views. Hand-built cases pin
+// each feature of O-term matching; a seeded sweep draws random
+// patterns, facts and starting bindings. A second
 // sweep drains the query stream's handle rows over a two-layer store (a
 // segment plus an overlay), de-duplicates them as Query does and ranks
 // them through a top-k pipeline, against the reference's Bindings. The
@@ -55,12 +55,12 @@ class CopyingMatcher {
       case TermArg::Kind::kConstant:
         if (pattern.object.constant.kind() != ValueKind::kOid ||
             !values_.ValuesEqual(pattern.object.constant,
-                                 Value::OfOid(fact.oid()))) {
+                                 fact.oid_handle().Materialize())) {
           return;
         }
         break;
       case TermArg::Kind::kVariable: {
-        Value oid_value = Value::OfOid(fact.oid());
+        Value oid_value = fact.oid_handle().Materialize();
         auto [slot, inserted] = base.emplace(pattern.object.var, oid_value);
         if (!inserted && !values_.ValuesEqual(slot->second, oid_value)) {
           return;
@@ -179,50 +179,34 @@ Fact MakeFact(const std::string& concept_name, Oid oid,
 }
 
 /// Facts for patterns to match ("C") and for nested descriptors to reach
-/// ("D"), held both materialized and packed in one FactStore.
+/// ("D"), packed in one FactStore.
 class World {
  public:
-  World(std::vector<Fact> facts, std::vector<Fact> targets)
-      : facts_(std::move(facts)), targets_(std::move(targets)) {
-    for (const Fact& f : facts_) fact_ids_.push_back(store_.Insert(f));
-    for (const Fact& t : targets_) store_.Insert(t);
+  World(const std::vector<Fact>& facts, const std::vector<Fact>& targets) {
+    for (const Fact& f : facts) fact_ids_.push_back(store_.Insert(f));
+    for (const Fact& t : targets) store_.Insert(t);
   }
 
   DataMappingRegistry* mappings() { return &mappings_; }
 
-  /// Checks both backings of fact `i` against the reference and returns
-  /// the packed rows.
-  std::vector<Bindings> MatchBoth(const OTerm& pattern, size_t i,
+  /// Checks fact `i` against the reference and returns its rows.
+  std::vector<Bindings> MatchFact(const OTerm& pattern, size_t i,
                                   const Bindings& bindings) const {
-    const FactMatcher::OidResolver packed_resolver = [this](const Oid& oid) {
+    const FactMatcher::OidResolver resolver = [this](const Oid& oid) {
       return store_.ViewByOid(oid);
     };
-    const FactMatcher::OidResolver materialized_resolver =
-        [this](const Oid& oid) {
-          for (const Fact& f : facts_) {
-            if (f.oid == oid) return FactView(&f);
-          }
-          for (const Fact& t : targets_) {
-            if (t.oid == oid) return FactView(&t);
-          }
-          return FactView();
-        };
-    std::vector<Bindings> packed;
-    CheckAgainstReference(packed_resolver, pattern,
-                          store_.ViewById(fact_ids_[i]), bindings, &packed);
-    std::vector<Bindings> materialized;
-    CheckAgainstReference(materialized_resolver, pattern,
-                          FactView(&facts_[i]), bindings, &materialized);
-    EXPECT_EQ(packed, materialized) << pattern.ToString();
-    return packed;
+    std::vector<Bindings> rows;
+    CheckAgainstReference(resolver, pattern, store_.ViewById(fact_ids_[i]),
+                          bindings, &rows);
+    return rows;
   }
 
   /// Rows over every fact, in fact order.
   std::vector<Bindings> MatchAll(const OTerm& pattern,
                                  const Bindings& bindings = {}) const {
     std::vector<Bindings> rows;
-    for (size_t i = 0; i < facts_.size(); ++i) {
-      for (Bindings& row : MatchBoth(pattern, i, bindings)) {
+    for (size_t i = 0; i < fact_ids_.size(); ++i) {
+      for (Bindings& row : MatchFact(pattern, i, bindings)) {
         rows.push_back(std::move(row));
       }
     }
@@ -253,8 +237,6 @@ class World {
     rows->assign(actual.begin() + 1, actual.end());
   }
 
-  std::vector<Fact> facts_;
-  std::vector<Fact> targets_;
   std::vector<FactId> fact_ids_;
   FactStore store_;
   DataMappingRegistry mappings_;
@@ -495,7 +477,7 @@ TEST(MatcherDifferentialTest, SeededPatternsMatchTheCopyingReference) {
     for (std::uint64_t i = 0; i < 3; ++i) {
       targets.push_back(MakeFact("D", MakeOid("d", i), draw.DrawAttrs()));
     }
-    World world(std::move(facts), std::move(targets));
+    World world(facts, targets);
     world.mappings()->DeclareSameObject(MakeOid("twin", 1), MakeOid("d", 1));
     world.mappings()->DeclareSameObject(MakeOid("alias", 2), MakeOid("c", 2));
     for (int p = 0; p < 24; ++p) {
@@ -636,7 +618,6 @@ TEST(MatcherDifferentialTest, StreamRowsOverTwoLayersMatchTheReference) {
       // both layers as RowOrder ranks their Bindings.
       if (!again.vars().empty()) {
         PipelineSpec spec;
-        spec.distinct = true;
         spec.order_by = again.vars()[seed % again.vars().size()];
         spec.descending = p % 2 == 1;
         spec.limit = 3;

@@ -112,17 +112,10 @@ TEST(PipelineDistinctTest, ProjectionDuplicatesCollapse) {
   }
   PipelineSpec spec;
   spec.project = {"x"};
-  spec.distinct = true;
   auto pipeline = MakePipeline(&rows, spec);
   const std::vector<Bindings> out = Drain(pipeline.get());
   EXPECT_EQ(out.size(), 5u);
   EXPECT_EQ(pipeline->stats().rows_deduped, 5u);
-
-  // Without distinct the duplicates stream through.
-  PipelineSpec keep;
-  keep.project = {"x"};
-  auto dup = MakePipeline(&rows, keep);
-  EXPECT_EQ(Drain(dup.get()).size(), 10u);
 }
 
 TEST(PipelineSortTest, TopKIsSortedPrefixBothDirections) {
@@ -134,7 +127,6 @@ TEST(PipelineSortTest, TopKIsSortedPrefixBothDirections) {
     spec.order_by = "x";
     spec.descending = descending;
     spec.limit = 5;
-    spec.distinct = true;
     auto pipeline = MakePipeline(&rows, spec);
     const std::vector<Bindings> out = Drain(pipeline.get());
     ASSERT_EQ(out.size(), 5u);
@@ -191,7 +183,6 @@ TEST(PipelineSortTest, DistinctTopKWithDuplicatesIsExact) {
   PipelineSpec spec;
   spec.order_by = "x";
   spec.limit = 4;
-  spec.distinct = true;
   auto pipeline = MakePipeline(&rows, spec);
   const std::vector<Bindings> out = Drain(pipeline.get());
   ASSERT_EQ(out.size(), 4u);
@@ -217,7 +208,6 @@ TEST(PipelineMemoryTest, BoundedTopKHoldsFarLessThanMaterialization) {
   PipelineSpec spec;
   spec.order_by = "x";
   spec.limit = 5;
-  spec.distinct = true;
   auto pipeline = MakePipeline(&rows, spec);
   EXPECT_EQ(Drain(pipeline.get()).size(), 5u);
   const size_t peak = pipeline->stats().peak_held_bytes;
@@ -488,8 +478,7 @@ TEST(PipelineSortTest, ServeLiveShapedTopKMatchesTheWholeSort) {
 
       PipelineSpec spec;
       spec.project = {"who", "kid"};
-      spec.distinct = true;
-      spec.order_by = "kid";
+        spec.order_by = "kid";
       spec.descending = descending;
       spec.limit = limit;
       auto pipeline = MakePipeline(&stream, spec);
@@ -543,14 +532,9 @@ class BindingsPipeline {
     }
     Bindings candidate;
     while (PullTransformed(&candidate)) {
-      if (spec_.distinct && !DedupAdmit(candidate)) {
+      if (!DedupAdmit(candidate)) {
         ++stats_.rows_deduped;
         continue;
-      }
-      if (!spec_.distinct) {
-        const size_t bytes = ApproxBindingsBytes(candidate);
-        HoldBytes(bytes);
-        ReleaseBytes(bytes);
       }
       *row = std::move(candidate);
       ++emitted_;
@@ -575,7 +559,7 @@ class BindingsPipeline {
 
   void Sort() {
     using HeldTopK = BoundedTopK<HeldRow, HeldRowOrder>;
-    const bool heap_dedup = spec_.distinct && spec_.limit > 0;
+    const bool heap_dedup = spec_.limit > 0;
     HeldTopK topk(spec_.limit,
                   HeldRowOrder{RowOrder{spec_.order_by, spec_.descending}},
                   heap_dedup);
@@ -587,7 +571,7 @@ class BindingsPipeline {
     HeldRow incoming;
     HeldRow displaced;
     while (PullTransformed(&incoming.row)) {
-      if (spec_.distinct && !heap_dedup && !DedupAdmit(incoming.row)) {
+      if (!heap_dedup && !DedupAdmit(incoming.row)) {
         ++stats_.rows_deduped;
         continue;
       }
@@ -605,10 +589,7 @@ class BindingsPipeline {
       }
     }
     stats_.heap_evictions = topk.evictions();
-    for (HeldRow& h : topk.TakeSorted()) {
-      if (!heap_dedup && !spec_.distinct) HoldBytes(ApproxBindingsBytes(h.row));
-      sorted_.push_back(std::move(h.row));
-    }
+    for (HeldRow& h : topk.TakeSorted()) sorted_.push_back(std::move(h.row));
     sorted_ready_ = true;
   }
 
@@ -790,8 +771,8 @@ class PackedRows {
   FactStore store_;
 };
 
-/// Every spec the sweep runs: filters × projection × distinct × order ×
-/// direction × limit.
+/// Every spec the sweep runs: filters × projection × order × direction ×
+/// limit.
 std::vector<PipelineSpec> AllSpecs() {
   const std::vector<std::vector<RowFilter>> filters = {
       {},
@@ -803,20 +784,17 @@ std::vector<PipelineSpec> AllSpecs() {
   std::vector<PipelineSpec> specs;
   for (const auto& f : filters) {
     for (const auto& project : projections) {
-      for (const bool distinct : {false, true}) {
-        for (const char* order_by : {"", "x", "y", "absent"}) {
-          for (const bool descending : {false, true}) {
-            for (const size_t limit : {size_t{0}, size_t{3}}) {
-              if (order_by[0] == '\0' && descending) continue;
-              PipelineSpec spec;
-              spec.filters = f;
-              spec.project = project;
-              spec.distinct = distinct;
-              spec.order_by = order_by;
-              spec.descending = descending;
-              spec.limit = limit;
-              specs.push_back(std::move(spec));
-            }
+      for (const char* order_by : {"", "x", "y", "absent"}) {
+        for (const bool descending : {false, true}) {
+          for (const size_t limit : {size_t{0}, size_t{3}}) {
+            if (order_by[0] == '\0' && descending) continue;
+            PipelineSpec spec;
+            spec.filters = f;
+            spec.project = project;
+            spec.order_by = order_by;
+            spec.descending = descending;
+            spec.limit = limit;
+            specs.push_back(std::move(spec));
           }
         }
       }
@@ -828,7 +806,6 @@ std::vector<PipelineSpec> AllSpecs() {
 std::string SpecText(const PipelineSpec& spec) {
   std::string text = "filters=" + std::to_string(spec.filters.size()) +
                      " project=" + std::to_string(spec.project.size()) +
-                     " distinct=" + std::to_string(spec.distinct) +
                      " order_by=" + spec.order_by +
                      " descending=" + std::to_string(spec.descending) +
                      " limit=" + std::to_string(spec.limit);

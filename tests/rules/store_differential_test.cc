@@ -2,13 +2,14 @@
 // insert sequences (duplicates included) replay into the pre-columnar
 // ReferenceFactStore and the columnar FactStore, and every observable
 // must agree — insert accept/reject decisions, per-concept extent
-// sequences, FindByOid (both overloads), ProbeOid, and verified Probe
-// result sets. A second pass masks the columnar store's digests down to
-// a few bits so its collision-recovery paths are exercised against the
-// same oracle. The randomized conformance harness runs the same oracle
-// on evaluator-produced fact universes (family "store-differential");
-// this test pins it at unit scale with value-kind coverage the
-// workload generator doesn't reach.
+// sequences, OID lookups (the reference's FindByOid overloads against
+// ViewByOid and ProbeOid), and verified Probe result sets. A second
+// pass masks the columnar store's digests down to a few bits so its
+// collision-recovery paths are exercised against the same oracle. The
+// randomized conformance harness runs the same oracle on
+// evaluator-produced fact universes (family "store-differential"); this
+// test pins it at unit scale with value-kind coverage the workload
+// generator doesn't reach.
 
 #include <gtest/gtest.h>
 
@@ -18,19 +19,13 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "rules/fact_store.h"
 #include "rules/ref_fact_store.h"
 
 namespace ooint {
 namespace {
-
-std::uint64_t SplitMix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 class Rng {
  public:
@@ -127,20 +122,19 @@ void RunDifferential(const std::vector<Fact>& facts, int columnar_digest_bits) {
   }
 
   for (const Fact& fact : facts) {
-    // FindByOid, both overloads, first-inserted precedence included.
+    // OID lookups, first-inserted precedence included: ViewByOid (the
+    // matcher's resolver) against the reference FindByOid, and the
+    // first ProbeOid ordinal (the join path's concept-scoped lookup)
+    // against the concept-aware overload.
     if (!fact.oid.empty()) {
       const Fact* by_ref = ref.FindByOid(fact.oid);
-      const Fact* by_col = col.FindByOid(fact.oid);
+      const FactView by_col = col.ViewByOid(fact.oid);
       ASSERT_NE(by_ref, nullptr);
-      ASSERT_NE(by_col, nullptr);
-      EXPECT_EQ(by_ref->CanonicalKey(), by_col->CanonicalKey());
+      ASSERT_TRUE(by_col.valid());
+      EXPECT_EQ(by_ref->CanonicalKey(),
+                col.FactById(by_col.id())->CanonicalKey());
       const ConceptId ref_cid = ref.FindConcept(fact.concept_name);
       const ConceptId col_cid = col.FindConcept(fact.concept_name);
-      const Fact* scoped_ref = ref.FindByOid(fact.oid, ref_cid);
-      const Fact* scoped_col = col.FindByOid(fact.oid, col_cid);
-      ASSERT_NE(scoped_ref, nullptr);
-      ASSERT_NE(scoped_col, nullptr);
-      EXPECT_EQ(scoped_ref->CanonicalKey(), scoped_col->CanonicalKey());
 
       // ProbeOid: identical ordinal sets (both exact).
       std::vector<std::uint32_t> ref_ordinals;
@@ -148,6 +142,11 @@ void RunDifferential(const std::vector<Fact>& facts, int columnar_digest_bits) {
       std::vector<std::uint32_t> col_ordinals;
       col.ProbeOid(col_cid, fact.oid, &col_ordinals);
       EXPECT_EQ(ref_ordinals, col_ordinals) << fact.oid.ToString();
+      const Fact* scoped_ref = ref.FindByOid(fact.oid, ref_cid);
+      ASSERT_NE(scoped_ref, nullptr);
+      ASSERT_FALSE(col_ordinals.empty());
+      EXPECT_EQ(scoped_ref->CanonicalKey(),
+                col.FactAt(col_cid, col_ordinals.front())->CanonicalKey());
     }
 
     // Verified probes on every (attr, scalar / set element).
@@ -224,7 +223,7 @@ TEST(StoreDifferentialTest, EmptyOidFactsAreNeverOidIndexed) {
   ASSERT_NE(ref.Insert(fact), nullptr);
   ASSERT_NE(col.Insert(fact), kNoFact);
   EXPECT_EQ(ref.FindByOid(Oid()), nullptr);
-  EXPECT_EQ(col.FindByOid(Oid()), nullptr);
+  EXPECT_FALSE(col.ViewByOid(Oid()).valid());
 }
 
 }  // namespace
