@@ -2,57 +2,36 @@
 // accumulation strategy (a) versus the balanced strategy (b). Each
 // schema is a small workforce schema whose central class is equivalent
 // across all N databases; chained pairwise assertions drive the rounds.
+//
+// BM_IntegrateConnectWorld times the integrate layer of one e2ebench
+// connect: Fsm::IntegrateAll on a generated 32-class counterpart pair
+// with the connect world's generator options (EXPERIMENTS E26).
 
 #include <benchmark/benchmark.h>
 
 #include "common/string_util.h"
 #include "federation/fsm.h"
+#include "workload/fixtures.h"
 
 namespace ooint {
 namespace {
 
-Schema MakeComponentSchema(size_t index) {
-  Schema s(StrCat("S", index));
-  ClassDef person(StrCat("person", index));
-  person.AddAttribute("ssn", ValueKind::kString)
-      .AddAttribute(StrCat("extra", index), ValueKind::kInteger);
-  (void)s.AddClass(std::move(person));
-  ClassDef special(StrCat("special", index));
-  special.AddAttribute("ssn", ValueKind::kString);
-  (void)s.AddClass(std::move(special));
-  (void)s.AddIsA(StrCat("special", index), StrCat("person", index));
-  (void)s.Finalize();
-  return s;
-}
-
-void SetUpFsm(Fsm* fsm, size_t schemas) {
-  for (size_t i = 0; i < schemas; ++i) {
+/// An Fsm with one agent per fixture schema and the fixture's
+/// assertions declared.
+void SetUpFsm(Fsm* fsm, const FederationFixture& fixture) {
+  for (size_t i = 0; i < fixture.schemas.size(); ++i) {
     (void)fsm->RegisterAgent(
         FsmAgent::Create(StrCat("agent", i), "ooint", StrCat("db", i),
-                         MakeComponentSchema(i))
+                         fixture.schemas[i])
             .value());
   }
-  // All person classes are pairwise equivalent.
-  for (size_t i = 0; i < schemas; ++i) {
-    for (size_t j = i + 1; j < schemas; ++j) {
-      Assertion a;
-      a.lhs = {{StrCat("S", i), StrCat("person", i)}};
-      a.rel = SetRel::kEquivalent;
-      a.rhs = {StrCat("S", j), StrCat("person", j)};
-      a.attr_corrs.push_back(
-          {Path::Attr(StrCat("S", i), StrCat("person", i), "ssn"),
-           AttrRel::kEquivalent,
-           Path::Attr(StrCat("S", j), StrCat("person", j), "ssn"), "",
-           std::nullopt});
-      (void)fsm->AddAssertion(std::move(a));
-    }
-  }
+  (void)fsm->DeclareAssertions(fixture.assertion_text);
 }
 
 void RunStrategy(benchmark::State& state, Fsm::Strategy strategy) {
   const size_t schemas = static_cast<size_t>(state.range(0));
   Fsm fsm;
-  SetUpFsm(&fsm, schemas);
+  SetUpFsm(&fsm, MakeWorkforceFederation(schemas).value());
   size_t rounds = 0;
   size_t pairs = 0;
   size_t classes = 0;
@@ -80,6 +59,23 @@ BENCHMARK(BM_Accumulation)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Balanced)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+void BM_IntegrateConnectWorld(benchmark::State& state) {
+  Fsm fsm;
+  SetUpFsm(&fsm, MakeCounterpartFederation(32, /*seed=*/8).value());
+  size_t pairs = 0;
+  size_t rules = 0;
+  for (auto _ : state) {
+    const GlobalSchema global = fsm.IntegrateAll().value();
+    pairs = global.total_stats.pairs_checked;
+    rules = global.rules.size();
+    benchmark::DoNotOptimize(global);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["rules"] = static_cast<double>(rules);
+}
+
+BENCHMARK(BM_IntegrateConnectWorld)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace ooint

@@ -23,22 +23,6 @@ void AccumulateStats(IntegrationStats* total, const IntegrationStats& step) {
       step.cardinality_conflicts_resolved;
 }
 
-/// Rewrites every O-term class name of `rule` through `rename`.
-Rule RewriteRuleClasses(
-    Rule rule, const std::function<std::string(const std::string&)>& rename) {
-  for (Literal& literal : rule.head) {
-    if (literal.kind == Literal::Kind::kOTerm) {
-      literal.oterm.class_name = rename(literal.oterm.class_name);
-    }
-  }
-  for (Literal& literal : rule.body) {
-    if (literal.kind == Literal::Kind::kOTerm) {
-      literal.oterm.class_name = rename(literal.oterm.class_name);
-    }
-  }
-  return rule;
-}
-
 }  // namespace
 
 Status Fsm::RegisterAgent(std::unique_ptr<FsmAgent> agent) {
@@ -100,77 +84,115 @@ Result<std::vector<ConsistencyFinding>> Fsm::CheckAllConsistency() const {
   return findings;
 }
 
-Fsm::View Fsm::MakeLeafView(const FsmAgent& agent) {
-  View view;
-  view.schema = std::make_unique<Schema>(agent.schema());
-  const std::string& schema_name = agent.schema().name();
-  for (const ClassDef& class_def : agent.schema().classes()) {
-    const std::string key = StrCat(schema_name, ".", class_def.name());
-    view.class_map[key] = class_def.name();
-    view.ground_sources[class_def.name()] = {
-        {schema_name, class_def.name()}};
-    for (const Attribute& attr : class_def.attributes()) {
-      view.attr_map[StrCat(key, ".", attr.name)] = attr.name;
-    }
-    for (const AggregationFunction& fn : class_def.aggregations()) {
-      view.attr_map[StrCat(key, ".", fn.name)] = fn.name;
+ClassId Fsm::View::MapClass(size_t agent_index, ClassId id) const {
+  if (leaf()) return agent_index == agent ? id : kInvalidClassId;
+  if (agent_index >= classes.size()) return kInvalidClassId;
+  const std::vector<MappedClass>& mapped = classes[agent_index];
+  return static_cast<size_t>(id) < mapped.size() ? mapped[id].id
+                                                 : kInvalidClassId;
+}
+
+Fsm::AgentClass Fsm::ResolveAgentClass(const std::string& schema_name,
+                                       const std::string& class_name) const {
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    const Schema& schema = agents_[i]->schema();
+    if (schema.name() == schema_name) {
+      return {i, schema.FindClass(class_name)};
     }
   }
-  return view;
+  return {};
 }
+
+namespace {
+
+/// The name of attribute slot `slot` of `class_def`: its attributes,
+/// then its aggregation functions.
+const std::string& SlotName(const ClassDef& class_def, size_t slot) {
+  const size_t attrs = class_def.attributes().size();
+  return slot < attrs ? class_def.attributes()[slot].name
+                      : class_def.aggregations()[slot - attrs].name;
+}
+
+/// The first slot of `class_def` named `name`; npos when none is.
+size_t SlotOf(const ClassDef& class_def, const std::string& name) {
+  const size_t slots =
+      class_def.attributes().size() + class_def.aggregations().size();
+  for (size_t slot = 0; slot < slots; ++slot) {
+    if (SlotName(class_def, slot) == name) return slot;
+  }
+  return std::string::npos;
+}
+
+/// "S.c" or "(S.c, S.d)" -> "S2.u", naming an assertion in errors.
+std::string AssertionHead(const Assertion& assertion) {
+  std::vector<std::string> lhs;
+  lhs.reserve(assertion.lhs.size());
+  for (const ClassRef& c : assertion.lhs) lhs.push_back(c.ToString());
+  const std::string joined = Join(lhs, ", ");
+  return StrCat(lhs.size() == 1 ? joined : StrCat("(", joined, ")"), " ",
+                SetRelName(assertion.rel), " ", assertion.rhs.ToString());
+}
+
+}  // namespace
 
 bool Fsm::RewriteAssertion(const View& v1, const View& v2,
                            const Assertion& original,
+                           const Grounding& grounding,
                            Assertion* rewritten) const {
-  // Which view does a ground class live in? 0 = neither.
-  auto view_of = [&](const ClassRef& ref) -> int {
-    const std::string key = ref.ToString();
-    if (v1.class_map.count(key) != 0) return 1;
-    if (v2.class_map.count(key) != 0) return 2;
+  // Which view does an agent class live in? 0 = neither.
+  auto view_of = [&](const AgentClass& c) -> int {
+    if (c.id == kInvalidClassId) return 0;
+    if (v1.MapClass(c.agent, c.id) != kInvalidClassId) return 1;
+    if (v2.MapClass(c.agent, c.id) != kInvalidClassId) return 2;
     return 0;
   };
-  auto map_ref = [&](const ClassRef& ref) -> ClassRef {
-    const std::string key = ref.ToString();
-    auto it1 = v1.class_map.find(key);
-    if (it1 != v1.class_map.end()) {
-      return {v1.schema->name(), it1->second};
-    }
-    return {v2.schema->name(), v2.class_map.at(key)};
-  };
-  auto map_path = [&](const Path& path) -> Path {
-    const ClassRef ref{path.schema(), path.class_name()};
-    if (view_of(ref) == 0) return path;
-    const View& view = (view_of(ref) == 1) ? v1 : v2;
-    const ClassRef mapped = map_ref(ref);
-    std::vector<std::string> components = path.components();
-    if (!components.empty()) {
-      auto it = view.attr_map.find(
-          StrCat(ref.ToString(), ".", components.front()));
-      if (it != view.attr_map.end()) components.front() = it->second;
-    }
-    return Path(mapped.schema, mapped.class_name, std::move(components),
-                path.name_ref());
-  };
-
   int lhs_view = 0;
-  for (const ClassRef& c : original.lhs) {
+  for (const AgentClass& c : grounding.lhs) {
     const int v = view_of(c);
     if (v == 0) return false;  // references a schema outside these views
     if (lhs_view == 0) lhs_view = v;
     if (v != lhs_view) return false;  // derivation lhs split across views
   }
-  const int rhs_view = view_of(original.rhs);
+  const int rhs_view = view_of(grounding.rhs);
   if (rhs_view == 0 || rhs_view == lhs_view) {
     // Not applicable here, or already applied in an earlier round.
     return false;
   }
 
+  // A leaf's names are its agent's, so only a round view renames.
+  auto map_ref = [&](const ClassRef& ref, const AgentClass& c) -> ClassRef {
+    const View& view = view_of(c) == 1 ? v1 : v2;
+    if (view.leaf()) return ref;
+    return {view.schema->name(),
+            view.schema->class_def(view.MapClass(c.agent, c.id)).name()};
+  };
+  auto map_path = [&](const Path& path) -> Path {
+    if (v1.leaf() && v2.leaf()) return path;
+    const AgentClass c = ResolveAgentClass(path.schema(), path.class_name());
+    const int v = view_of(c);
+    if (v == 0) return path;
+    const View& view = v == 1 ? v1 : v2;
+    if (view.leaf()) return path;
+    const MappedClass& mapped = view.classes[c.agent][c.id];
+    std::vector<std::string> components = path.components();
+    if (!components.empty()) {
+      const size_t slot = SlotOf(
+          agents_[c.agent]->schema().class_def(c.id), components.front());
+      if (slot != std::string::npos && !mapped.attrs[slot].empty()) {
+        components.front() = mapped.attrs[slot];
+      }
+    }
+    return Path(view.schema->name(),
+                view.schema->class_def(mapped.id).name(),
+                std::move(components), path.name_ref());
+  };
+
   rewritten->lhs.clear();
-  for (const ClassRef& c : original.lhs) {
-    rewritten->lhs.push_back(map_ref(c));
+  for (size_t i = 0; i < original.lhs.size(); ++i) {
+    rewritten->lhs.push_back(map_ref(original.lhs[i], grounding.lhs[i]));
   }
   rewritten->rel = original.rel;
-  rewritten->rhs = map_ref(original.rhs);
+  rewritten->rhs = map_ref(original.rhs, grounding.rhs);
   rewritten->attr_corrs = original.attr_corrs;
   for (AttributeCorrespondence& ac : rewritten->attr_corrs) {
     ac.lhs = map_path(ac.lhs);
@@ -191,13 +213,18 @@ bool Fsm::RewriteAssertion(const View& v1, const View& v2,
   return true;
 }
 
-Result<Fsm::View> Fsm::IntegrateViews(View v1, View v2,
+Result<Fsm::View> Fsm::IntegrateViews(View v1, View v2, bool last,
+                                      std::vector<Grounding>* groundings,
                                       IntegrationStats* stats,
                                       IntegratedSchema* last_round) {
   AssertionSet set;
-  for (const Assertion& original : assertions_) {
+  for (size_t i = 0; i < assertions_.size(); ++i) {
+    Grounding& grounding = (*groundings)[i];
     Assertion rewritten;
-    if (!RewriteAssertion(v1, v2, original, &rewritten)) continue;
+    if (!RewriteAssertion(v1, v2, assertions_[i], grounding, &rewritten)) {
+      continue;
+    }
+    grounding.applied = true;
     const Status added = set.Add(std::move(rewritten));
     if (!added.ok() && added.code() != StatusCode::kAlreadyExists) {
       return added;
@@ -212,74 +239,141 @@ Result<Fsm::View> Fsm::IntegrateViews(View v1, View v2,
   IntegratedSchema& integrated = outcome.value().schema;
 
   View merged;
-  Result<Schema> lowered = integrated.ToSchema();
-  if (!lowered.ok()) return lowered.status();
-  merged.schema = std::make_unique<Schema>(std::move(lowered).value());
+  OOINT_ASSIGN_OR_RETURN(Schema lowered, integrated.ToSchema());
+  merged.lowered = std::make_unique<Schema>(std::move(lowered));
+  merged.schema = merged.lowered.get();
 
-  // Compose the class maps.
-  for (const View* view : {&v1, &v2}) {
-    for (const auto& [ground, view_class] : view->class_map) {
-      const std::string name =
-          integrated.NameOf({view->schema->name(), view_class});
-      if (!name.empty()) merged.class_map[ground] = name;
-    }
-  }
-  // Compose the attribute maps via the integrated attributes' sources.
-  std::map<std::string, std::string> intermediate_attr;  // "S.C.a" -> name
-  for (const IntegratedClass& c : integrated.classes()) {
-    for (const IntegratedAttribute& a : c.attributes) {
-      for (const Path& source : a.sources) {
-        intermediate_attr[StrCat(source.schema(), ".", source.class_name(),
-                                 ".", source.leaf())] = a.name;
+  // Ground sources: each integrated class (= lowered class id) collects
+  // the agent classes behind its sources, in source order.
+  auto side_of = [&](const std::string& schema_name) -> const View& {
+    return schema_name == v1.schema->name() ? v1 : v2;
+  };
+  merged.ground_sources.resize(integrated.classes().size());
+  for (size_t c = 0; c < integrated.classes().size(); ++c) {
+    std::vector<ClassRef>& ground = merged.ground_sources[c];
+    for (const ClassRef& source : integrated.classes()[c].sources) {
+      const View& view = side_of(source.schema);
+      if (view.leaf()) {
+        ground.push_back({view.schema->name(), source.class_name});
+        continue;
       }
-    }
-    for (const IntegratedAggregation& g : c.aggregations) {
-      for (const Path& source : g.sources) {
-        intermediate_attr[StrCat(source.schema(), ".", source.class_name(),
-                                 ".", source.leaf())] = g.name;
-      }
+      const ClassId id = view.schema->FindClass(source.class_name);
+      if (id == kInvalidClassId) continue;
+      ground.insert(ground.end(), view.ground_sources[id].begin(),
+                    view.ground_sources[id].end());
     }
   }
-  for (const View* view : {&v1, &v2}) {
-    for (const auto& [ground_attr, view_attr] : view->attr_map) {
-      // ground_attr = "S.C.a"; find the view class to build the
-      // intermediate key.
-      const size_t last_dot = ground_attr.rfind('.');
-      const std::string ground_class = ground_attr.substr(0, last_dot);
-      auto cls = view->class_map.find(ground_class);
-      if (cls == view->class_map.end()) continue;
-      auto it = intermediate_attr.find(StrCat(view->schema->name(), ".",
-                                              cls->second, ".", view_attr));
-      if (it != intermediate_attr.end()) {
-        merged.attr_map[ground_attr] = it->second;
-      }
+
+  // Each view class -> the merged class representing it, read by the
+  // rules a round view carries and by the maps a later round reads.
+  // Leaves carry no rules.
+  View* views[] = {&v1, &v2};
+  std::vector<ClassId> to_merged[2];
+  for (int side = 0; side < 2; ++side) {
+    const View& view = *views[side];
+    if (last && view.rules.empty()) continue;
+    to_merged[side].resize(view.schema->NumClasses());
+    for (ClassId id = 0; id < static_cast<ClassId>(to_merged[side].size());
+         ++id) {
+      const size_t index = integrated.IndexOf(
+          {view.schema->name(), view.schema->class_def(id).name()});
+      to_merged[side][id] = index == IntegratedSchema::kNoClass
+                                ? kInvalidClassId
+                                : static_cast<ClassId>(index);
     }
   }
-  // Expand ground sources.
-  for (const IntegratedClass& c : integrated.classes()) {
-    std::vector<ClassRef>& ground = merged.ground_sources[c.name];
-    for (const ClassRef& source : c.sources) {
-      const View* view =
-          (source.schema == v1.schema->name()) ? &v1 : &v2;
-      auto it = view->ground_sources.find(source.class_name);
-      if (it == view->ground_sources.end()) continue;
-      ground.insert(ground.end(), it->second.begin(), it->second.end());
-    }
-  }
+
   // Carry and extend the rules.
-  for (const View* view : {&v1, &v2}) {
-    const std::string view_name = view->schema->name();
-    for (const Rule& rule : view->rules) {
-      merged.rules.push_back(RewriteRuleClasses(
-          rule, [&](const std::string& class_name) {
-            const std::string mapped =
-                integrated.NameOf({view_name, class_name});
-            return mapped.empty() ? class_name : mapped;
-          }));
+  for (int side = 0; side < 2; ++side) {
+    View& view = *views[side];
+    for (Rule& carried : view.rules) {
+      for (std::vector<Literal>* literals : {&carried.head, &carried.body}) {
+        for (Literal& literal : *literals) {
+          if (literal.kind != Literal::Kind::kOTerm) continue;
+          std::string& class_name = literal.oterm.class_name;
+          const ClassId id = view.schema->FindClass(class_name);
+          if (id == kInvalidClassId) continue;
+          const ClassId target = to_merged[side][id];
+          if (target != kInvalidClassId) {
+            class_name = merged.schema->class_def(target).name();
+          }
+        }
+      }
+      merged.rules.push_back(std::move(carried));
     }
   }
-  for (const Rule& rule : integrated.rules()) {
-    merged.rules.push_back(rule);
+  merged.rules.insert(merged.rules.end(), integrated.rules().begin(),
+                      integrated.rules().end());
+
+  if (!last) {
+    // Compose the attribute maps: per view class, the integrated
+    // attribute each of its attributes became (the last integrated
+    // attribute listing it as a source wins).
+    using Renames = std::vector<std::pair<const std::string*,
+                                          const std::string*>>;
+    std::vector<Renames> renamed[2] = {
+        std::vector<Renames>(v1.schema->NumClasses()),
+        std::vector<Renames>(v2.schema->NumClasses())};
+    auto rename = [&](const Path& source, const std::string& name) {
+      const int side = source.schema() == v1.schema->name()   ? 0
+                       : source.schema() == v2.schema->name() ? 1
+                                                              : -1;
+      if (side < 0) return;
+      const ClassId id = views[side]->schema->FindClass(source.class_name());
+      if (id == kInvalidClassId) return;
+      Renames& renames = renamed[side][id];
+      for (auto& [from, to] : renames) {
+        if (*from == source.leaf()) {
+          to = &name;
+          return;
+        }
+      }
+      renames.emplace_back(&source.leaf(), &name);
+    };
+    for (const IntegratedClass& c : integrated.classes()) {
+      for (const IntegratedAttribute& a : c.attributes) {
+        for (const Path& source : a.sources) rename(source, a.name);
+      }
+      for (const IntegratedAggregation& g : c.aggregations) {
+        for (const Path& source : g.sources) rename(source, g.name);
+      }
+    }
+    auto renamed_to = [&](int side, ClassId id,
+                          const std::string& attr) -> std::string {
+      for (const auto& [from, to] : renamed[side][id]) {
+        if (*from == attr) return *to;
+      }
+      return "";
+    };
+    // Compose the class maps: agent class -> view class -> merged class.
+    merged.classes.resize(agents_.size());
+    for (int side = 0; side < 2; ++side) {
+      const View& view = *views[side];
+      for (size_t agent = 0; agent < agents_.size(); ++agent) {
+        const Schema& ground = agents_[agent]->schema();
+        if (view.leaf() ? agent != view.agent
+                        : view.classes[agent].empty()) {
+          continue;
+        }
+        std::vector<MappedClass>& out = merged.classes[agent];
+        out.resize(ground.NumClasses());
+        for (ClassId id = 0; id < static_cast<ClassId>(out.size()); ++id) {
+          const ClassId view_class = view.MapClass(agent, id);
+          if (view_class == kInvalidClassId) continue;
+          out[id].id = to_merged[side][view_class];
+          const ClassDef& class_def = ground.class_def(id);
+          out[id].attrs.resize(class_def.attributes().size() +
+                               class_def.aggregations().size());
+          for (size_t slot = 0; slot < out[id].attrs.size(); ++slot) {
+            const std::string& view_attr =
+                view.leaf() ? SlotName(class_def, slot)
+                            : view.classes[agent][id].attrs[slot];
+            if (view_attr.empty()) continue;
+            out[id].attrs[slot] = renamed_to(side, view_class, view_attr);
+          }
+        }
+      }
+    }
   }
   *last_round = std::move(integrated);
   return merged;
@@ -289,33 +383,48 @@ Result<GlobalSchema> Fsm::IntegrateAll(Strategy strategy) {
   if (agents_.empty()) {
     return Status::FailedPrecondition("no agents registered");
   }
-  std::vector<View> views;
-  views.reserve(agents_.size());
-  for (const std::unique_ptr<FsmAgent>& agent : agents_) {
-    views.push_back(MakeLeafView(*agent));
-  }
-
   GlobalSchema global;
-  if (views.size() == 1) {
-    global.schema = *views.front().schema;
-    global.ground_sources = views.front().ground_sources;
+  if (agents_.size() == 1) {
+    global.schema = agents_.front()->schema();
+    for (const ClassDef& class_def : global.schema.classes()) {
+      global.ground_sources[class_def.name()] = {
+          {global.schema.name(), class_def.name()}};
+    }
     return global;
   }
+
+  std::vector<Grounding> groundings(assertions_.size());
+  for (size_t i = 0; i < assertions_.size(); ++i) {
+    const Assertion& assertion = assertions_[i];
+    groundings[i].lhs.reserve(assertion.lhs.size());
+    for (const ClassRef& c : assertion.lhs) {
+      groundings[i].lhs.push_back(
+          ResolveAgentClass(c.schema, c.class_name));
+    }
+    groundings[i].rhs =
+        ResolveAgentClass(assertion.rhs.schema, assertion.rhs.class_name);
+  }
+  std::vector<View> views(agents_.size());
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    views[i].schema = &agents_[i]->schema();
+    views[i].agent = i;
+  }
+  auto integrate = [&](View& v1, View& v2, bool last) -> Result<View> {
+    ++global.rounds;
+    return IntegrateViews(std::move(v1), std::move(v2), last, &groundings,
+                          &global.total_stats, &global.last_round);
+  };
 
   switch (strategy) {
     case Strategy::kAccumulation: {
       // Fig. 2(a): fold one schema at a time into the running result.
       View acc = std::move(views.front());
       for (size_t i = 1; i < views.size(); ++i) {
-        Result<View> next =
-            IntegrateViews(std::move(acc), std::move(views[i]),
-                           &global.total_stats, &global.last_round);
-        if (!next.ok()) return next.status();
-        acc = std::move(next).value();
-        ++global.rounds;
+        OOINT_ASSIGN_OR_RETURN(acc,
+                               integrate(acc, views[i], i + 1 == views.size()));
       }
-      views.clear();
-      views.push_back(std::move(acc));
+      views.front() = std::move(acc);
+      views.resize(1);
       break;
     }
     case Strategy::kBalanced: {
@@ -323,12 +432,9 @@ Result<GlobalSchema> Fsm::IntegrateAll(Strategy strategy) {
       while (views.size() > 1) {
         std::vector<View> next_level;
         for (size_t i = 0; i + 1 < views.size(); i += 2) {
-          Result<View> merged =
-              IntegrateViews(std::move(views[i]), std::move(views[i + 1]),
-                             &global.total_stats, &global.last_round);
-          if (!merged.ok()) return merged.status();
-          next_level.push_back(std::move(merged).value());
-          ++global.rounds;
+          OOINT_ASSIGN_OR_RETURN(
+              View merged, integrate(views[i], views[i + 1], views.size() == 2));
+          next_level.push_back(std::move(merged));
         }
         if (views.size() % 2 == 1) {
           next_level.push_back(std::move(views.back()));
@@ -339,9 +445,34 @@ Result<GlobalSchema> Fsm::IntegrateAll(Strategy strategy) {
     }
   }
 
+  std::vector<std::string> unapplied;
+  for (size_t i = 0; i < assertions_.size(); ++i) {
+    const Grounding& grounding = groundings[i];
+    if (grounding.applied) continue;
+    bool unknown = grounding.rhs.id == kInvalidClassId;
+    bool lhs_spans = false;
+    for (const AgentClass& c : grounding.lhs) {
+      unknown = unknown || c.id == kInvalidClassId;
+      lhs_spans = lhs_spans || c.agent != grounding.lhs.front().agent;
+    }
+    const char* why =
+        unknown     ? "it names a class no registered schema has"
+        : lhs_spans ? "its lhs classes never share a view that meets its rhs"
+                    : "both sides lie in one schema";
+    unapplied.push_back(StrCat(AssertionHead(assertions_[i]), " (", why, ")"));
+  }
+  if (!unapplied.empty()) {
+    return Status::InvalidArgument(
+        StrCat("no integration round applies ", Join(unapplied, "; ")));
+  }
+
   View& final_view = views.front();
-  global.schema = *final_view.schema;
-  global.ground_sources = final_view.ground_sources;
+  global.schema = std::move(*final_view.lowered);
+  for (size_t c = 0; c < final_view.ground_sources.size(); ++c) {
+    global.ground_sources.emplace(
+        global.schema.class_def(static_cast<ClassId>(c)).name(),
+        std::move(final_view.ground_sources[c]));
+  }
   global.rules = std::move(final_view.rules);
   return global;
 }

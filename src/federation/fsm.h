@@ -156,7 +156,12 @@ class Fsm {
   /// relate that pair. Aggregates all findings.
   Result<std::vector<ConsistencyFinding>> CheckAllConsistency() const;
 
-  /// Integrates every registered schema into a global one.
+  /// Integrates every registered schema into a global one. With two or
+  /// more agents every declared assertion must be applied by some round;
+  /// otherwise the call fails with kInvalidArgument naming each one that
+  /// no round applied: it names a class no agent exports, relates two
+  /// classes of one agent, or is a derivation whose lhs classes never
+  /// share a view that meets its rhs.
   Result<GlobalSchema> IntegrateAll(Strategy strategy = Strategy::kAccumulation);
 
   /// Builds a federated evaluator over `global`: agent stores as
@@ -190,29 +195,72 @@ class Fsm {
   Status ConfigureEvaluator(Evaluator* evaluator, const GlobalSchema& global,
                             bool evaluate = true) const;
 
-  /// One working operand of the pairwise integration process: a schema
-  /// (local or intermediate) plus the provenance maps needed to rewrite
-  /// assertions and rules into its namespace.
-  struct View {
-    std::unique_ptr<Schema> schema;
-    /// "agentSchema.class" -> class name in this view.
-    std::map<std::string, std::string> class_map;
-    /// "agentSchema.class.attr" -> attribute name in this view.
-    std::map<std::string, std::string> attr_map;
-    std::map<std::string, std::vector<ClassRef>> ground_sources;
-    std::vector<Rule> rules;
+  /// Where one agent class lands in a round's view.
+  struct MappedClass {
+    /// The view class; kInvalidClassId when none represents it.
+    ClassId id = kInvalidClassId;
+    /// Per attribute slot of the agent class (its attributes, then its
+    /// aggregation functions): the slot's name in the view; "" when the
+    /// round's integration left it unmapped.
+    std::vector<std::string> attrs;
   };
 
-  /// The identity view of one agent's schema.
-  static View MakeLeafView(const FsmAgent& agent);
+  /// One working operand of the pairwise integration process (Fig. 2):
+  /// a schema plus the maps that rewrite assertions and rules into its
+  /// namespace. A leaf view borrows its agent's finalized schema, and its
+  /// maps are the identity, so it stores none. A round's view owns its
+  /// lowered schema and maps every agent class it covers by
+  /// (agent, ClassId) — the composition of the rounds' schema mappings.
+  struct View {
+    /// The agent's schema for a leaf, `lowered` otherwise.
+    const Schema* schema = nullptr;
+    std::unique_ptr<Schema> lowered;
+    /// A leaf's agent (index into agents_).
+    size_t agent = 0;
+    /// Round views: per agent (indexed like agents_; empty for agents
+    /// the view does not cover), per agent ClassId.
+    std::vector<std::vector<MappedClass>> classes;
+    /// Round views: per view ClassId, the agent classes populating it.
+    std::vector<std::vector<ClassRef>> ground_sources;
+    std::vector<Rule> rules;
 
-  /// Rewrites `assertion` into the namespaces of v1/v2; returns false
+    bool leaf() const { return lowered == nullptr; }
+    /// The view class agent class (agent, id) maps to; kInvalidClassId
+    /// when the view does not cover it.
+    ClassId MapClass(size_t agent, ClassId id) const;
+  };
+
+  /// An agent class named by an assertion, resolved once per
+  /// IntegrateAll; id is kInvalidClassId when no agent has it.
+  struct AgentClass {
+    size_t agent = 0;
+    ClassId id = kInvalidClassId;
+  };
+
+  /// Where each declared assertion's classes live, and whether a round
+  /// has applied it yet.
+  struct Grounding {
+    std::vector<AgentClass> lhs;
+    AgentClass rhs;
+    bool applied = false;
+  };
+
+  /// Resolves a schema-qualified class name to an agent class.
+  AgentClass ResolveAgentClass(const std::string& schema_name,
+                               const std::string& class_name) const;
+
+  /// Rewrites `original` into the namespaces of v1/v2; returns false
   /// (without error) when the assertion does not span the two views.
   bool RewriteAssertion(const View& v1, const View& v2,
-                        const Assertion& original, Assertion* rewritten) const;
+                        const Assertion& original, const Grounding& grounding,
+                        Assertion* rewritten) const;
 
-  /// Integrates two views into one (one round of Fig. 2).
-  Result<View> IntegrateViews(View v1, View v2, IntegrationStats* stats,
+  /// Integrates two views into one (one round of Fig. 2). The maps of
+  /// the result are composed only when a later round reads them, i.e.
+  /// unless `last`.
+  Result<View> IntegrateViews(View v1, View v2, bool last,
+                              std::vector<Grounding>* groundings,
+                              IntegrationStats* stats,
                               IntegratedSchema* last_round);
 
   std::vector<std::unique_ptr<FsmAgent>> agents_;

@@ -17,18 +17,18 @@ std::string IntegrationStats::ToString() const {
                 cardinality_conflicts_resolved);
 }
 
-const Schema* IntegrationContext::SchemaOf(const ClassRef& ref) const {
-  if (s1 != nullptr && ref.schema == s1->name()) return s1;
-  if (s2 != nullptr && ref.schema == s2->name()) return s2;
-  return nullptr;
-}
-
-const ClassDef* IntegrationContext::ClassOf(const ClassRef& ref) const {
-  const Schema* schema = SchemaOf(ref);
-  if (schema == nullptr) return nullptr;
-  const ClassId id = schema->FindClass(ref.class_name);
-  if (id == kInvalidClassId) return nullptr;
-  return &schema->class_def(id);
+LocalClass IntegrationContext::Resolve(const ClassRef& ref) const {
+  LocalClass local;
+  const int side = ref.schema == s1->name()   ? 1
+                   : ref.schema == s2->name() ? 2
+                                              : 0;
+  if (side == 0) return local;
+  const ClassId id = schema(side).FindClass(ref.class_name);
+  if (id == kInvalidClassId) return local;
+  local.side = side;
+  local.id = id;
+  local.def = &schema(side).class_def(id);
+  return local;
 }
 
 }  // namespace ooint

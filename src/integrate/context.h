@@ -2,6 +2,7 @@
 #define OOINT_INTEGRATE_CONTEXT_H_
 
 #include <string>
+#include <vector>
 
 #include "assertions/assertion_set.h"
 #include "integrate/aif.h"
@@ -39,6 +40,16 @@ struct IntegrationStats {
   std::string ToString() const;
 };
 
+/// A local class of one of the two schemas being integrated, resolved
+/// once from its name.
+struct LocalClass {
+  int side = 0;  // 1 (s1) or 2 (s2); 0 when the class is not found
+  ClassId id = kInvalidClassId;
+  const ClassDef* def = nullptr;
+
+  bool found() const { return def != nullptr; }
+};
+
 /// Shared state of one two-schema integration run: the (finalized) local
 /// schemas, the declared assertion set, the integrated schema under
 /// construction, the AIF registry, and the stats counters. The principle
@@ -50,16 +61,28 @@ struct IntegrationContext {
   IntegratedSchema result;
   AifRegistry* aifs = nullptr;  // optional
   IntegrationStats stats;
+  /// Per local class of s1 and of s2 (by ClassId), the index of the
+  /// integrated class representing it; IntegratedSchema::kNoClass until
+  /// Materialize maps it. Mirrors result's source map by id.
+  std::vector<size_t> index1;
+  std::vector<size_t> index2;
 
   IntegrationContext(const Schema* schema1, const Schema* schema2,
                      const AssertionSet* assertion_set)
       : s1(schema1), s2(schema2), assertions(assertion_set),
-        result("IS(" + schema1->name() + "," + schema2->name() + ")") {}
+        result("IS(" + schema1->name() + "," + schema2->name() + ")"),
+        index1(schema1->NumClasses(), IntegratedSchema::kNoClass),
+        index2(schema2->NumClasses(), IntegratedSchema::kNoClass) {}
 
-  /// The schema a ClassRef lives in (s1 or s2); nullptr when unknown.
-  const Schema* SchemaOf(const ClassRef& ref) const;
-  /// The ClassDef behind a ClassRef; nullptr when unknown.
-  const ClassDef* ClassOf(const ClassRef& ref) const;
+  const Schema& schema(int side) const { return side == 1 ? *s1 : *s2; }
+  /// The integrated class index of local class `id` of `side`.
+  size_t& IndexOf(int side, ClassId id) {
+    return side == 1 ? index1[id] : index2[id];
+  }
+
+  /// The side, id and ClassDef behind a ClassRef; not found() when the
+  /// schema or class is unknown.
+  LocalClass Resolve(const ClassRef& ref) const;
 };
 
 }  // namespace ooint

@@ -1,7 +1,6 @@
 #include "integrate/integrated_schema.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/string_util.h"
 
@@ -90,17 +89,28 @@ Result<size_t> IntegratedSchema::AddClass(IntegratedClass integrated_class) {
                                         "' already exists"));
   }
   classes_.push_back(std::move(integrated_class));
+  parents_.emplace_back();
   return it->second;
 }
 
-void IntegratedSchema::MapSource(const ClassRef& source,
-                                 const std::string& is_name) {
-  source_map_[source.ToString()] = is_name;
+void IntegratedSchema::MapSource(const ClassRef& source, size_t index) {
+  source_map_.insert_or_assign(source, index);
 }
 
-std::string IntegratedSchema::NameOf(const ClassRef& source) const {
-  auto it = source_map_.find(source.ToString());
-  return it == source_map_.end() ? "" : it->second;
+size_t IntegratedSchema::IndexOf(const ClassRef& source) const {
+  auto it = source_map_.find(source);
+  return it == source_map_.end() ? kNoClass : it->second;
+}
+
+const std::string& IntegratedSchema::NameOf(const ClassRef& source) const {
+  static const std::string kUnmapped;
+  const size_t index = IndexOf(source);
+  return index == kNoClass ? kUnmapped : classes_[index].name;
+}
+
+size_t IntegratedSchema::IndexOfName(const std::string& name) const {
+  auto it = by_name_.find(name);
+  return it == by_name_.end() ? kNoClass : it->second;
 }
 
 Status IntegratedSchema::AddIsA(const std::string& child,
@@ -108,53 +118,86 @@ Status IntegratedSchema::AddIsA(const std::string& child,
   if (child == parent) {
     return Status::InvalidArgument(StrCat("is-a self loop on '", child, "'"));
   }
-  const std::string key = StrCat(child, "->", parent);
-  if (!isa_keys_.insert(key).second) return Status::OK();  // idempotent
+  const size_t c = IndexOfName(child);
+  const size_t p = IndexOfName(parent);
+  if (c == kNoClass || p == kNoClass) {
+    return Status::NotFound(StrCat("is_a(", child, ", ", parent,
+                                   ") names an unknown integrated class"));
+  }
+  return AddIsA(c, p);
+}
+
+Status IntegratedSchema::AddIsA(size_t child, size_t parent) {
+  if (child >= classes_.size() || parent >= classes_.size()) {
+    return Status::NotFound("is-a names an unknown integrated class index");
+  }
+  if (child == parent) {
+    return Status::InvalidArgument(
+        StrCat("is-a self loop on '", classes_[child].name, "'"));
+  }
+  if (HasIsA(child, parent)) return Status::OK();  // idempotent
   isa_links_.emplace_back(child, parent);
+  parents_[child].push_back(parent);
   return Status::OK();
 }
 
 bool IntegratedSchema::RemoveIsA(const std::string& child,
                                  const std::string& parent) {
-  const std::string key = StrCat(child, "->", parent);
-  if (isa_keys_.erase(key) == 0) return false;
+  const size_t c = IndexOfName(child);
+  const size_t p = IndexOfName(parent);
+  if (c == kNoClass || p == kNoClass || !HasIsA(c, p)) return false;
+  std::vector<size_t>& parents = parents_[c];
+  parents.erase(std::find(parents.begin(), parents.end(), p));
   isa_links_.erase(
-      std::remove(isa_links_.begin(), isa_links_.end(),
-                  std::make_pair(child, parent)),
-      isa_links_.end());
+      std::find(isa_links_.begin(), isa_links_.end(), std::make_pair(c, p)));
   return true;
 }
 
 bool IntegratedSchema::HasIsA(const std::string& child,
                               const std::string& parent) const {
-  return isa_keys_.count(StrCat(child, "->", parent)) != 0;
+  const size_t c = IndexOfName(child);
+  const size_t p = IndexOfName(parent);
+  return c != kNoClass && p != kNoClass && HasIsA(c, p);
+}
+
+bool IntegratedSchema::HasIsA(size_t child, size_t parent) const {
+  if (child >= parents_.size()) return false;
+  const std::vector<size_t>& parents = parents_[child];
+  return std::find(parents.begin(), parents.end(), parent) != parents.end();
 }
 
 const IntegratedClass* IntegratedSchema::FindClass(
     const std::string& name) const {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : &classes_[it->second];
+  const size_t index = IndexOfName(name);
+  return index == kNoClass ? nullptr : &classes_[index];
 }
 
-IntegratedClass* IntegratedSchema::MutableClass(const std::string& name) {
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : &classes_[it->second];
+std::vector<std::pair<std::string, std::string>> IntegratedSchema::isa_links()
+    const {
+  std::vector<std::pair<std::string, std::string>> links;
+  links.reserve(isa_links_.size());
+  for (const auto& [child, parent] : isa_links_) {
+    links.emplace_back(classes_[child].name, classes_[parent].name);
+  }
+  return links;
 }
 
 std::vector<std::string> IntegratedSchema::ParentsOf(
     const std::string& name) const {
   std::vector<std::string> out;
-  for (const auto& [child, parent] : isa_links_) {
-    if (child == name) out.push_back(parent);
-  }
+  const size_t index = IndexOfName(name);
+  if (index == kNoClass) return out;
+  for (size_t parent : parents_[index]) out.push_back(classes_[parent].name);
   return out;
 }
 
 std::vector<std::string> IntegratedSchema::ChildrenOf(
     const std::string& name) const {
   std::vector<std::string> out;
+  const size_t index = IndexOfName(name);
+  if (index == kNoClass) return out;
   for (const auto& [child, parent] : isa_links_) {
-    if (parent == name) out.push_back(child);
+    if (parent == index) out.push_back(classes_[child].name);
   }
   return out;
 }
@@ -162,16 +205,17 @@ std::vector<std::string> IntegratedSchema::ChildrenOf(
 std::set<std::pair<std::string, std::string>> IntegratedSchema::IsAClosure()
     const {
   std::set<std::pair<std::string, std::string>> closure;
-  for (const IntegratedClass& c : classes_) {
-    // BFS upward from c.
-    std::deque<std::string> frontier = {c.name};
-    std::set<std::string> seen = {c.name};
-    while (!frontier.empty()) {
-      const std::string current = frontier.front();
-      frontier.pop_front();
-      for (const std::string& parent : ParentsOf(current)) {
-        if (seen.insert(parent).second) {
-          closure.emplace(c.name, parent);
+  std::vector<size_t> seen(classes_.size(), kNoClass);
+  std::vector<size_t> frontier;
+  for (size_t c = 0; c < classes_.size(); ++c) {
+    // BFS upward from c; seen[q] == c marks q as reached from c.
+    frontier.assign(1, c);
+    seen[c] = c;
+    for (size_t head = 0; head < frontier.size(); ++head) {
+      for (size_t parent : parents_[frontier[head]]) {
+        if (seen[parent] != c) {
+          seen[parent] = c;
+          closure.emplace(classes_[c].name, classes_[parent].name);
           frontier.push_back(parent);
         }
       }
@@ -183,28 +227,18 @@ std::set<std::pair<std::string, std::string>> IntegratedSchema::IsAClosure()
 size_t IntegratedSchema::TransitiveReduction() {
   // An edge (c, p) is redundant iff p is reachable from c via a path of
   // length >= 2 that does not use the edge itself. Edges are tested in
-  // link order. Each class's direct parents are numbered once and kept in
-  // sync as redundant edges go, so a BFS step reads its adjacency instead
-  // of scanning every link.
-  std::map<std::string, size_t> ids;
-  std::vector<std::pair<size_t, size_t>> edges;  // (child, parent) ids
-  edges.reserve(isa_links_.size());
-  for (const auto& [child, parent] : isa_links_) {
-    const size_t c = ids.emplace(child, ids.size()).first->second;
-    const size_t p = ids.emplace(parent, ids.size()).first->second;
-    edges.emplace_back(c, p);
-  }
-  std::vector<std::vector<size_t>> parents(ids.size());
-  for (const auto& [c, p] : edges) parents[c].push_back(p);
+  // link order against the per-class parent lists, from which each
+  // redundant edge is dropped as soon as it is found, so a later test no
+  // longer counts it as a path.
   // seen[q] == e + 1 marks q as reached by edge e's BFS.
-  std::vector<size_t> seen(ids.size(), 0);
+  std::vector<size_t> seen(classes_.size(), 0);
   std::vector<size_t> frontier;
-  std::vector<bool> redundant(edges.size(), false);
-  for (size_t e = 0; e < edges.size(); ++e) {
-    const auto [c, p] = edges[e];
+  std::vector<bool> redundant(isa_links_.size(), false);
+  for (size_t e = 0; e < isa_links_.size(); ++e) {
+    const auto [c, p] = isa_links_[e];
     // BFS from the child's other parents upward.
     frontier.clear();
-    for (size_t q : parents[c]) {
+    for (size_t q : parents_[c]) {
       if (q != p) {
         frontier.push_back(q);
         seen[q] = e + 1;
@@ -216,7 +250,7 @@ size_t IntegratedSchema::TransitiveReduction() {
         redundant[e] = true;
         break;
       }
-      for (size_t q : parents[current]) {
+      for (size_t q : parents_[current]) {
         if (seen[q] != e + 1) {
           seen[q] = e + 1;
           frontier.push_back(q);
@@ -224,22 +258,17 @@ size_t IntegratedSchema::TransitiveReduction() {
       }
     }
     if (redundant[e]) {
-      parents[c].erase(std::find(parents[c].begin(), parents[c].end(), p));
+      parents_[c].erase(std::find(parents_[c].begin(), parents_[c].end(), p));
     }
   }
   // Drop the redundant links; the rest keep their order.
   size_t kept = 0;
-  for (size_t e = 0; e < edges.size(); ++e) {
-    const auto& [child, parent] = isa_links_[e];
-    if (redundant[e]) {
-      isa_keys_.erase(StrCat(child, "->", parent));
-      continue;
-    }
-    if (kept != e) isa_links_[kept] = std::move(isa_links_[e]);
-    ++kept;
+  for (size_t e = 0; e < isa_links_.size(); ++e) {
+    if (!redundant[e]) isa_links_[kept++] = isa_links_[e];
   }
+  const size_t removed = isa_links_.size() - kept;
   isa_links_.resize(kept);
-  return edges.size() - kept;
+  return removed;
 }
 
 void IntegratedSchema::ResolveAggregationRanges() {
@@ -261,7 +290,7 @@ Result<Schema> IntegratedSchema::ToSchema() const {
           {a.name, AttributeType::Scalar(a.type), a.multi_valued});
     }
     for (const IntegratedAggregation& g : c.aggregations) {
-      const std::string range =
+      const std::string& range =
           g.integrated_range.empty() ? NameOf(g.local_range)
                                      : g.integrated_range;
       if (range.empty()) continue;  // unresolved range: drop the link
@@ -270,7 +299,8 @@ Result<Schema> IntegratedSchema::ToSchema() const {
     OOINT_RETURN_IF_ERROR(schema.AddClass(std::move(class_def)).status());
   }
   for (const auto& [child, parent] : isa_links_) {
-    OOINT_RETURN_IF_ERROR(schema.AddIsA(child, parent));
+    OOINT_RETURN_IF_ERROR(schema.AddIsA(static_cast<ClassId>(child),
+                                        static_cast<ClassId>(parent)));
   }
   OOINT_RETURN_IF_ERROR(schema.Finalize());
   return schema;
@@ -282,7 +312,8 @@ std::string IntegratedSchema::ToString() const {
     out += StrCat("  ", c.ToString(), "\n");
   }
   for (const auto& [child, parent] : isa_links_) {
-    out += StrCat("  is_a(", child, ", ", parent, ")\n");
+    out += StrCat("  is_a(", classes_[child].name, ", ",
+                  classes_[parent].name, ")\n");
   }
   for (const Rule& r : rules_) {
     out += StrCat("  rule: ", r.ToString(), "\n");

@@ -92,36 +92,49 @@ struct IntegratedClass {
 /// integrated classes connected by is-a links, plus the derivation rules
 /// the integration principles generated (the "deduction-like global
 /// schema" of the paper's abstract).
+///
+/// Classes are addressed by their index in classes(): the source map
+/// resolves a local class to an index, and an is-a link is a pair of
+/// indices. The name-level calls (FindClass, AddIsA, HasIsA, ...)
+/// resolve names to indices first.
 class IntegratedSchema {
  public:
+  /// The index of no class.
+  static constexpr size_t kNoClass = static_cast<size_t>(-1);
+
   explicit IntegratedSchema(std::string name = "IS") : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
 
-  /// Adds a class; fails on duplicate name.
+  /// Adds a class; fails on duplicate name. Returns the class's index.
   Result<size_t> AddClass(IntegratedClass integrated_class);
 
-  /// Records that local class `source` is represented by integrated
-  /// class `is_name` (used by rule generation and link carry-over).
-  void MapSource(const ClassRef& source, const std::string& is_name);
+  /// Records that local class `source` is represented by the integrated
+  /// class at `index` (used by rule generation and link carry-over).
+  void MapSource(const ClassRef& source, size_t index);
 
+  /// The index of the integrated class representing a local class;
+  /// kNoClass when unmapped.
+  size_t IndexOf(const ClassRef& source) const;
   /// The integrated name of a local class; "" when unmapped.
-  std::string NameOf(const ClassRef& source) const;
+  const std::string& NameOf(const ClassRef& source) const;
 
-  /// Adds is_a(child, parent) between integrated classes (idempotent).
+  /// Adds is_a(child, parent) between integrated classes (idempotent);
+  /// NotFound when either class does not exist.
   Status AddIsA(const std::string& child, const std::string& parent);
+  Status AddIsA(size_t child, size_t parent);
   /// Removes an is-a link; true when it existed.
   bool RemoveIsA(const std::string& child, const std::string& parent);
   bool HasIsA(const std::string& child, const std::string& parent) const;
+  bool HasIsA(size_t child, size_t parent) const;
 
   void AddRule(Rule rule) { rules_.push_back(std::move(rule)); }
 
   const std::vector<IntegratedClass>& classes() const { return classes_; }
   const IntegratedClass* FindClass(const std::string& name) const;
-  IntegratedClass* MutableClass(const std::string& name);
-  const std::vector<std::pair<std::string, std::string>>& isa_links() const {
-    return isa_links_;
-  }
+  IntegratedClass* MutableClass(size_t index) { return &classes_[index]; }
+  /// The is-a links as (child, parent) names, in insertion order.
+  std::vector<std::pair<std::string, std::string>> isa_links() const;
   const std::vector<Rule>& rules() const { return rules_; }
 
   /// Direct is-a parents / children of a class.
@@ -145,18 +158,23 @@ class IntegratedSchema {
   /// itself participate in a further integration round — the accumulation
   /// strategy of Fig. 2(a) and the balanced strategy of Fig. 2(b).
   /// Virtual classes are carried along as ordinary classes (their
-  /// defining rules remain attached to this object).
+  /// defining rules remain attached to this object). Class i of the
+  /// lowered schema is classes()[i].
   Result<Schema> ToSchema() const;
 
   std::string ToString() const;
 
  private:
+  size_t IndexOfName(const std::string& name) const;
+
   std::string name_;
   std::vector<IntegratedClass> classes_;
   std::map<std::string, size_t> by_name_;
-  std::map<std::string, std::string> source_map_;  // ClassRef str -> IS name
-  std::vector<std::pair<std::string, std::string>> isa_links_;
-  std::set<std::string> isa_keys_;
+  std::map<ClassRef, size_t> source_map_;
+  // (child, parent) class indices in insertion order, and per class its
+  // direct parents in the same order: the is-a set keyed by index pairs.
+  std::vector<std::pair<size_t, size_t>> isa_links_;
+  std::vector<std::vector<size_t>> parents_;
   std::vector<Rule> rules_;
 };
 

@@ -52,12 +52,15 @@ void PendingOperations::RecordIsA(const ClassRef& sub, const ClassRef& super) {
 
 namespace {
 
+constexpr size_t kNoClass = IntegratedSchema::kNoClass;
+
 std::string CopyName(const ClassRef& ref) {
-  return StrCat("IS(", ref.ToString(), ")");
+  return StrCat("IS(", ref.schema, ".", ref.class_name, ")");
 }
 
 std::string MergedName(const ClassRef& a, const ClassRef& b) {
-  return StrCat("IS(", a.ToString(), ",", b.ToString(), ")");
+  return StrCat("IS(", a.schema, ".", a.class_name, ",", b.schema, ".",
+                b.class_name, ")");
 }
 
 /// Integrated-attribute naming: the shared name when both sides agree,
@@ -78,26 +81,24 @@ void AddAttributeUnique(IntegratedClass* out, IntegratedAttribute attribute,
   out->attributes.push_back(std::move(attribute));
 }
 
-/// Fills in the scalar type / multiplicity of every attribute of `out`
-/// from its first resolvable source attribute; concatenations are
-/// strings by construction.
-void FillAttributeTypes(IntegrationContext* ctx, IntegratedClass* out) {
-  for (IntegratedAttribute& attr : out->attributes) {
-    if (attr.op == ValueSetOp::kConcatenation) {
-      attr.type = ValueKind::kString;
-      continue;
-    }
-    for (const Path& path : attr.sources) {
-      const ClassDef* class_def =
-          ctx->ClassOf({path.schema(), path.class_name()});
-      if (class_def == nullptr) continue;
-      const Attribute* local = class_def->FindAttribute(path.leaf());
-      if (local == nullptr || local->type.is_class()) continue;
-      attr.type = local->type.scalar;
-      attr.multi_valued = local->multi_valued;
-      break;
-    }
+/// Gives `attribute` the scalar type and multiplicity of the first of
+/// `locals` that exists and is scalar — the local attributes its sources
+/// name, in source order. A concatenation keeps the default string type.
+IntegratedAttribute Typed(IntegratedAttribute attribute,
+                          std::initializer_list<const Attribute*> locals) {
+  for (const Attribute* local : locals) {
+    if (local == nullptr || local->type.is_class()) continue;
+    attribute.type = local->type.scalar;
+    attribute.multi_valued = local->multi_valued;
+    break;
   }
+  return attribute;
+}
+
+/// The attribute `name` of `class_def`; nullptr when either is missing.
+const Attribute* AttributeOf(const ClassDef* class_def,
+                             const std::string& name) {
+  return class_def == nullptr ? nullptr : class_def->FindAttribute(name);
 }
 
 /// True when `path` denotes a direct attribute (or aggregation) of the
@@ -108,15 +109,23 @@ bool IsDirectPathOf(const Path& path, const ClassRef& ref) {
          path.components().size() == 1 && !path.name_ref();
 }
 
+/// Records that local class `local` (named `ref`) is represented by the
+/// integrated class at `index`, in the result's source map and by id.
+void MapLocal(IntegrationContext* ctx, const LocalClass& local,
+              const ClassRef& ref, size_t index) {
+  ctx->result.MapSource(ref, index);
+  ctx->IndexOf(local.side, local.id) = index;
+}
+
 /// Integrates the attribute correspondences of `assertion` into `out`
 /// (the switch of Principle 1); records handled local attribute names in
-/// `handled_lhs` / `handled_rhs`.
-void IntegrateAttrCorrs(IntegrationContext* ctx, const Assertion& assertion,
-                        const ClassRef& a, const ClassRef& b,
-                        IntegratedClass* out,
+/// `handled_lhs` / `handled_rhs`. `class_a` and `class_b` are the local
+/// classes behind `a` and `b`.
+void IntegrateAttrCorrs(const Assertion& assertion, const ClassRef& a,
+                        const ClassRef& b, const ClassDef* class_a,
+                        const ClassDef* class_b, IntegratedClass* out,
                         std::set<std::string>* handled_lhs,
                         std::set<std::string>* handled_rhs) {
-  (void)ctx;
   for (const AttributeCorrespondence& ac : assertion.attr_corrs) {
     // Normalize orientation: la rooted at a, rb rooted at b.
     const AttributeCorrespondence* corr = &ac;
@@ -133,6 +142,8 @@ void IntegrateAttrCorrs(IntegrationContext* ctx, const Assertion& assertion,
     }
     const std::string& la = corr->lhs.leaf();
     const std::string& rb = corr->rhs.leaf();
+    const Attribute* attr_a = AttributeOf(class_a, la);
+    const Attribute* attr_b = AttributeOf(class_b, rb);
     handled_lhs->insert(la);
     handled_rhs->insert(rb);
     switch (corr->rel) {
@@ -140,25 +151,31 @@ void IntegrateAttrCorrs(IntegrationContext* ctx, const Assertion& assertion,
       case AttrRel::kSubset:
       case AttrRel::kSuperset:
         out->attributes.push_back(
-            {JoinAttrName(la, rb), ValueSetOp::kUnion,
-             {corr->lhs, corr->rhs}, ""});
+            Typed({JoinAttrName(la, rb), ValueSetOp::kUnion,
+                   {corr->lhs, corr->rhs}, ""},
+                  {attr_a, attr_b}));
         break;
       case AttrRel::kOverlap:
         // Three new attributes a_, b_ and a_b (Principle 1, case a∩b).
-        out->attributes.push_back({StrCat(la, "_"), ValueSetOp::kDifference,
-                                   {corr->lhs, corr->rhs}, ""});
-        out->attributes.push_back({StrCat(rb, "_"), ValueSetOp::kDifference,
-                                   {corr->rhs, corr->lhs}, ""});
-        out->attributes.push_back({StrCat(la, "_", rb),
-                                   ValueSetOp::kIntersectAif,
-                                   {corr->lhs, corr->rhs},
-                                   StrCat("AIF_", la, "_", rb)});
+        out->attributes.push_back(
+            Typed({StrCat(la, "_"), ValueSetOp::kDifference,
+                   {corr->lhs, corr->rhs}, ""},
+                  {attr_a, attr_b}));
+        out->attributes.push_back(
+            Typed({StrCat(rb, "_"), ValueSetOp::kDifference,
+                   {corr->rhs, corr->lhs}, ""},
+                  {attr_b, attr_a}));
+        out->attributes.push_back(
+            Typed({StrCat(la, "_", rb), ValueSetOp::kIntersectAif,
+                   {corr->lhs, corr->rhs}, StrCat("AIF_", la, "_", rb)},
+                  {attr_a, attr_b}));
         break;
       case AttrRel::kDisjoint:
         out->attributes.push_back(
-            {la, ValueSetOp::kCopy, {corr->lhs}, ""});
-        AddAttributeUnique(out, {rb, ValueSetOp::kCopy, {corr->rhs}, ""},
-                           corr->rhs.schema());
+            Typed({la, ValueSetOp::kCopy, {corr->lhs}, ""}, {attr_a}));
+        AddAttributeUnique(
+            out, Typed({rb, ValueSetOp::kCopy, {corr->rhs}, ""}, {attr_b}),
+            corr->rhs.schema());
         break;
       case AttrRel::kComposedInto:
         out->attributes.push_back({corr->composed_name,
@@ -171,10 +188,12 @@ void IntegrateAttrCorrs(IntegrationContext* ctx, const Assertion& assertion,
         // not mirror β the way it mirrors ⊆/⊇).
         const Path& specific = flipped_orientation ? corr->rhs : corr->lhs;
         const Path& general = flipped_orientation ? corr->lhs : corr->rhs;
-        out->attributes.push_back({specific.leaf(),
-                                   ValueSetOp::kMoreSpecific,
-                                   {specific, general},
-                                   ""});
+        const Attribute* specific_attr = flipped_orientation ? attr_b : attr_a;
+        const Attribute* general_attr = flipped_orientation ? attr_a : attr_b;
+        out->attributes.push_back(Typed(
+            {specific.leaf(), ValueSetOp::kMoreSpecific, {specific, general},
+             ""},
+            {specific_attr, general_attr}));
         break;
       }
     }
@@ -186,11 +205,10 @@ void IntegrateAttrCorrs(IntegrationContext* ctx, const Assertion& assertion,
 /// Principle 6).
 void IntegrateAggCorrs(IntegrationContext* ctx, const Assertion& assertion,
                        const ClassRef& a, const ClassRef& b,
+                       const ClassDef* class_a, const ClassDef* class_b,
                        IntegratedClass* out,
                        std::set<std::string>* handled_lhs,
                        std::set<std::string>* handled_rhs) {
-  const ClassDef* class_a = ctx->ClassOf(a);
-  const ClassDef* class_b = ctx->ClassOf(b);
   for (const AggCorrespondence& gc : assertion.agg_corrs) {
     const AggCorrespondence* corr = &gc;
     AggCorrespondence flipped;
@@ -248,24 +266,27 @@ void IntegrateAggCorrs(IntegrationContext* ctx, const Assertion& assertion,
   }
 }
 
-/// Accumulates the attributes and aggregations of `ref` not mentioned in
-/// any correspondence (default strategy 2: unasserted attributes are
-/// semantically disjoint and simply accumulated).
-void AccumulateRemaining(IntegrationContext* ctx, const ClassRef& ref,
+/// Accumulates the attributes and aggregations of local class
+/// `class_def` (named `ref`) not mentioned in any correspondence
+/// (default strategy 2: unasserted attributes are semantically disjoint
+/// and simply accumulated).
+void AccumulateRemaining(const ClassDef& class_def, const ClassRef& ref,
                          const std::set<std::string>& handled,
                          IntegratedClass* out) {
-  const ClassDef* class_def = ctx->ClassOf(ref);
-  if (class_def == nullptr) return;
-  for (const Attribute& attr : class_def->attributes()) {
+  for (const Attribute& attr : class_def.attributes()) {
     if (handled.count(attr.name) != 0) continue;
-    AddAttributeUnique(out,
-                       {attr.name,
-                        ValueSetOp::kCopy,
-                        {Path::Attr(ref.schema, ref.class_name, attr.name)},
-                        ""},
-                       ref.schema);
+    // Typed like its source path, which names the first attribute
+    // called attr.name.
+    AddAttributeUnique(
+        out,
+        Typed({attr.name,
+               ValueSetOp::kCopy,
+               {Path::Attr(ref.schema, ref.class_name, attr.name)},
+               ""},
+              {class_def.FindAttribute(attr.name)}),
+        ref.schema);
   }
-  for (const AggregationFunction& fn : class_def->aggregations()) {
+  for (const AggregationFunction& fn : class_def.aggregations()) {
     if (handled.count(fn.name) != 0) continue;
     out->aggregations.push_back({fn.name,
                                  {ref.schema, fn.range_class},
@@ -276,35 +297,56 @@ void AccumulateRemaining(IntegrationContext* ctx, const ClassRef& ref,
   }
 }
 
+/// Default strategy 1 for a resolved local class: its integrated class,
+/// copied from it unless one already represents it. Returns the index.
+Result<size_t> EnsureLocalCopy(IntegrationContext* ctx,
+                               const LocalClass& local, const ClassRef& ref) {
+  const size_t existing = ctx->IndexOf(local.side, local.id);
+  if (existing != kNoClass) return existing;
+  IntegratedClass copy;
+  copy.name = CopyName(ref);
+  copy.kind = ISClassKind::kCopied;
+  copy.sources = {ref};
+  AccumulateRemaining(*local.def, ref, {}, &copy);
+  OOINT_ASSIGN_OR_RETURN(const size_t index,
+                         ctx->result.AddClass(std::move(copy)));
+  MapLocal(ctx, local, ref, index);
+  return index;
+}
+
 /// Principle 1: merges two equivalent classes into one integrated class.
 Status ApplyEquivalence(IntegrationContext* ctx, const Assertion& assertion) {
   const ClassRef& a = assertion.lhs.front();
   const ClassRef& b = assertion.rhs;
-  const std::string existing_a = ctx->result.NameOf(a);
-  const std::string existing_b = ctx->result.NameOf(b);
-  if (!existing_a.empty() && existing_a == existing_b) return Status::OK();
+  const LocalClass local_a = ctx->Resolve(a);
+  const LocalClass local_b = ctx->Resolve(b);
+  if (!local_a.found() || !local_b.found()) {
+    return Status::NotFound(StrCat("equivalence ", a.ToString(), " == ",
+                                   b.ToString(),
+                                   " names a class in neither schema"));
+  }
+  const size_t existing_a = ctx->IndexOf(local_a.side, local_a.id);
+  const size_t existing_b = ctx->IndexOf(local_b.side, local_b.id);
+  if (existing_a != kNoClass && existing_a == existing_b) return Status::OK();
 
-  if (!existing_a.empty() || !existing_b.empty()) {
+  std::set<std::string> handled_lhs;
+  std::set<std::string> handled_rhs;
+  if (existing_a != kNoClass || existing_b != kNoClass) {
     // A second equivalence touching an already-merged class: extend the
     // existing merged class with the new counterpart's material.
-    const std::string name = existing_a.empty() ? existing_b : existing_a;
-    const ClassRef& incoming = existing_a.empty() ? a : b;
-    IntegratedClass* merged = ctx->result.MutableClass(name);
-    if (merged == nullptr) {
-      return Status::Internal(StrCat("mapped class '", name, "' missing"));
-    }
+    const bool a_mapped = existing_a != kNoClass;
+    const size_t index = a_mapped ? existing_a : existing_b;
+    const ClassRef& incoming = a_mapped ? b : a;
+    const LocalClass& incoming_local = a_mapped ? local_b : local_a;
+    IntegratedClass* merged = ctx->result.MutableClass(index);
     merged->sources.push_back(incoming);
-    std::set<std::string> handled_lhs;
-    std::set<std::string> handled_rhs;
-    IntegrateAttrCorrs(ctx, assertion, a, b, merged, &handled_lhs,
-                       &handled_rhs);
-    IntegrateAggCorrs(ctx, assertion, a, b, merged, &handled_lhs,
-                      &handled_rhs);
-    AccumulateRemaining(ctx, incoming,
-                        existing_a.empty() ? handled_lhs : handled_rhs,
-                        merged);
-    FillAttributeTypes(ctx, merged);
-    ctx->result.MapSource(incoming, name);
+    IntegrateAttrCorrs(assertion, a, b, local_a.def, local_b.def, merged,
+                       &handled_lhs, &handled_rhs);
+    IntegrateAggCorrs(ctx, assertion, a, b, local_a.def, local_b.def, merged,
+                      &handled_lhs, &handled_rhs);
+    AccumulateRemaining(*incoming_local.def, incoming,
+                        a_mapped ? handled_rhs : handled_lhs, merged);
+    MapLocal(ctx, incoming_local, incoming, index);
     ++ctx->stats.classes_merged;
     return Status::OK();
   }
@@ -313,22 +355,37 @@ Status ApplyEquivalence(IntegrationContext* ctx, const Assertion& assertion) {
   merged.name = MergedName(a, b);
   merged.kind = ISClassKind::kMerged;
   merged.sources = {a, b};
-  std::set<std::string> handled_lhs;
-  std::set<std::string> handled_rhs;
-  IntegrateAttrCorrs(ctx, assertion, a, b, &merged, &handled_lhs,
-                     &handled_rhs);
-  IntegrateAggCorrs(ctx, assertion, a, b, &merged, &handled_lhs,
-                    &handled_rhs);
-  AccumulateRemaining(ctx, a, handled_lhs, &merged);
-  AccumulateRemaining(ctx, b, handled_rhs, &merged);
-  FillAttributeTypes(ctx, &merged);
-  const std::string name = merged.name;
-  Result<size_t> added = ctx->result.AddClass(std::move(merged));
-  if (!added.ok()) return added.status();
-  ctx->result.MapSource(a, name);
-  ctx->result.MapSource(b, name);
+  IntegrateAttrCorrs(assertion, a, b, local_a.def, local_b.def, &merged,
+                     &handled_lhs, &handled_rhs);
+  IntegrateAggCorrs(ctx, assertion, a, b, local_a.def, local_b.def, &merged,
+                    &handled_lhs, &handled_rhs);
+  AccumulateRemaining(*local_a.def, a, handled_lhs, &merged);
+  AccumulateRemaining(*local_b.def, b, handled_rhs, &merged);
+  OOINT_ASSIGN_OR_RETURN(const size_t index,
+                         ctx->result.AddClass(std::move(merged)));
+  MapLocal(ctx, local_a, a, index);
+  MapLocal(ctx, local_b, b, index);
   ++ctx->stats.classes_merged;
   return Status::OK();
+}
+
+/// Resolves `ref` into `*local` and ensures its integrated copy; NotFound
+/// when `ref` names a class of neither schema.
+Result<size_t> ResolveAndCopy(IntegrationContext* ctx, const ClassRef& ref,
+                              LocalClass* local) {
+  *local = ctx->Resolve(ref);
+  if (!local->found()) {
+    return Status::NotFound(
+        StrCat("class ", ref.ToString(), " not found in either schema"));
+  }
+  return EnsureLocalCopy(ctx, *local, ref);
+}
+
+OTerm Membership(const std::string& class_name, const std::string& var) {
+  OTerm term;
+  term.object = TermArg::Variable(var);
+  term.class_name = class_name;
+  return term;
 }
 
 /// Principle 3: virtual intersection and difference classes plus their
@@ -336,10 +393,12 @@ Status ApplyEquivalence(IntegrationContext* ctx, const Assertion& assertion) {
 Status ApplyIntersection(IntegrationContext* ctx, const Assertion& assertion) {
   const ClassRef& a = assertion.lhs.front();
   const ClassRef& b = assertion.rhs;
-  Result<std::string> is_a_name = EnsureCopy(ctx, a);
-  if (!is_a_name.ok()) return is_a_name.status();
-  Result<std::string> is_b_name = EnsureCopy(ctx, b);
-  if (!is_b_name.ok()) return is_b_name.status();
+  LocalClass local_a;
+  LocalClass local_b;
+  OOINT_ASSIGN_OR_RETURN(const size_t is_a, ResolveAndCopy(ctx, a, &local_a));
+  OOINT_ASSIGN_OR_RETURN(const size_t is_b, ResolveAndCopy(ctx, b, &local_b));
+  const std::string is_a_name = ctx->result.classes()[is_a].name;
+  const std::string is_b_name = ctx->result.classes()[is_b].name;
 
   IntegratedClass both;
   both.name = StrCat("IS(", a.ToString(), "&", b.ToString(), ")");
@@ -348,11 +407,10 @@ Status ApplyIntersection(IntegrationContext* ctx, const Assertion& assertion) {
   {
     std::set<std::string> handled_lhs;
     std::set<std::string> handled_rhs;
-    IntegrateAttrCorrs(ctx, assertion, a, b, &both, &handled_lhs,
-                       &handled_rhs);
-    IntegrateAggCorrs(ctx, assertion, a, b, &both, &handled_lhs,
-                      &handled_rhs);
-    FillAttributeTypes(ctx, &both);
+    IntegrateAttrCorrs(assertion, a, b, local_a.def, local_b.def, &both,
+                       &handled_lhs, &handled_rhs);
+    IntegrateAggCorrs(ctx, assertion, a, b, local_a.def, local_b.def, &both,
+                      &handled_lhs, &handled_rhs);
     // Note: no rules (or attributes) are created for the attributes
     // outside the correspondences — "we do not establish rules for
     // attributes appearing in IS_faculty and IS_student since, for them,
@@ -370,25 +428,18 @@ Status ApplyIntersection(IntegrationContext* ctx, const Assertion& assertion) {
   const std::string both_name = both.name;
   const std::string only_a_name = only_a.name;
   const std::string only_b_name = only_b.name;
-  OOINT_RETURN_IF_ERROR(ctx->result.AddClass(std::move(both)).status());
-  OOINT_RETURN_IF_ERROR(ctx->result.AddClass(std::move(only_a)).status());
-  OOINT_RETURN_IF_ERROR(ctx->result.AddClass(std::move(only_b)).status());
-
-  auto membership = [](const std::string& class_name,
-                       const std::string& var) {
-    OTerm term;
-    term.object = TermArg::Variable(var);
-    term.class_name = class_name;
-    return term;
-  };
+  OOINT_ASSIGN_OR_RETURN(const size_t both_index,
+                         ctx->result.AddClass(std::move(both)));
+  OOINT_ASSIGN_OR_RETURN(const size_t only_a_index,
+                         ctx->result.AddClass(std::move(only_a)));
+  OOINT_ASSIGN_OR_RETURN(const size_t only_b_index,
+                         ctx->result.AddClass(std::move(only_b)));
 
   // <x: IS_AB> <= <x: IS(A)>, <y: IS(B)>, y = x.
   Rule both_rule;
-  both_rule.head.push_back(Literal::OfOTerm(membership(both_name, "x")));
-  both_rule.body.push_back(
-      Literal::OfOTerm(membership(is_a_name.value(), "x")));
-  both_rule.body.push_back(
-      Literal::OfOTerm(membership(is_b_name.value(), "y")));
+  both_rule.head.push_back(Literal::OfOTerm(Membership(both_name, "x")));
+  both_rule.body.push_back(Literal::OfOTerm(Membership(is_a_name, "x")));
+  both_rule.body.push_back(Literal::OfOTerm(Membership(is_b_name, "y")));
   both_rule.body.push_back(Literal::OfCompare(
       TermArg::Variable("y"), CompareOp::kEq, TermArg::Variable("x")));
   both_rule.provenance = StrCat("principle-3(", a.ToString(), " ~ ",
@@ -396,17 +447,17 @@ Status ApplyIntersection(IntegrationContext* ctx, const Assertion& assertion) {
 
   // <x: IS_A-> <= <x: IS(A)>, not <x: IS_AB>.
   Rule a_rule;
-  a_rule.head.push_back(Literal::OfOTerm(membership(only_a_name, "x")));
-  a_rule.body.push_back(Literal::OfOTerm(membership(is_a_name.value(), "x")));
+  a_rule.head.push_back(Literal::OfOTerm(Membership(only_a_name, "x")));
+  a_rule.body.push_back(Literal::OfOTerm(Membership(is_a_name, "x")));
   a_rule.body.push_back(
-      Literal::OfOTerm(membership(both_name, "x"), /*negated=*/true));
+      Literal::OfOTerm(Membership(both_name, "x"), /*negated=*/true));
   a_rule.provenance = both_rule.provenance;
 
   Rule b_rule;
-  b_rule.head.push_back(Literal::OfOTerm(membership(only_b_name, "x")));
-  b_rule.body.push_back(Literal::OfOTerm(membership(is_b_name.value(), "x")));
+  b_rule.head.push_back(Literal::OfOTerm(Membership(only_b_name, "x")));
+  b_rule.body.push_back(Literal::OfOTerm(Membership(is_b_name, "x")));
   b_rule.body.push_back(
-      Literal::OfOTerm(membership(both_name, "x"), /*negated=*/true));
+      Literal::OfOTerm(Membership(both_name, "x"), /*negated=*/true));
   b_rule.provenance = both_rule.provenance;
 
   ctx->result.AddRule(std::move(both_rule));
@@ -415,10 +466,10 @@ Status ApplyIntersection(IntegrationContext* ctx, const Assertion& assertion) {
   ctx->stats.rules_generated += 3;
 
   // The virtual classes sit below their constituents in the hierarchy.
-  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(both_name, is_a_name.value()));
-  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(both_name, is_b_name.value()));
-  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(only_a_name, is_a_name.value()));
-  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(only_b_name, is_b_name.value()));
+  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(both_index, is_a));
+  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(both_index, is_b));
+  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(only_a_index, is_a));
+  OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(only_b_index, is_b));
   ctx->stats.isa_links_inserted += 4;
   return Status::OK();
 }
@@ -428,38 +479,27 @@ Status ApplyIntersection(IntegrationContext* ctx, const Assertion& assertion) {
 Status ApplyDisjoint(IntegrationContext* ctx, const Assertion& assertion) {
   const ClassRef& a = assertion.lhs.front();
   const ClassRef& b = assertion.rhs;
-  Result<std::string> is_a_name = EnsureCopy(ctx, a);
-  if (!is_a_name.ok()) return is_a_name.status();
-  Result<std::string> is_b_name = EnsureCopy(ctx, b);
-  if (!is_b_name.ok()) return is_b_name.status();
-
-  auto membership = [](const std::string& class_name,
-                       const std::string& var) {
-    OTerm term;
-    term.object = TermArg::Variable(var);
-    term.class_name = class_name;
-    return term;
-  };
+  LocalClass local_a;
+  LocalClass local_b;
+  OOINT_ASSIGN_OR_RETURN(const size_t is_a, ResolveAndCopy(ctx, a, &local_a));
+  OOINT_ASSIGN_OR_RETURN(const size_t is_b, ResolveAndCopy(ctx, b, &local_b));
+  const std::string is_a_name = ctx->result.classes()[is_a].name;
+  const std::string is_b_name = ctx->result.classes()[is_b].name;
 
   // Find equivalent ancestors A' ⊇ A (in S1) and B' ⊇ B (in S2): the
   // assertion is meaningful only then (Principle 4's precondition).
-  const Schema* schema_a = ctx->SchemaOf(a);
-  const Schema* schema_b = ctx->SchemaOf(b);
-  if (schema_a == nullptr || schema_b == nullptr) {
-    return Status::NotFound("disjoint assertion references unknown schema");
-  }
-  const ClassId id_a = schema_a->FindClass(a.class_name);
-  const ClassId id_b = schema_b->FindClass(b.class_name);
+  const Schema& schema_a = ctx->schema(local_a.side);
+  const Schema& schema_b = ctx->schema(local_b.side);
   std::string merged_parent;
-  for (ClassId ancestor_a : schema_a->Ancestors(id_a)) {
-    for (ClassId ancestor_b : schema_b->Ancestors(id_b)) {
-      const ClassRef ra{schema_a->name(),
-                        schema_a->class_def(ancestor_a).name()};
-      const ClassRef rb{schema_b->name(),
-                        schema_b->class_def(ancestor_b).name()};
+  for (ClassId ancestor_a : schema_a.Ancestors(local_a.id)) {
+    for (ClassId ancestor_b : schema_b.Ancestors(local_b.id)) {
+      const ClassRef ra{schema_a.name(),
+                        schema_a.class_def(ancestor_a).name()};
+      const ClassRef rb{schema_b.name(),
+                        schema_b.class_def(ancestor_b).name()};
       const AssertionSet::Lookup lookup = ctx->assertions->Find(ra, rb);
       if (lookup.found() && lookup.rel == SetRel::kEquivalent) {
-        const std::string name_a = ctx->result.NameOf(ra);
+        const std::string& name_a = ctx->result.NameOf(ra);
         if (!name_a.empty()) {
           merged_parent = name_a;
           break;
@@ -472,19 +512,17 @@ Status ApplyDisjoint(IntegrationContext* ctx, const Assertion& assertion) {
   if (!merged_parent.empty()) {
     // <x: IS(B)> <= <x: merged(A',B')>, not <x: IS(A)>   (and converse).
     Rule to_b;
-    to_b.head.push_back(Literal::OfOTerm(membership(is_b_name.value(), "x")));
-    to_b.body.push_back(Literal::OfOTerm(membership(merged_parent, "x")));
+    to_b.head.push_back(Literal::OfOTerm(Membership(is_b_name, "x")));
+    to_b.body.push_back(Literal::OfOTerm(Membership(merged_parent, "x")));
     to_b.body.push_back(
-        Literal::OfOTerm(membership(is_a_name.value(), "x"),
-                         /*negated=*/true));
+        Literal::OfOTerm(Membership(is_a_name, "x"), /*negated=*/true));
     to_b.provenance = StrCat("principle-4(", a.ToString(), " ! ",
                              b.ToString(), ")");
     Rule to_a;
-    to_a.head.push_back(Literal::OfOTerm(membership(is_a_name.value(), "x")));
-    to_a.body.push_back(Literal::OfOTerm(membership(merged_parent, "x")));
+    to_a.head.push_back(Literal::OfOTerm(Membership(is_a_name, "x")));
+    to_a.body.push_back(Literal::OfOTerm(Membership(merged_parent, "x")));
     to_a.body.push_back(
-        Literal::OfOTerm(membership(is_b_name.value(), "x"),
-                         /*negated=*/true));
+        Literal::OfOTerm(Membership(is_b_name, "x"), /*negated=*/true));
     to_a.provenance = to_b.provenance;
     // Evaluating both directions would negate each other recursively
     // (unstratified); the converse stays recorded but unevaluated.
@@ -503,9 +541,9 @@ Status ApplyDisjoint(IntegrationContext* ctx, const Assertion& assertion) {
     auto nav = [&](const std::string& head_class,
                    const std::string& body_class) {
       Rule rule;
-      OTerm head = membership(head_class, "x");
+      OTerm head = Membership(head_class, "x");
       head.attrs.push_back({merged_agg, false, TermArg::Variable("y")});
-      OTerm body = membership(body_class, "y");
+      OTerm body = Membership(body_class, "y");
       body.attrs.push_back({merged_agg, false, TermArg::Variable("x")});
       rule.head.push_back(Literal::OfOTerm(std::move(head)));
       rule.body.push_back(Literal::OfOTerm(std::move(body)));
@@ -513,8 +551,8 @@ Status ApplyDisjoint(IntegrationContext* ctx, const Assertion& assertion) {
                                ")");
       return rule;
     };
-    ctx->result.AddRule(nav(is_b_name.value(), is_a_name.value()));
-    ctx->result.AddRule(nav(is_a_name.value(), is_b_name.value()));
+    ctx->result.AddRule(nav(is_b_name, is_a_name));
+    ctx->result.AddRule(nav(is_a_name, is_b_name));
     ctx->stats.rules_generated += 2;
   }
   return Status::OK();
@@ -527,7 +565,7 @@ Status ApplyDerivation(IntegrationContext* ctx, const Assertion& assertion) {
   }
   OOINT_RETURN_IF_ERROR(EnsureCopy(ctx, assertion.rhs).status());
   RuleGenerator generator([ctx](const ClassRef& ref) {
-    const std::string name = ctx->result.NameOf(ref);
+    const std::string& name = ctx->result.NameOf(ref);
     return name.empty() ? DefaultClassNaming(ref) : name;
   });
   Result<std::vector<Rule>> rules = generator.Generate(assertion);
@@ -541,24 +579,9 @@ Status ApplyDerivation(IntegrationContext* ctx, const Assertion& assertion) {
 
 }  // namespace
 
-Result<std::string> EnsureCopy(IntegrationContext* ctx, const ClassRef& ref) {
-  const std::string existing = ctx->result.NameOf(ref);
-  if (!existing.empty()) return existing;
-  const ClassDef* class_def = ctx->ClassOf(ref);
-  if (class_def == nullptr) {
-    return Status::NotFound(
-        StrCat("class ", ref.ToString(), " not found in either schema"));
-  }
-  IntegratedClass copy;
-  copy.name = CopyName(ref);
-  copy.kind = ISClassKind::kCopied;
-  copy.sources = {ref};
-  AccumulateRemaining(ctx, ref, {}, &copy);
-  FillAttributeTypes(ctx, &copy);
-  const std::string name = copy.name;
-  OOINT_RETURN_IF_ERROR(ctx->result.AddClass(std::move(copy)).status());
-  ctx->result.MapSource(ref, name);
-  return name;
+Result<size_t> EnsureCopy(IntegrationContext* ctx, const ClassRef& ref) {
+  LocalClass local;
+  return ResolveAndCopy(ctx, ref, &local);
 }
 
 Status Materialize(IntegrationContext* ctx, const PendingOperations& ops) {
@@ -567,10 +590,15 @@ Status Materialize(IntegrationContext* ctx, const PendingOperations& ops) {
     OOINT_RETURN_IF_ERROR(ApplyEquivalence(ctx, *assertion));
   }
   // 2. Default strategy 1: copy every class without an equivalence.
-  for (const Schema* schema : {ctx->s1, ctx->s2}) {
-    for (const ClassDef& class_def : schema->classes()) {
-      OOINT_RETURN_IF_ERROR(
-          EnsureCopy(ctx, {schema->name(), class_def.name()}).status());
+  for (int side : {1, 2}) {
+    const Schema& schema = ctx->schema(side);
+    for (ClassId id = 0; id < static_cast<ClassId>(schema.NumClasses());
+         ++id) {
+      if (ctx->IndexOf(side, id) != kNoClass) continue;
+      const ClassDef& class_def = schema.class_def(id);
+      OOINT_RETURN_IF_ERROR(EnsureLocalCopy(ctx, {side, id, &class_def},
+                                            {schema.name(), class_def.name()})
+                                .status());
     }
   }
   // 3. Principle 3: virtual intersection classes and their rules.
@@ -587,30 +615,30 @@ Status Materialize(IntegrationContext* ctx, const PendingOperations& ops) {
   }
   // 6. Links: carry over local is-a links, add the cross-schema links
   //    Principle 2 decided on, then remove redundancy (Fig. 12, §6.2).
-  for (const Schema* schema : {ctx->s1, ctx->s2}) {
-    for (const ClassDef& class_def : schema->classes()) {
-      const ClassId id = schema->FindClass(class_def.name());
-      const std::string child =
-          ctx->result.NameOf({schema->name(), class_def.name()});
-      for (ClassId parent_id : schema->ParentsOf(id)) {
-        const std::string parent = ctx->result.NameOf(
-            {schema->name(), schema->class_def(parent_id).name()});
-        if (child.empty() || parent.empty() || child == parent) continue;
-        if (!ctx->result.HasIsA(child, parent)) {
-          OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(child, parent));
-          ++ctx->stats.isa_links_inserted;
-        }
+  //    Every local class is mapped by now, so a local link is a pair of
+  //    index lookups.
+  auto link = [ctx](size_t child, size_t parent) -> Status {
+    if (child == kNoClass || parent == kNoClass || child == parent ||
+        ctx->result.HasIsA(child, parent)) {
+      return Status::OK();
+    }
+    OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(child, parent));
+    ++ctx->stats.isa_links_inserted;
+    return Status::OK();
+  };
+  for (int side : {1, 2}) {
+    const Schema& schema = ctx->schema(side);
+    for (ClassId id = 0; id < static_cast<ClassId>(schema.NumClasses());
+         ++id) {
+      for (ClassId parent_id : schema.ParentsOf(id)) {
+        OOINT_RETURN_IF_ERROR(
+            link(ctx->IndexOf(side, id), ctx->IndexOf(side, parent_id)));
       }
     }
   }
-  for (const PendingOperations::PendingIsA& link : ops.inclusions()) {
-    const std::string sub = ctx->result.NameOf(link.sub);
-    const std::string super = ctx->result.NameOf(link.super);
-    if (sub.empty() || super.empty() || sub == super) continue;
-    if (!ctx->result.HasIsA(sub, super)) {
-      OOINT_RETURN_IF_ERROR(ctx->result.AddIsA(sub, super));
-      ++ctx->stats.isa_links_inserted;
-    }
+  for (const PendingOperations::PendingIsA& inclusion : ops.inclusions()) {
+    OOINT_RETURN_IF_ERROR(link(ctx->result.IndexOf(inclusion.sub),
+                               ctx->result.IndexOf(inclusion.super)));
   }
   ctx->stats.isa_links_suppressed += ctx->result.TransitiveReduction();
   ctx->result.ResolveAggregationRanges();

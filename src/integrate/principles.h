@@ -67,8 +67,8 @@ class PendingOperations {
 };
 
 /// Ensures `ref` has an integrated version (default strategy 1: a copy
-/// of the local class); returns its integrated name.
-Result<std::string> EnsureCopy(IntegrationContext* ctx, const ClassRef& ref);
+/// of the local class); returns the integrated class's index.
+Result<size_t> EnsureCopy(IntegrationContext* ctx, const ClassRef& ref);
 
 /// Performs the recorded operations against ctx->result, implementing
 /// Principles 1-6 (see the implementation for the per-principle

@@ -37,18 +37,33 @@ Status Schema::AddIsA(const std::string& child, const std::string& parent) {
   if (!c.ok()) return c.status();
   Result<ClassId> p = GetClass(parent);
   if (!p.ok()) return p.status();
-  if (c.value() == p.value()) {
-    return Status::InvalidArgument(
-        StrCat("is-a self loop on class '", child, "'"));
+  return AddIsA(c.value(), p.value());
+}
+
+Status Schema::AddIsA(ClassId child, ClassId parent) {
+  if (finalized_) {
+    return Status::FailedPrecondition(
+        StrCat("schema '", name_, "' is finalized; cannot add is-a"));
   }
-  for (ClassId existing : parents_[c.value()]) {
-    if (existing == p.value()) {
-      return Status::AlreadyExists(
-          StrCat("is_a(", child, ", ", parent, ") already declared"));
+  const ClassId size = static_cast<ClassId>(classes_.size());
+  if (child < 0 || child >= size || parent < 0 || parent >= size) {
+    return Status::NotFound(
+        StrCat("is-a names a class id not in schema '", name_, "'"));
+  }
+  const std::string& child_name = classes_[child].name();
+  if (child == parent) {
+    return Status::InvalidArgument(
+        StrCat("is-a self loop on class '", child_name, "'"));
+  }
+  for (ClassId existing : parents_[child]) {
+    if (existing == parent) {
+      return Status::AlreadyExists(StrCat("is_a(", child_name, ", ",
+                                          classes_[parent].name(),
+                                          ") already declared"));
     }
   }
-  parents_[c.value()].push_back(p.value());
-  children_[p.value()].push_back(c.value());
+  parents_[child].push_back(parent);
+  children_[parent].push_back(child);
   return Status::OK();
 }
 

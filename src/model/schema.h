@@ -31,6 +31,7 @@ class Schema {
   /// Declares <child : parent>, i.e. is_a(child, parent). Both classes
   /// must already exist.
   Status AddIsA(const std::string& child, const std::string& parent);
+  Status AddIsA(ClassId child, ClassId parent);
 
   /// Validates and freezes the schema:
   ///  - class names are unique (checked on insert) and non-empty,

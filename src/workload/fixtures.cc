@@ -1,6 +1,10 @@
 #include "workload/fixtures.h"
 
+#include <iterator>
+
+#include "common/hash.h"
 #include "common/string_util.h"
+#include "workload/generator.h"
 
 namespace ooint {
 
@@ -387,6 +391,94 @@ assert S1.restaurant-1 == S2.restaurant-2 {
 }
 )";
   OOINT_RETURN_IF_ERROR(FinalizeBoth(&f));
+  return f;
+}
+
+Result<FederationFixture> MakeWorkforceFederation(size_t num_schemas) {
+  FederationFixture f;
+  for (size_t i = 0; i < num_schemas; ++i) {
+    Schema schema(StrCat("S", i));
+    ClassDef person(StrCat("person", i));
+    person.AddAttribute("ssn", ValueKind::kString)
+        .AddAttribute(StrCat("extra", i), ValueKind::kInteger);
+    OOINT_RETURN_IF_ERROR(schema.AddClass(std::move(person)).status());
+    ClassDef special(StrCat("special", i));
+    special.AddAttribute("ssn", ValueKind::kString);
+    OOINT_RETURN_IF_ERROR(schema.AddClass(std::move(special)).status());
+    OOINT_RETURN_IF_ERROR(
+        schema.AddIsA(StrCat("special", i), StrCat("person", i)));
+    OOINT_RETURN_IF_ERROR(schema.Finalize());
+    f.schemas.push_back(std::move(schema));
+  }
+  for (size_t i = 0; i < num_schemas; ++i) {
+    for (size_t j = i + 1; j < num_schemas; ++j) {
+      const std::string lhs = StrCat("S", i, ".person", i);
+      const std::string rhs = StrCat("S", j, ".person", j);
+      f.assertion_text += StrCat("assert ", lhs, " == ", rhs, " {\n  attr: ",
+                                 lhs, ".ssn == ", rhs, ".ssn;\n}\n");
+    }
+  }
+  return f;
+}
+
+Result<FederationFixture> MakeRenameFederation(size_t num_schemas) {
+  struct Component {
+    const char* class_name;
+    const char* asserted;  // renamed by each round's merge
+    const char* own;       // accumulated unasserted
+  };
+  static constexpr Component kComponents[] = {
+      {"a", "x", "p"}, {"b", "y", "q"}, {"c", "z", "r"}, {"d", "w", "s"}};
+  if (num_schemas < 2 || num_schemas > std::size(kComponents)) {
+    return Status::InvalidArgument(
+        StrCat("rename federation takes 2 to 4 schemas, got ", num_schemas));
+  }
+  FederationFixture f;
+  for (size_t k = 0; k < num_schemas; ++k) {
+    const Component& c = kComponents[k];
+    Schema schema(StrCat("S", k + 1));
+    ClassDef class_def(c.class_name);
+    class_def.AddAttribute(c.asserted, ValueKind::kString)
+        .AddAttribute(c.own, ValueKind::kString);
+    OOINT_RETURN_IF_ERROR(schema.AddClass(std::move(class_def)).status());
+    OOINT_RETURN_IF_ERROR(schema.Finalize());
+    f.schemas.push_back(std::move(schema));
+    if (k == 0) continue;
+    const Component& prev = kComponents[k - 1];
+    const std::string lhs = StrCat("S", k, ".", prev.class_name);
+    const std::string rhs = StrCat("S", k + 1, ".", c.class_name);
+    f.assertion_text +=
+        StrCat("assert ", lhs, " == ", rhs, " {\n  attr: ", lhs, ".",
+               prev.asserted, " == ", rhs, ".", c.asserted, ";\n}\n");
+  }
+  return f;
+}
+
+Result<FederationFixture> MakeCounterpartFederation(size_t num_classes,
+                                                    std::uint64_t seed) {
+  SchemaGenOptions schema_options;
+  schema_options.name = "S1";
+  schema_options.class_prefix = "c";
+  schema_options.num_classes = num_classes;
+  schema_options.shape = IsAShape::kRandomDag;
+  schema_options.max_parents = 2;
+  schema_options.attrs_per_class = 2;
+  schema_options.with_aggregations = false;
+  schema_options.seed = seed;
+  OOINT_ASSIGN_OR_RETURN(Schema s1, GenerateSchema(schema_options));
+  OOINT_ASSIGN_OR_RETURN(Schema s2, GenerateCounterpartSchema(s1, "S2", "d"));
+  AssertionGenOptions assertion_options;
+  assertion_options.equivalence_fraction = 0.4;
+  assertion_options.inclusion_fraction = 0.2;
+  assertion_options.derivation_fraction = 0.4;
+  assertion_options.seed = SplitMix64(seed);
+  OOINT_ASSIGN_OR_RETURN(
+      AssertionSet assertions,
+      GenerateAssertions(s1, s2, "c", "d", assertion_options));
+  FederationFixture f;
+  f.schemas.push_back(std::move(s1));
+  f.schemas.push_back(std::move(s2));
+  f.assertion_text = assertions.ToString();
   return f;
 }
 

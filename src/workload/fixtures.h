@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "model/instance_store.h"
@@ -74,6 +75,34 @@ Result<Fixture> MakeEmplDeptFixture();
 /// attribute, composed-into, more-specific and reverse-aggregation
 /// correspondences).
 Result<Fixture> MakeShowcaseFixture();
+
+/// Several component schemas and the assertion text relating them: the
+/// input of the multi-round integration of Fig. 2.
+struct FederationFixture {
+  std::vector<Schema> schemas;
+  std::string assertion_text;
+};
+
+/// E8 (Fig. 2): `num_schemas` workforce schemas S0..S<n-1>. Si holds
+/// person<i>(ssn, extra<i>) with subclass special<i>(ssn), and every
+/// pair of person classes is equivalent on ssn.
+Result<FederationFixture> MakeWorkforceFederation(size_t num_schemas);
+
+/// Attribute renames across rounds: `num_schemas` (2 to 4) schemas
+/// S1.a(x, p), S2.b(y, q), S3.c(z, r), S4.d(w, s) chained by
+/// equivalences a == b, b == c and c == d on x == y, y == z and z == w.
+/// Each round merges the asserted attributes into a renamed one
+/// (x_y, then x_y_z, ...), so a later round's assertion names an
+/// attribute that an earlier round renamed.
+Result<FederationFixture> MakeRenameFederation(size_t num_schemas);
+
+/// A generated counterpart pair as the e2ebench connect world builds it:
+/// S1 is a `num_classes`-class random is-a DAG (at most 2 parents, 2
+/// attributes per class, no aggregations), S2 its counterpart (classes
+/// d<i>), with a 0.4 equivalence / 0.2 inclusion / 0.4 derivation
+/// assertion mix. `seed` draws the schema and the assertions.
+Result<FederationFixture> MakeCounterpartFederation(size_t num_classes,
+                                                    std::uint64_t seed);
 
 }  // namespace ooint
 

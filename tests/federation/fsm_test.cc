@@ -189,5 +189,88 @@ TEST_F(ThreeSchemaFsmTest, BalancedStrategyAgreesOnGroundSources) {
   EXPECT_EQ(balanced.ground_sources.begin()->second.size(), 3u);
 }
 
+// With two or more agents, an assertion that no integration round applies
+// fails IntegrateAll (and so Connect) with kInvalidArgument naming it,
+// instead of being dropped without a word.
+class UnappliedAssertionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fixture_ = ValueOrDie(MakeGenealogyFixture());
+    ASSERT_OK(fsm_.RegisterAgent(AgentFor(fixture_.s1, "a1")));
+    ASSERT_OK(fsm_.RegisterAgent(AgentFor(fixture_.s2, "a2")));
+  }
+
+  /// The genealogy derivation with every "S2.uncle" replaced.
+  std::string UncleAssertionAs(const std::string& replacement) const {
+    std::string text = fixture_.assertion_text;
+    const std::string uncle = "S2.uncle";
+    for (size_t at = text.find(uncle); at != std::string::npos;
+         at = text.find(uncle, at + replacement.size())) {
+      text.replace(at, uncle.size(), replacement);
+    }
+    return text;
+  }
+
+  /// Expects IntegrateAll and Connect to fail with kInvalidArgument, the
+  /// message naming each of `heads`.
+  void ExpectRejected(const std::vector<std::string>& heads) {
+    const Status integrated = fsm_.IntegrateAll().status();
+    EXPECT_EQ(integrated.code(), StatusCode::kInvalidArgument)
+        << integrated.ToString();
+    for (const std::string& head : heads) {
+      EXPECT_NE(integrated.message().find(head), std::string::npos)
+          << integrated.ToString();
+    }
+    FsmClient client(&fsm_);
+    EXPECT_EQ(client.Connect().code(), StatusCode::kInvalidArgument);
+  }
+
+  Fixture fixture_;
+  Fsm fsm_;
+};
+
+TEST_F(UnappliedAssertionTest, MisspelledClassIsRejected) {
+  ASSERT_OK(fsm_.DeclareAssertions(UncleAssertionAs("S2.uncel")));
+  ExpectRejected({"(S1.parent, S1.brother) -> S2.uncel"});
+}
+
+TEST_F(UnappliedAssertionTest, UnregisteredSchemaIsRejected) {
+  ASSERT_OK(fsm_.DeclareAssertions(UncleAssertionAs("S3.uncle")));
+  ExpectRejected({"(S1.parent, S1.brother) -> S3.uncle"});
+}
+
+TEST_F(UnappliedAssertionTest, DerivationLhsSpanningAgentsIsRejected) {
+  // The parser keeps a derivation's lhs in one schema; AddAssertion does
+  // not, and with two agents no round has S1 and S2 on one side.
+  Assertion spanning;
+  spanning.lhs = {{"S1", "parent"}, {"S2", "uncle"}};
+  spanning.rel = SetRel::kDerivation;
+  spanning.rhs = {"S1", "brother"};
+  ASSERT_OK(fsm_.AddAssertion(std::move(spanning)));
+  ExpectRejected({"(S1.parent, S2.uncle) -> S1.brother"});
+}
+
+TEST_F(UnappliedAssertionTest, BothSidesInOneAgentAreRejected) {
+  ASSERT_OK(fsm_.DeclareAssertions(fixture_.assertion_text));
+  ASSERT_OK(fsm_.DeclareAssertions("assert S1.parent == S1.brother;"));
+  ExpectRejected({"S1.parent == S1.brother"});
+}
+
+TEST_F(UnappliedAssertionTest, EveryUnappliedAssertionIsNamed) {
+  ASSERT_OK(fsm_.DeclareAssertions(fixture_.assertion_text));
+  ASSERT_OK(fsm_.DeclareAssertions(UncleAssertionAs("S2.uncel")));
+  ASSERT_OK(fsm_.DeclareAssertions("assert S1.parent == S1.brother;"));
+  ExpectRejected({"-> S2.uncel", "S1.parent == S1.brother"});
+}
+
+TEST(FsmTest, SingleAgentIgnoresAssertions) {
+  // One agent integrates nothing, so its assertions are not checked.
+  Fixture fixture = ValueOrDie(MakeGenealogyFixture());
+  Fsm fsm;
+  ASSERT_OK(fsm.RegisterAgent(AgentFor(fixture.s1, "a1")));
+  ASSERT_OK(fsm.DeclareAssertions(fixture.assertion_text));
+  EXPECT_OK(fsm.IntegrateAll());
+}
+
 }  // namespace
 }  // namespace ooint

@@ -102,5 +102,103 @@ TEST_F(MultiRoundFederationTest, GroundSourcesSpanAllRounds) {
   ASSERT_EQ(sources.size(), 2u);  // S2.uncle and S3.avuncular
 }
 
+// Attribute renames across rounds: round 1 merges S1.a.x == S2.b.y into
+// x_y, and a later round's S2.b.y == S3.c.z must reach x_y through the
+// composed attribute map (and, with four agents under the balanced
+// strategy, z_w on the other intermediate side).
+class RenameAcrossRoundsTest : public ::testing::Test {
+ protected:
+  void Connect(size_t num_schemas, Fsm::Strategy strategy) {
+    const FederationFixture fixture =
+        ValueOrDie(MakeRenameFederation(num_schemas));
+    for (size_t i = 0; i < fixture.schemas.size(); ++i) {
+      const Schema& schema = fixture.schemas[i];
+      std::unique_ptr<FsmAgent> agent = ValueOrDie(FsmAgent::Create(
+          "agent" + std::to_string(i + 1), "ooint", schema.name() + "db",
+          schema));
+      // One object per agent: its two attributes hold "<attr>-<k>".
+      const ClassDef& class_def = schema.class_def(0);
+      Object* object =
+          ValueOrDie(agent->store().NewObject(class_def.name()));
+      for (const Attribute& attr : class_def.attributes()) {
+        object->Set(attr.name,
+                    Value::String(attr.name + "-" + std::to_string(i + 1)));
+      }
+      ASSERT_OK(fsm_.RegisterAgent(std::move(agent)));
+    }
+    ASSERT_OK(fsm_.DeclareAssertions(fixture.assertion_text));
+    client_ = std::make_unique<FsmClient>(&fsm_);
+    ASSERT_OK(client_->Connect(strategy));
+  }
+
+  /// The global class every agent's class merged into, after checking
+  /// that the agents agree on it.
+  std::string MergedClass(size_t num_schemas) {
+    const std::string merged = ValueOrDie(client_->GlobalNameOf("S1", "a"));
+    const char* classes[] = {"a", "b", "c", "d"};
+    for (size_t k = 1; k < num_schemas; ++k) {
+      EXPECT_EQ(ValueOrDie(client_->GlobalNameOf("S" + std::to_string(k + 1),
+                                                 classes[k])),
+                merged);
+    }
+    return merged;
+  }
+
+  /// Checks the global attribute `name` exists, that the last round
+  /// built it from `sources`, and that the merged concept answers a
+  /// query for S3's object.
+  void CheckRenamed(const std::string& merged, const std::string& name,
+                    const std::vector<std::string>& sources) {
+    const GlobalSchema& global = client_->global();
+    const ClassId id = global.schema.FindClass(merged);
+    ASSERT_NE(id, kInvalidClassId);
+    EXPECT_NE(global.schema.class_def(id).FindAttribute(name), nullptr);
+    const IntegratedClass* integrated = global.last_round.FindClass(merged);
+    ASSERT_NE(integrated, nullptr);
+    const IntegratedAttribute* attribute = integrated->FindAttribute(name);
+    ASSERT_NE(attribute, nullptr);
+    EXPECT_EQ(attribute->op, ValueSetOp::kUnion);
+    std::vector<std::string> rendered;
+    for (const Path& source : attribute->sources) {
+      rendered.push_back(source.ToString());
+    }
+    EXPECT_EQ(rendered, sources);
+
+    Query query(merged);
+    query.Where("z", Value::String("z-3")).Select("r", "r");
+    const std::vector<Bindings> answers = ValueOrDie(client_->Run(query));
+    ASSERT_EQ(answers.size(), 1u);
+    EXPECT_EQ(answers.front().at("r"), Value::String("r-3"));
+  }
+
+  Fsm fsm_;
+  std::unique_ptr<FsmClient> client_;
+};
+
+TEST_F(RenameAcrossRoundsTest, ThreeAgentsAccumulation) {
+  Connect(3, Fsm::Strategy::kAccumulation);
+  CheckRenamed(MergedClass(3), "x_y_z",
+               {"IS(S1,S2).IS(S1.a,S2.b).x_y", "S3.c.z"});
+}
+
+TEST_F(RenameAcrossRoundsTest, ThreeAgentsBalanced) {
+  Connect(3, Fsm::Strategy::kBalanced);
+  CheckRenamed(MergedClass(3), "x_y_z",
+               {"IS(S1,S2).IS(S1.a,S2.b).x_y", "S3.c.z"});
+}
+
+TEST_F(RenameAcrossRoundsTest, FourAgentsAccumulation) {
+  Connect(4, Fsm::Strategy::kAccumulation);
+  CheckRenamed(MergedClass(4), "x_y_z_w",
+               {"IS(IS(S1,S2),S3).IS(IS(S1,S2).IS(S1.a,S2.b),S3.c).x_y_z",
+                "S4.d.w"});
+}
+
+TEST_F(RenameAcrossRoundsTest, FourAgentsBalancedRenamesBothSides) {
+  Connect(4, Fsm::Strategy::kBalanced);
+  CheckRenamed(MergedClass(4), "x_y_z_w",
+               {"IS(S1,S2).IS(S1.a,S2.b).x_y", "IS(S3,S4).IS(S3.c,S4.d).z_w"});
+}
+
 }  // namespace
 }  // namespace ooint

@@ -28,13 +28,17 @@ TEST(IntegratedSchemaTest, AddFindAndDuplicate) {
 
 TEST(IntegratedSchemaTest, SourceMap) {
   IntegratedSchema is("IS");
-  is.MapSource({"S1", "person"}, "IS(person,human)");
+  const size_t merged =
+      ValueOrDie(is.AddClass(SimpleClass("IS(person,human)")));
+  is.MapSource({"S1", "person"}, merged);
   EXPECT_EQ(is.NameOf({"S1", "person"}), "IS(person,human)");
   EXPECT_EQ(is.NameOf({"S1", "ghost"}), "");
 }
 
 TEST(IntegratedSchemaTest, IsALinksAreIdempotentAndRemovable) {
   IntegratedSchema is("IS");
+  ASSERT_OK(is.AddClass(SimpleClass("a")).status());
+  ASSERT_OK(is.AddClass(SimpleClass("b")).status());
   ASSERT_OK(is.AddIsA("a", "b"));
   ASSERT_OK(is.AddIsA("a", "b"));  // idempotent
   EXPECT_EQ(is.isa_links().size(), 1u);
@@ -43,6 +47,19 @@ TEST(IntegratedSchemaTest, IsALinksAreIdempotentAndRemovable) {
   EXPECT_FALSE(is.RemoveIsA("a", "b"));
   EXPECT_FALSE(is.HasIsA("a", "b"));
   EXPECT_FALSE(is.AddIsA("a", "a").ok());
+}
+
+TEST(IntegratedSchemaTest, IsALinksJoinExistingClasses) {
+  IntegratedSchema is("IS");
+  const size_t a = ValueOrDie(is.AddClass(SimpleClass("a")));
+  const size_t b = ValueOrDie(is.AddClass(SimpleClass("b")));
+  EXPECT_EQ(is.AddIsA("a", "ghost").code(), StatusCode::kNotFound);
+  EXPECT_EQ(is.AddIsA(a, 9).code(), StatusCode::kNotFound);
+  ASSERT_OK(is.AddIsA(a, b));
+  EXPECT_TRUE(is.HasIsA("a", "b"));
+  EXPECT_FALSE(is.HasIsA("a", "ghost"));
+  EXPECT_FALSE(is.HasIsA(9, a));
+  EXPECT_EQ(is.isa_links().size(), 1u);
 }
 
 TEST(IntegratedSchemaTest, ClosureAndParents) {
@@ -133,12 +150,12 @@ TEST(IntegratedSchemaTest, ToSchemaLowersClassesLinksAndAttrs) {
                           "", ValueKind::kInteger, false});
   a.aggregations.push_back({"f", {"S1", "lb"}, "", Cardinality::ManyToOne(),
                             {Path::Attr("S1", "la", "f")}});
-  ASSERT_OK(is.AddClass(std::move(a)).status());
+  const size_t a_index = ValueOrDie(is.AddClass(std::move(a)));
   IntegratedClass b = SimpleClass("b");
   b.sources = {{"S1", "lb"}};
-  ASSERT_OK(is.AddClass(std::move(b)).status());
-  is.MapSource({"S1", "la"}, "a");
-  is.MapSource({"S1", "lb"}, "b");
+  const size_t b_index = ValueOrDie(is.AddClass(std::move(b)));
+  is.MapSource({"S1", "la"}, a_index);
+  is.MapSource({"S1", "lb"}, b_index);
   ASSERT_OK(is.AddIsA("a", "b"));
   is.ResolveAggregationRanges();
 

@@ -36,6 +36,18 @@ TEST(SchemaTest, AddAndFindClasses) {
   EXPECT_FALSE(s.GetClass("ghost").ok());
 }
 
+TEST(SchemaTest, IsAByIdChecksTheIds) {
+  Schema s("S1");
+  const ClassId a = ValueOrDie(s.AddClass(ClassDef("person")));
+  const ClassId b = ValueOrDie(s.AddClass(ClassDef("student")));
+  EXPECT_EQ(s.AddIsA(b, 7).code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.AddIsA(kInvalidClassId, a).code(), StatusCode::kNotFound);
+  EXPECT_EQ(s.AddIsA(a, a).code(), StatusCode::kInvalidArgument);
+  ASSERT_OK(s.AddIsA(b, a));
+  EXPECT_EQ(s.AddIsA(b, a).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(s.ParentsOf(b), std::vector<ClassId>{a});
+}
+
 TEST(SchemaTest, RejectsDuplicateAndEmptyNames) {
   Schema s("S1");
   ASSERT_OK(s.AddClass(ClassDef("person")).status());
