@@ -33,13 +33,6 @@ std::string ValueCorrespondence::ToString() const {
   return StrCat(lhs.ToString(), " ", ValueRelName(rel), " ", rhs.ToString());
 }
 
-bool Assertion::MentionsOnLhs(const ClassRef& ref) const {
-  for (const ClassRef& c : lhs) {
-    if (c == ref) return true;
-  }
-  return false;
-}
-
 Assertion Assertion::Reversed() const {
   assert(rel != SetRel::kDerivation && "derivation assertions are directional");
   Assertion out;

@@ -101,9 +101,6 @@ struct Assertion {
 
   const ClassRef& lhs_class() const { return lhs.front(); }
 
-  /// True when `ref` appears on the lhs (any component for derivations).
-  bool MentionsOnLhs(const ClassRef& ref) const;
-
   /// The mirrored assertion B θ' A for symmetric/inclusion relations.
   /// Must not be called on derivations (which are directional).
   Assertion Reversed() const;

@@ -1,16 +1,8 @@
 #include "assertions/assertion_set.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace ooint {
-
-std::string AssertionSet::PairKey(const ClassRef& a, const ClassRef& b) {
-  const std::string ka = a.ToString();
-  const std::string kb = b.ToString();
-  return (ka < kb) ? StrCat(ka, "|", kb) : StrCat(kb, "|", ka);
-}
 
 Status AssertionSet::Add(Assertion assertion) {
   if (assertion.lhs.empty()) {
@@ -22,71 +14,21 @@ Status AssertionSet::Add(Assertion assertion) {
                "got ",
                SetRelName(assertion.rel)));
   }
-  const size_t index = assertions_.size();
-  for (const ClassRef& c : assertion.lhs) {
-    partners_[c.ToString()].push_back(assertion.rhs);
-    partners_[assertion.rhs.ToString()].push_back(c);
-  }
-  if (assertion.rel == SetRel::kDerivation) {
-    for (const ClassRef& c : assertion.lhs) {
-      derivation_index_[PairKey(c, assertion.rhs)].push_back(index);
-      derivation_by_class_[c.ToString()].push_back(index);
-    }
-    derivation_by_class_[assertion.rhs.ToString()].push_back(index);
-  } else {
-    const std::string key = PairKey(assertion.lhs.front(), assertion.rhs);
-    auto [it, inserted] = set_rel_index_.emplace(key, index);
+  if (assertion.rel != SetRel::kDerivation) {
+    const ClassRef& a = assertion.lhs.front();
+    const ClassRef& b = assertion.rhs;
+    auto [it, inserted] = set_rel_index_.emplace(
+        b < a ? std::make_pair(b, a) : std::make_pair(a, b),
+        assertions_.size());
     if (!inserted) {
-      const Assertion& prior = assertions_[it->second];
       return Status::AlreadyExists(
-          StrCat("classes ", assertion.lhs.front().ToString(), " and ",
-                 assertion.rhs.ToString(),
+          StrCat("classes ", a.ToString(), " and ", b.ToString(),
                  " already related by an assertion (",
-                 SetRelName(prior.rel), ")"));
+                 SetRelName(assertions_[it->second].rel), ")"));
     }
   }
   assertions_.push_back(std::move(assertion));
   return Status::OK();
-}
-
-AssertionSet::Lookup AssertionSet::Find(const ClassRef& a,
-                                        const ClassRef& b) const {
-  Lookup out;
-  const std::string key = PairKey(a, b);
-  auto it = set_rel_index_.find(key);
-  if (it != set_rel_index_.end()) {
-    const Assertion& assertion = assertions_[it->second];
-    out.assertion = &assertion;
-    if (assertion.lhs.front() == a && assertion.rhs == b) {
-      out.rel = assertion.rel;
-      out.reversed = false;
-    } else {
-      out.rel = ReverseSetRel(assertion.rel);
-      out.reversed = true;
-    }
-    return out;
-  }
-  auto dit = derivation_index_.find(key);
-  if (dit != derivation_index_.end() && !dit->second.empty()) {
-    const Assertion& assertion = assertions_[dit->second.front()];
-    out.assertion = &assertion;
-    out.rel = SetRel::kDerivation;
-    out.reversed = !(assertion.rhs == b);
-    return out;
-  }
-  return out;
-}
-
-std::vector<const Assertion*> AssertionSet::FindDerivations(
-    const ClassRef& ref) const {
-  std::vector<const Assertion*> out;
-  auto it = derivation_by_class_.find(ref.ToString());
-  if (it == derivation_by_class_.end()) return out;
-  for (size_t index : it->second) out.push_back(&assertions_[index]);
-  // A class can appear in one assertion both via several indexes; dedup.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::vector<const Assertion*> AssertionSet::AllDerivations() const {
@@ -95,20 +37,6 @@ std::vector<const Assertion*> AssertionSet::AllDerivations() const {
     if (a.rel == SetRel::kDerivation) out.push_back(&a);
   }
   return out;
-}
-
-std::vector<ClassRef> AssertionSet::PartnersOf(const ClassRef& ref) const {
-  auto it = partners_.find(ref.ToString());
-  if (it == partners_.end()) return {};
-  std::vector<ClassRef> out = it->second;
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-bool AssertionSet::Involves(const ClassRef& a, const ClassRef& b) const {
-  const std::string key = PairKey(a, b);
-  return set_rel_index_.count(key) != 0 || derivation_index_.count(key) != 0;
 }
 
 namespace {

@@ -2,8 +2,8 @@
 #define OOINT_ASSERTIONS_ASSERTION_SET_H_
 
 #include <map>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "assertions/assertion.h"
@@ -12,23 +12,12 @@
 namespace ooint {
 
 /// The set of correspondence assertions declared (by users or DBAs)
-/// between two local schemas — the input of the integration algorithms,
-/// with the pair-indexed lookups they perform at every traversal step.
+/// between two local schemas: the input of the integration algorithms.
+/// The integrators look pairs up in a ClassPairIndex built from
+/// assertions() (integrate/class_pairs.h); the set itself only checks
+/// each assertion's shape and that no pair carries two set relations.
 class AssertionSet {
  public:
-  /// Result of a class-pair lookup, oriented as (a θ b) regardless of how
-  /// the assertion was stored.
-  struct Lookup {
-    const Assertion* assertion = nullptr;
-    SetRel rel = SetRel::kEquivalent;
-    /// True when the stored assertion has the queried classes swapped
-    /// (its lhs is b). For derivations this means b → ... a: a is the
-    /// derived class.
-    bool reversed = false;
-
-    bool found() const { return assertion != nullptr; }
-  };
-
   AssertionSet() = default;
 
   /// Adds an assertion. Multiple derivation assertions may involve the
@@ -39,25 +28,8 @@ class AssertionSet {
   size_t size() const { return assertions_.size(); }
   const std::vector<Assertion>& assertions() const { return assertions_; }
 
-  /// The class-level relationship between a and b. When both a
-  /// set-relation and derivations exist for the pair, the set-relation
-  /// wins (the integrator handles derivations via FindDerivations).
-  Lookup Find(const ClassRef& a, const ClassRef& b) const;
-
-  /// All derivation assertions in which `ref` participates (on either
-  /// side).
-  std::vector<const Assertion*> FindDerivations(const ClassRef& ref) const;
-
   /// All derivation assertions.
   std::vector<const Assertion*> AllDerivations() const;
-
-  /// Every class related to `ref` by any assertion (set relation or
-  /// derivation) — the assertion partners the integrator's depth-first
-  /// pass steers towards.
-  std::vector<ClassRef> PartnersOf(const ClassRef& ref) const;
-
-  /// True iff any assertion (of any kind) involves the pair {a, b}.
-  bool Involves(const ClassRef& a, const ClassRef& b) const;
 
   /// Structural validation against the two participating schemas:
   ///  - every referenced class exists in its schema,
@@ -73,19 +45,10 @@ class AssertionSet {
   std::string ToString() const;
 
  private:
-  static std::string PairKey(const ClassRef& a, const ClassRef& b);
-
   std::vector<Assertion> assertions_;
-  // Unordered-pair key -> index of the (single) non-derivation assertion.
-  std::map<std::string, size_t> set_rel_index_;
-  // Unordered-pair key -> indices of derivation assertions touching the
-  // pair.
-  std::map<std::string, std::vector<size_t>> derivation_index_;
-  // Class name (schema-qualified) -> derivation assertion indices.
-  std::map<std::string, std::vector<size_t>> derivation_by_class_;
-  // Class name (schema-qualified) -> partner classes across all
-  // assertions.
-  std::map<std::string, std::vector<ClassRef>> partners_;
+  // Unordered class pair (smaller ref first) -> index of its single
+  // non-derivation assertion.
+  std::map<std::pair<ClassRef, ClassRef>, size_t> set_rel_index_;
 };
 
 }  // namespace ooint

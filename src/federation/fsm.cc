@@ -45,15 +45,16 @@ FsmAgent* Fsm::FindAgent(const std::string& schema_name) const {
 Status Fsm::DeclareAssertions(const std::string& text) {
   Result<AssertionSet> parsed = AssertionParser::Parse(text);
   if (!parsed.ok()) return parsed.status();
+  AssertionSet declared = assertions_;
   for (const Assertion& assertion : parsed.value().assertions()) {
-    assertions_.push_back(assertion);
+    OOINT_RETURN_IF_ERROR(declared.Add(assertion));
   }
+  assertions_ = std::move(declared);
   return Status::OK();
 }
 
 Status Fsm::AddAssertion(Assertion assertion) {
-  assertions_.push_back(std::move(assertion));
-  return Status::OK();
+  return assertions_.Add(std::move(assertion));
 }
 
 Result<std::vector<ConsistencyFinding>> Fsm::CheckAllConsistency() const {
@@ -63,18 +64,17 @@ Result<std::vector<ConsistencyFinding>> Fsm::CheckAllConsistency() const {
       const Schema& s1 = agents_[i]->schema();
       const Schema& s2 = agents_[j]->schema();
       AssertionSet pair_set;
-      for (const Assertion& assertion : assertions_) {
+      for (const Assertion& assertion : assertions_.assertions()) {
         const std::string& lhs = assertion.lhs.front().schema;
         const std::string& rhs = assertion.rhs.schema;
         const bool spans = (lhs == s1.name() && rhs == s2.name()) ||
                            (lhs == s2.name() && rhs == s1.name());
         if (!spans) continue;
-        const Status added = pair_set.Add(assertion);
-        if (!added.ok() && added.code() != StatusCode::kAlreadyExists) {
-          return added;
-        }
+        OOINT_RETURN_IF_ERROR(pair_set.Add(assertion));
       }
       if (pair_set.size() == 0) continue;
+      // CheckConsistency numbers classes by id: every class must resolve.
+      OOINT_RETURN_IF_ERROR(pair_set.Validate(s1, s2));
       const std::vector<ConsistencyFinding> pair_findings =
           CheckConsistency(s1, s2, pair_set);
       findings.insert(findings.end(), pair_findings.begin(),
@@ -221,10 +221,13 @@ Result<Fsm::View> Fsm::IntegrateViews(View v1, View v2, bool last,
   for (size_t i = 0; i < assertions_.size(); ++i) {
     Grounding& grounding = (*groundings)[i];
     Assertion rewritten;
-    if (!RewriteAssertion(v1, v2, assertions_[i], grounding, &rewritten)) {
+    if (!RewriteAssertion(v1, v2, assertions()[i], grounding, &rewritten)) {
       continue;
     }
     grounding.applied = true;
+    // Declared pairs are distinct, but two of them can meet on one pair
+    // of views once an earlier round merged their classes (a ≡ b, then
+    // b ≡ c and a ≡ c): the first one declared relates the pair.
     const Status added = set.Add(std::move(rewritten));
     if (!added.ok() && added.code() != StatusCode::kAlreadyExists) {
       return added;
@@ -395,7 +398,7 @@ Result<GlobalSchema> Fsm::IntegrateAll(Strategy strategy) {
 
   std::vector<Grounding> groundings(assertions_.size());
   for (size_t i = 0; i < assertions_.size(); ++i) {
-    const Assertion& assertion = assertions_[i];
+    const Assertion& assertion = assertions()[i];
     groundings[i].lhs.reserve(assertion.lhs.size());
     for (const ClassRef& c : assertion.lhs) {
       groundings[i].lhs.push_back(
@@ -459,7 +462,7 @@ Result<GlobalSchema> Fsm::IntegrateAll(Strategy strategy) {
         unknown     ? "it names a class no registered schema has"
         : lhs_spans ? "its lhs classes never share a view that meets its rhs"
                     : "both sides lie in one schema";
-    unapplied.push_back(StrCat(AssertionHead(assertions_[i]), " (", why, ")"));
+    unapplied.push_back(StrCat(AssertionHead(assertions()[i]), " (", why, ")"));
   }
   if (!unapplied.empty()) {
     return Status::InvalidArgument(

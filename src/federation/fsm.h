@@ -139,9 +139,14 @@ class Fsm {
 
   /// Declares correspondence assertions, in the textual assertion
   /// language or pre-built. Assertions reference agent schema names.
+  /// Each goes through AssertionSet::Add, so a malformed assertion or a
+  /// second set relation on a declared pair is rejected; a text is
+  /// declared whole or not at all.
   Status DeclareAssertions(const std::string& text);
   Status AddAssertion(Assertion assertion);
-  const std::vector<Assertion>& assertions() const { return assertions_; }
+  const std::vector<Assertion>& assertions() const {
+    return assertions_.assertions();
+  }
 
   /// The value-level data mappings and OID identities (Section 3).
   DataMappingRegistry& mappings() { return mappings_; }
@@ -153,7 +158,9 @@ class Fsm {
 
   /// Runs the static consistency analysis (integrate/consistency.h)
   /// over every registered schema pair, against the assertions that
-  /// relate that pair. Aggregates all findings.
+  /// relate that pair. Aggregates all findings. Fails with
+  /// AssertionSet::Validate's error when such an assertion names a class
+  /// or path its schema lacks.
   Result<std::vector<ConsistencyFinding>> CheckAllConsistency() const;
 
   /// Integrates every registered schema into a global one. With two or
@@ -264,7 +271,7 @@ class Fsm {
                               IntegratedSchema* last_round);
 
   std::vector<std::unique_ptr<FsmAgent>> agents_;
-  std::vector<Assertion> assertions_;
+  AssertionSet assertions_;
   DataMappingRegistry mappings_;
   AifRegistry aifs_;
   std::shared_ptr<SegmentCache> segments_ = std::make_shared<SegmentCache>();

@@ -14,42 +14,78 @@ namespace ooint {
 /// single source.
 inline constexpr ClassId kStartNode = -1;
 
-/// The assertion set of one integration, looked up by class id: both
-/// integrators ask it about every pair they check, where
-/// AssertionSet::Find would render and compare two class names per
-/// check.
+/// A local class of one of the two schemas being integrated, resolved
+/// once from its name.
+struct LocalClass {
+  int side = 0;  // 1 (s1) or 2 (s2); 0 when the class is not found
+  ClassId id = kInvalidClassId;
+  const ClassDef* def = nullptr;
+
+  bool found() const { return def != nullptr; }
+};
+
+/// The side, id and ClassDef behind `ref`; not found() when neither
+/// schema has the class.
+LocalClass ResolveLocal(const Schema& s1, const Schema& s2,
+                        const ClassRef& ref);
+
+/// The assertion set of one integration, looked up by class id: the
+/// only lookup structure over assertions. Both integrators ask it about
+/// every pair they check, and the principles and the consistency check
+/// ask it for equivalent ancestors.
 ///
-/// Built once per integration from the AssertionSet: each S1 class keeps
-/// its S2 partners with the very Lookup that AssertionSet::Find returns
-/// for the pair, so the set relation winning over derivations and the
-/// derivation orientation are inherited, not re-derived. The index is
-/// sparse (one entry per asserted pair), so it stays small when n1×n2
-/// is large.
+/// Built once per integration straight from AssertionSet::assertions(),
+/// resolving each asserted class to its id once; classes neither schema
+/// has, and pairs within one schema, are left out. The index is sparse
+/// (one entry per asserted pair), so it stays small when n1×n2 is large.
 class ClassPairIndex {
  public:
+  /// Result of a class-pair lookup, oriented as (a θ b) regardless of
+  /// how the assertion was stored.
+  struct Lookup {
+    /// The pair's set-relation assertion, or else its first declared
+    /// derivation; nullptr when no assertion relates the pair.
+    const Assertion* assertion = nullptr;
+    SetRel rel = SetRel::kEquivalent;
+    /// True when the stored assertion has the queried classes swapped
+    /// (its lhs is b). For derivations this means b → ... a: a is the
+    /// derived class.
+    bool reversed = false;
+    /// Every derivation relating the pair, in declaration order; null
+    /// when !found().
+    const std::vector<const Assertion*>* derivations = nullptr;
+
+    bool found() const { return assertion != nullptr; }
+  };
+
   ClassPairIndex(const Schema& s1, const Schema& s2,
                  const AssertionSet& assertions);
 
-  /// The lookup oriented as (side.a θ other.b), where `other` is 3 -
-  /// side: equal to AssertionSet::Find on the two classes' refs.
-  AssertionSet::Lookup Find(int side, ClassId a, ClassId b) const;
+  /// The lookup for class `a` of schema `side` and class `b` of the
+  /// other schema (3 - side), oriented as (a θ b).
+  Lookup Find(int side, ClassId a, ClassId b) const;
 
-  /// The classes of the other schema that share an assertion with
-  /// class `id` of schema `side`, in AssertionSet::PartnersOf order.
+  /// The classes of the other schema that share an assertion (set
+  /// relation or derivation) with class `id` of schema `side`, in class
+  /// name order.
   const std::vector<ClassId>& PartnersOf(int side, ClassId id) const {
-    return side == 1 ? partners1_[id] : partners2_[id];
+    return partners_[side - 1][id];
   }
 
  private:
   struct Entry {
     ClassId s2_class;
-    AssertionSet::Lookup lookup;  // oriented (S1 class θ s2_class)
+    Lookup lookup;  // oriented (S1 class θ s2_class); derivations unset
+    std::vector<const Assertion*> derivations;
   };
+
+  /// The entry of (S1 class c1, S2 class c2), inserted when absent.
+  Entry& EntryFor(ClassId c1, ClassId c2);
 
   // Per S1 class, its asserted S2 partners sorted by id.
   std::vector<std::vector<Entry>> rows_;
-  std::vector<std::vector<ClassId>> partners1_;
-  std::vector<std::vector<ClassId>> partners2_;
+  // PartnersOf's lists: [side - 1][class id].
+  std::vector<std::vector<ClassId>> partners_[2];
 };
 
 /// A set of (S1 class, S2 class) pairs as an (n1+1)×(n2+1) bitmap; row

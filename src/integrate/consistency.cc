@@ -5,6 +5,7 @@
 #include <map>
 
 #include "common/string_util.h"
+#include "integrate/class_pairs.h"
 
 namespace ooint {
 
@@ -104,6 +105,7 @@ bool IsAncestorOrSelf(const Schema& schema, const std::string& ancestor,
 std::vector<ConsistencyFinding> CheckConsistency(
     const Schema& s1, const Schema& s2, const AssertionSet& assertions) {
   std::vector<ConsistencyFinding> findings;
+  const ClassPairIndex pairs(s1, s2, assertions);
 
   // --- Hierarchy-cycle detection -------------------------------------
   // Build the "below-or-equal" graph: local is-a edges and cross-schema
@@ -230,17 +232,20 @@ std::vector<ConsistencyFinding> CheckConsistency(
     if (assertion.rel == SetRel::kDisjoint) {
       // Principle 4 precondition: equivalent ancestors must exist.
       bool has_equivalent_parents = false;
-      const Schema& lhs_schema = (lhs.schema == s1.name()) ? s1 : s2;
-      const Schema& rhs_schema = (rhs.schema == s1.name()) ? s1 : s2;
+      const int lhs_side = lhs.schema == s1.name() ? 1 : 2;
+      const int rhs_side = rhs.schema == s1.name() ? 1 : 2;
+      const Schema& lhs_schema = lhs_side == 1 ? s1 : s2;
+      const Schema& rhs_schema = rhs_side == 1 ? s1 : s2;
       const ClassId lhs_id = lhs_schema.FindClass(lhs.class_name);
       const ClassId rhs_id = rhs_schema.FindClass(rhs.class_name);
-      for (ClassId pa : lhs_schema.Ancestors(lhs_id)) {
-        for (ClassId pb : rhs_schema.Ancestors(rhs_id)) {
-          const AssertionSet::Lookup lookup = assertions.Find(
-              {lhs_schema.name(), lhs_schema.class_def(pa).name()},
-              {rhs_schema.name(), rhs_schema.class_def(pb).name()});
-          if (lookup.found() && lookup.rel == SetRel::kEquivalent) {
-            has_equivalent_parents = true;
+      if (lhs_side != rhs_side) {
+        for (ClassId pa : lhs_schema.Ancestors(lhs_id)) {
+          for (ClassId pb : rhs_schema.Ancestors(rhs_id)) {
+            const ClassPairIndex::Lookup lookup =
+                pairs.Find(lhs_side, pa, pb);
+            if (lookup.found() && lookup.rel == SetRel::kEquivalent) {
+              has_equivalent_parents = true;
+            }
           }
         }
       }

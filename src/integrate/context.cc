@@ -17,18 +17,4 @@ std::string IntegrationStats::ToString() const {
                 cardinality_conflicts_resolved);
 }
 
-LocalClass IntegrationContext::Resolve(const ClassRef& ref) const {
-  LocalClass local;
-  const int side = ref.schema == s1->name()   ? 1
-                   : ref.schema == s2->name() ? 2
-                                              : 0;
-  if (side == 0) return local;
-  const ClassId id = schema(side).FindClass(ref.class_name);
-  if (id == kInvalidClassId) return local;
-  local.side = side;
-  local.id = id;
-  local.def = &schema(side).class_def(id);
-  return local;
-}
-
 }  // namespace ooint

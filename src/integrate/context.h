@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "assertions/assertion_set.h"
 #include "integrate/aif.h"
+#include "integrate/class_pairs.h"
 #include "integrate/integrated_schema.h"
 #include "model/schema.h"
 
@@ -40,24 +40,14 @@ struct IntegrationStats {
   std::string ToString() const;
 };
 
-/// A local class of one of the two schemas being integrated, resolved
-/// once from its name.
-struct LocalClass {
-  int side = 0;  // 1 (s1) or 2 (s2); 0 when the class is not found
-  ClassId id = kInvalidClassId;
-  const ClassDef* def = nullptr;
-
-  bool found() const { return def != nullptr; }
-};
-
 /// Shared state of one two-schema integration run: the (finalized) local
-/// schemas, the declared assertion set, the integrated schema under
-/// construction, the AIF registry, and the stats counters. The principle
-/// implementations (principles.h) all operate on a context.
+/// schemas, the index over the declared assertions, the integrated
+/// schema under construction, the AIF registry, and the stats counters.
+/// The principle implementations (principles.h) all operate on a context.
 struct IntegrationContext {
   const Schema* s1 = nullptr;
   const Schema* s2 = nullptr;
-  const AssertionSet* assertions = nullptr;
+  const ClassPairIndex* pairs = nullptr;
   IntegratedSchema result;
   AifRegistry* aifs = nullptr;  // optional
   IntegrationStats stats;
@@ -68,8 +58,8 @@ struct IntegrationContext {
   std::vector<size_t> index2;
 
   IntegrationContext(const Schema* schema1, const Schema* schema2,
-                     const AssertionSet* assertion_set)
-      : s1(schema1), s2(schema2), assertions(assertion_set),
+                     const ClassPairIndex* pair_index)
+      : s1(schema1), s2(schema2), pairs(pair_index),
         result("IS(" + schema1->name() + "," + schema2->name() + ")"),
         index1(schema1->NumClasses(), IntegratedSchema::kNoClass),
         index2(schema2->NumClasses(), IntegratedSchema::kNoClass) {}
@@ -82,7 +72,9 @@ struct IntegrationContext {
 
   /// The side, id and ClassDef behind a ClassRef; not found() when the
   /// schema or class is unknown.
-  LocalClass Resolve(const ClassRef& ref) const;
+  LocalClass Resolve(const ClassRef& ref) const {
+    return ResolveLocal(*s1, *s2, ref);
+  }
 };
 
 }  // namespace ooint

@@ -10,11 +10,10 @@ Integrator::Integrator(const Schema& s1, const Schema& s2,
                        const AssertionSet& assertions)
     : s1_(s1),
       s2_(s2),
-      assertions_(assertions),
       pairs_(s1, s2, assertions),
       roots_s1_(s1.Roots()),
       roots_s2_(s2.Roots()),
-      ctx_(&s1, &s2, &assertions),
+      ctx_(&s1, &s2, &pairs_),
       labels_s1_(s1.NumClasses()),
       inherited_s1_(s1.NumClasses()),
       labels_s2_(s2.NumClasses()),
@@ -48,11 +47,6 @@ std::string Integrator::PairName(ClassId n1, ClassId n2) const {
   return StrCat("(", name(1, n1), ", ", name(2, n2), ")");
 }
 
-ClassRef Integrator::RefOf(int side, ClassId id) const {
-  const Schema& schema = SchemaOf(side);
-  return {schema.name(), schema.class_def(id).name()};
-}
-
 const std::vector<ClassId>& Integrator::ChildrenOrRoots(int side,
                                                         ClassId node) const {
   if (node == kStartNode) return side == 1 ? roots_s1_ : roots_s2_;
@@ -61,7 +55,6 @@ const std::vector<ClassId>& Integrator::ChildrenOrRoots(int side,
 
 void Integrator::InheritLabel(int side, ClassId node, int label) {
   auto& inherited = (side == 1) ? inherited_s1_ : inherited_s2_;
-  const int other = 3 - side;
   const auto& other_labels = (side == 1) ? labels_s2_ : labels_s1_;
   inherited[node].insert(label);
   for (ClassId descendant : SchemaOf(side).Descendants(node)) {
@@ -72,7 +65,7 @@ void Integrator::InheritLabel(int side, ClassId node, int label) {
     // and recorded here, as the pair's own check would have done.
     for (ClassId id : pairs_.PartnersOf(side, descendant)) {
       if (other_labels[id].count(label) == 0) continue;
-      const AssertionSet::Lookup lookup = pairs_.Find(side, descendant, id);
+      const ClassPairIndex::Lookup lookup = pairs_.Find(side, descendant, id);
       if (lookup.found() && lookup.rel == SetRel::kDerivation) {
         if (trace_ != nullptr) {
           trace_->Add(TraceEvent::Kind::kCase,
@@ -80,8 +73,7 @@ void Integrator::InheritLabel(int side, ClassId node, int label) {
                                 : PairName(id, descendant),
                       SetRelName(lookup.rel));
         }
-        ops_.Record(assertions_, lookup, RefOf(side, descendant),
-                    RefOf(other, id));
+        ops_.Record(lookup, side, descendant, id);
       }
     }
   }
@@ -139,7 +131,7 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
                            ", ", target.class_def(current).name(), ")"),
                     "");
       }
-      ops_.RecordIsA(RefOf(side1, n1), RefOf(side2, current));
+      ops_.RecordIsA(side1, n1, current);
     }
   };
 
@@ -155,7 +147,7 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
                   StrCat("w.r.t. ", SchemaOf(side1).class_def(n1).name()));
     }
 
-    const AssertionSet::Lookup lookup = pairs_.Find(side1, n1, v);
+    const ClassPairIndex::Lookup lookup = pairs_.Find(side1, n1, v);
     if (lookup.found() && lookup.rel == SetRel::kSubset) {
       // case N1 ⊆ V: label V and go deeper (into subtrees that can
       // still contain assertion partners of N1).
@@ -177,7 +169,7 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
                              ", ", target.class_def(v).name(), ")"),
                       "");
         }
-        ops_.RecordIsA(RefOf(side1, n1), RefOf(side2, v));
+        ops_.RecordIsA(side1, n1, v);
         continue;
       }
       for (ClassId child : children) stack.push_back({child, v});
@@ -191,14 +183,14 @@ int Integrator::PathLabelling(int side1, ClassId n1, int side2, ClassId n2) {
         trace_->Add(TraceEvent::Kind::kDfsLabel, target.class_def(v).name(),
                     StrCat("l", label, " merge"));
       }
-      ops_.Record(assertions_, lookup, RefOf(side1, n1), RefOf(side2, v));
+      ops_.Record(lookup, side1, n1, v);
       continue;
     }
     if (lookup.found()) {
       // case θ ∈ {→, ∅, ⊇, ∩}: record the assertion's own integration
       // operation, then backtrack to the first non-starred ancestor and
       // link there.
-      ops_.Record(assertions_, lookup, RefOf(side1, n1), RefOf(side2, v));
+      ops_.Record(lookup, side1, n1, v);
       backtrack_and_link(v, /*from_starred=*/false);
       continue;
     }
@@ -276,7 +268,7 @@ Status Integrator::Run() {
     }
 
     ++ctx_.stats.pairs_checked;
-    const AssertionSet::Lookup lookup = pairs_.Find(1, n1, n2);
+    const ClassPairIndex::Lookup lookup = pairs_.Find(1, n1, n2);
     if (trace_ != nullptr) {
       trace_->Add(TraceEvent::Kind::kCase, PairName(n1, n2),
                   lookup.found() ? SetRelName(lookup.rel) : "none");
@@ -288,13 +280,11 @@ Status Integrator::Run() {
       for (ClassId c1 : kids1) push(c1, n2);
       continue;
     }
-    const ClassRef ref1 = RefOf(1, n1);
-    const ClassRef ref2 = RefOf(2, n2);
     switch (lookup.rel) {
       case SetRel::kEquivalent: {
         // Line 9-10: merge and remove sibling pairs — the relationship
         // between N1 (N2) and N2's (N1's) brothers equals the local one.
-        ops_.Record(assertions_, lookup, ref1, ref2);
+        ops_.Record(lookup, 1, n1, n2);
         for (ClassId parent2 : s2_.ParentsOf(n2)) {
           for (ClassId sibling2 : s2_.ChildrenOf(parent2)) {
             if (sibling2 == n2) continue;
@@ -361,12 +351,12 @@ Status Integrator::Run() {
       case SetRel::kDisjoint:
       case SetRel::kDerivation:
         // Lines 25-28 + observation 3: no descendant pairs need checks.
-        ops_.Record(assertions_, lookup, ref1, ref2);
+        ops_.Record(lookup, 1, n1, n2);
         break;
       case SetRel::kOverlap:
         // Lines 29-31: nothing can be inferred for the parts; both
         // mixed-pair families continue.
-        ops_.Record(assertions_, lookup, ref1, ref2);
+        ops_.Record(lookup, 1, n1, n2);
         for (ClassId c2 : kids2) push(n1, c2);
         for (ClassId c1 : kids1) push(c1, n2);
         break;

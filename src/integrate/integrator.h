@@ -57,7 +57,6 @@ class Integrator {
   int PathLabelling(int side1, ClassId n1, int side2, ClassId n2);
 
   const Schema& SchemaOf(int side) const { return side == 1 ? s1_ : s2_; }
-  ClassRef RefOf(int side, ClassId id) const;
 
   const std::vector<ClassId>& ChildrenOrRoots(int side, ClassId node) const;
 
@@ -69,7 +68,6 @@ class Integrator {
 
   const Schema& s1_;
   const Schema& s2_;
-  const AssertionSet& assertions_;
   const ClassPairIndex pairs_;
   const std::vector<ClassId> roots_s1_;
   const std::vector<ClassId> roots_s2_;

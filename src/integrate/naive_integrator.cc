@@ -14,10 +14,10 @@ Result<IntegrationOutcome> NaiveIntegrator::Integrate(
     return Status::FailedPrecondition(
         "both schemas must be finalized before integration");
   }
-  IntegrationContext ctx(&s1, &s2, &assertions);
+  const ClassPairIndex pairs(s1, s2, assertions);
+  IntegrationContext ctx(&s1, &s2, &pairs);
   ctx.aifs = aifs;
   PendingOperations ops;
-  const ClassPairIndex pairs(s1, s2, assertions);
   const std::vector<ClassId> roots1 = s1.Roots();
   const std::vector<ClassId> roots2 = s2.Roots();
 
@@ -47,11 +47,8 @@ Result<IntegrationOutcome> NaiveIntegrator::Integrate(
     // Line 7: integration according to the assertion between N1 and N2.
     if (n1 == kStartNode || n2 == kStartNode) continue;
     ++ctx.stats.pairs_checked;
-    const AssertionSet::Lookup lookup = pairs.Find(1, n1, n2);
-    if (lookup.found()) {
-      ops.Record(assertions, lookup, {s1.name(), s1.class_def(n1).name()},
-                 {s2.name(), s2.class_def(n2).name()});
-    }
+    const ClassPairIndex::Lookup lookup = pairs.Find(1, n1, n2);
+    if (lookup.found()) ops.Record(lookup, 1, n1, n2);
   }
 
   OOINT_RETURN_IF_ERROR(Materialize(&ctx, ops));

@@ -12,19 +12,18 @@ bool PendingOperations::Seen(const Assertion* assertion) {
   return !seen_assertions_.insert(assertion).second;
 }
 
-void PendingOperations::Record(const AssertionSet& set,
-                               const AssertionSet::Lookup& lookup,
-                               const ClassRef& n1, const ClassRef& n2) {
+void PendingOperations::Record(const ClassPairIndex::Lookup& lookup,
+                               int side, ClassId n1, ClassId n2) {
   if (!lookup.found()) return;
   switch (lookup.rel) {
     case SetRel::kEquivalent:
       if (!Seen(lookup.assertion)) equivalences_.push_back(lookup.assertion);
       break;
     case SetRel::kSubset:
-      RecordIsA(n1, n2);
+      RecordIsA(side, n1, n2);
       break;
     case SetRel::kSuperset:
-      RecordIsA(n2, n1);
+      RecordIsA(3 - side, n2, n1);
       break;
     case SetRel::kOverlap:
       if (!Seen(lookup.assertion)) intersections_.push_back(lookup.assertion);
@@ -33,20 +32,16 @@ void PendingOperations::Record(const AssertionSet& set,
       if (!Seen(lookup.assertion)) disjoints_.push_back(lookup.assertion);
       break;
     case SetRel::kDerivation:
-      for (const Assertion* derivation : set.FindDerivations(n1)) {
-        const bool involves_n2 = derivation->rhs == n2 ||
-                                 derivation->MentionsOnLhs(n2);
-        if (involves_n2 && !Seen(derivation)) {
-          derivations_.push_back(derivation);
-        }
+      for (const Assertion* derivation : *lookup.derivations) {
+        if (!Seen(derivation)) derivations_.push_back(derivation);
       }
       break;
   }
 }
 
-void PendingOperations::RecordIsA(const ClassRef& sub, const ClassRef& super) {
-  if (seen_isa_.emplace(sub, super).second) {
-    inclusions_.push_back({sub, super});
+void PendingOperations::RecordIsA(int side, ClassId sub, ClassId super) {
+  if (seen_isa_.emplace(side, sub, super).second) {
+    inclusions_.push_back({side, sub, super});
   }
 }
 
@@ -493,17 +488,13 @@ Status ApplyDisjoint(IntegrationContext* ctx, const Assertion& assertion) {
   std::string merged_parent;
   for (ClassId ancestor_a : schema_a.Ancestors(local_a.id)) {
     for (ClassId ancestor_b : schema_b.Ancestors(local_b.id)) {
-      const ClassRef ra{schema_a.name(),
-                        schema_a.class_def(ancestor_a).name()};
-      const ClassRef rb{schema_b.name(),
-                        schema_b.class_def(ancestor_b).name()};
-      const AssertionSet::Lookup lookup = ctx->assertions->Find(ra, rb);
-      if (lookup.found() && lookup.rel == SetRel::kEquivalent) {
-        const std::string& name_a = ctx->result.NameOf(ra);
-        if (!name_a.empty()) {
-          merged_parent = name_a;
-          break;
-        }
+      const ClassPairIndex::Lookup lookup =
+          ctx->pairs->Find(local_a.side, ancestor_a, ancestor_b);
+      const size_t merged = ctx->IndexOf(local_a.side, ancestor_a);
+      if (lookup.found() && lookup.rel == SetRel::kEquivalent &&
+          merged != kNoClass) {
+        merged_parent = ctx->result.classes()[merged].name;
+        break;
       }
     }
     if (!merged_parent.empty()) break;
@@ -637,8 +628,9 @@ Status Materialize(IntegrationContext* ctx, const PendingOperations& ops) {
     }
   }
   for (const PendingOperations::PendingIsA& inclusion : ops.inclusions()) {
-    OOINT_RETURN_IF_ERROR(link(ctx->result.IndexOf(inclusion.sub),
-                               ctx->result.IndexOf(inclusion.super)));
+    OOINT_RETURN_IF_ERROR(
+        link(ctx->IndexOf(inclusion.side, inclusion.sub),
+             ctx->IndexOf(3 - inclusion.side, inclusion.super)));
   }
   ctx->stats.isa_links_suppressed += ctx->result.TransitiveReduction();
   ctx->result.ResolveAggregationRanges();

@@ -2,11 +2,10 @@
 #define OOINT_INTEGRATE_PRINCIPLES_H_
 
 #include <set>
-#include <string>
-#include <utility>
+#include <tuple>
 #include <vector>
 
-#include "assertions/assertion_set.h"
+#include "integrate/class_pairs.h"
 #include "integrate/context.h"
 
 namespace ooint {
@@ -24,21 +23,25 @@ namespace ooint {
 /// schemas, which the test suite verifies.
 class PendingOperations {
  public:
+  /// A pending is-a link IS(sub) -> IS(super): `sub` is a class of
+  /// schema `side`, `super` a class of the other schema.
   struct PendingIsA {
-    ClassRef sub;
-    ClassRef super;
+    int side;
+    ClassId sub;
+    ClassId super;
   };
 
-  /// Records the operation implied by an assertion-set lookup for the
-  /// ordered pair (n1, n2). Duplicate recordings are ignored. For
-  /// derivations, every derivation assertion involving the pair is
-  /// recorded (a pair may carry several, e.g. the per-column assertions
-  /// of Fig. 10).
-  void Record(const AssertionSet& set, const AssertionSet::Lookup& lookup,
-              const ClassRef& n1, const ClassRef& n2);
+  /// Records the operation implied by a ClassPairIndex lookup for class
+  /// `n1` of schema `side` and class `n2` of the other schema. Duplicate
+  /// recordings are ignored. For derivations, every derivation assertion
+  /// relating the pair is recorded (a pair may carry several, e.g. the
+  /// per-column assertions of Fig. 10).
+  void Record(const ClassPairIndex::Lookup& lookup, int side, ClassId n1,
+              ClassId n2);
 
-  /// Records a pending is-a link IS(sub) -> IS(super) (Principle 2).
-  void RecordIsA(const ClassRef& sub, const ClassRef& super);
+  /// Records a pending is-a link IS(sub) -> IS(super) (Principle 2),
+  /// `sub` of schema `side` and `super` of the other schema.
+  void RecordIsA(int side, ClassId sub, ClassId super);
 
   const std::vector<const Assertion*>& equivalences() const {
     return equivalences_;
@@ -63,7 +66,7 @@ class PendingOperations {
   std::vector<const Assertion*> disjoints_;
   std::vector<const Assertion*> derivations_;
   std::set<const void*> seen_assertions_;
-  std::set<std::pair<ClassRef, ClassRef>> seen_isa_;
+  std::set<std::tuple<int, ClassId, ClassId>> seen_isa_;
 };
 
 /// Ensures `ref` has an integrated version (default strategy 1: a copy

@@ -20,36 +20,28 @@ Assertion Simple(const std::string& s1_class, SetRel rel,
   return a;
 }
 
-TEST(AssertionSetTest, FindOrientsTheRelation) {
-  AssertionSet set;
-  ASSERT_OK(set.Add(Simple("book", SetRel::kSubset, "publication")));
-  const ClassRef book{"S1", "book"};
-  const ClassRef publication{"S2", "publication"};
-
-  AssertionSet::Lookup forward = set.Find(book, publication);
-  ASSERT_TRUE(forward.found());
-  EXPECT_EQ(forward.rel, SetRel::kSubset);
-  EXPECT_FALSE(forward.reversed);
-
-  AssertionSet::Lookup backward = set.Find(publication, book);
-  ASSERT_TRUE(backward.found());
-  EXPECT_EQ(backward.rel, SetRel::kSuperset);
-  EXPECT_TRUE(backward.reversed);
-}
-
-TEST(AssertionSetTest, FindMissesUnrelatedPairs) {
-  AssertionSet set;
-  ASSERT_OK(set.Add(Simple("a", SetRel::kEquivalent, "b")));
-  EXPECT_FALSE(set.Find({"S1", "a"}, {"S2", "zzz"}).found());
-  EXPECT_FALSE(set.Involves({"S1", "a"}, {"S2", "zzz"}));
-  EXPECT_TRUE(set.Involves({"S1", "a"}, {"S2", "b"}));
-}
-
 TEST(AssertionSetTest, RejectsSecondSetRelationForSamePair) {
   AssertionSet set;
   ASSERT_OK(set.Add(Simple("a", SetRel::kEquivalent, "b")));
   EXPECT_EQ(set.Add(Simple("a", SetRel::kDisjoint, "b")).code(),
             StatusCode::kAlreadyExists);
+}
+
+TEST(AssertionSetTest, RejectsSetRelationOnTheSwappedPair) {
+  // The pair is unordered: S2.b ⊆ S1.a relates the pair of S1.a ≡ S2.b.
+  AssertionSet set;
+  ASSERT_OK(set.Add(Simple("a", SetRel::kEquivalent, "b")));
+  Assertion swapped;
+  swapped.lhs = {{"S2", "b"}};
+  swapped.rel = SetRel::kSubset;
+  swapped.rhs = {"S1", "a"};
+  const Status status = set.Add(std::move(swapped));
+  EXPECT_EQ(status.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(status.message(),
+            "classes S2.b and S1.a already related by an assertion (==)");
+  EXPECT_EQ(set.size(), 1u);
+  // Derivations on the pair are still welcome.
+  ASSERT_OK(set.Add(Simple("a", SetRel::kDerivation, "b")));
 }
 
 TEST(AssertionSetTest, AllowsOpposingDerivations) {
@@ -66,25 +58,6 @@ TEST(AssertionSetTest, AllowsOpposingDerivations) {
   ASSERT_OK(set.Add(forward));
   ASSERT_OK(set.Add(backward));
   EXPECT_EQ(set.AllDerivations().size(), 2u);
-  EXPECT_EQ(set.FindDerivations({"S1", "Book"}).size(), 2u);
-}
-
-TEST(AssertionSetTest, DerivationLookupReportsDirection) {
-  AssertionSet set;
-  Assertion d;
-  d.lhs = {{"S1", "parent"}, {"S1", "brother"}};
-  d.rel = SetRel::kDerivation;
-  d.rhs = {"S2", "uncle"};
-  ASSERT_OK(set.Add(d));
-  AssertionSet::Lookup from_parent = set.Find({"S1", "parent"},
-                                              {"S2", "uncle"});
-  ASSERT_TRUE(from_parent.found());
-  EXPECT_EQ(from_parent.rel, SetRel::kDerivation);
-  EXPECT_FALSE(from_parent.reversed);
-  AssertionSet::Lookup from_uncle = set.Find({"S2", "uncle"},
-                                             {"S1", "brother"});
-  ASSERT_TRUE(from_uncle.found());
-  EXPECT_TRUE(from_uncle.reversed);
 }
 
 TEST(AssertionSetTest, RejectsNonDerivationMultiLhs) {

@@ -87,6 +87,85 @@ TEST(FsmTest, DeclareAssertionsRejectsGarbage) {
   EXPECT_FALSE(fsm.DeclareAssertions("assert nonsense").ok());
 }
 
+/// An Fsm over the genealogy fixture's two schemas, nothing declared.
+class FsmDeclarationTest : public ::testing::Test {
+ protected:
+  void SetUp() override { SetUpAgents(&fsm_); }
+
+  static void SetUpAgents(Fsm* fsm) {
+    const Fixture fixture = ValueOrDie(MakeGenealogyFixture());
+    ASSERT_OK(fsm->RegisterAgent(AgentFor(fixture.s1, "a1")));
+    ASSERT_OK(fsm->RegisterAgent(AgentFor(fixture.s2, "a2")));
+  }
+
+  Fsm fsm_;
+};
+
+TEST_F(FsmDeclarationTest, ConflictingDeclarationIsRejected) {
+  ASSERT_OK(fsm_.DeclareAssertions("assert S1.parent == S2.uncle { }"));
+  const Status conflict =
+      fsm_.DeclareAssertions("assert S1.parent ! S2.uncle { }");
+  EXPECT_EQ(conflict.code(), StatusCode::kAlreadyExists)
+      << conflict.ToString();
+  ASSERT_EQ(fsm_.assertions().size(), 1u);
+  EXPECT_EQ(fsm_.assertions().front().rel, SetRel::kEquivalent);
+  // The same two lines in one text fail the same way.
+  Fsm fresh;
+  SetUpAgents(&fresh);
+  EXPECT_EQ(fresh
+                .DeclareAssertions("assert S1.parent == S2.uncle { }\n"
+                                   "assert S1.parent ! S2.uncle { }")
+                .code(),
+            StatusCode::kAlreadyExists);
+}
+
+TEST_F(FsmDeclarationTest, EmptyLhsIsRejected) {
+  Assertion empty;
+  empty.rel = SetRel::kEquivalent;
+  empty.rhs = {"S2", "uncle"};
+  EXPECT_EQ(fsm_.AddAssertion(std::move(empty)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fsm_.assertions().empty());
+  EXPECT_TRUE(ValueOrDie(fsm_.CheckAllConsistency()).empty());
+}
+
+TEST_F(FsmDeclarationTest, ConsistencyCheckRejectsAnUnknownClass) {
+  // Misspelled on either side: the check numbers classes by id, so it
+  // validates the pair's assertions first.
+  for (const std::string text : {"assert S1.parnet == S2.uncle { }",
+                                 "assert S1.parent == S2.uncel { }"}) {
+    Fsm fsm;
+    SetUpAgents(&fsm);
+    ASSERT_OK(fsm.DeclareAssertions(text));
+    EXPECT_EQ(fsm.CheckAllConsistency().status().code(),
+              StatusCode::kNotFound)
+        << text;
+  }
+}
+
+TEST_F(FsmDeclarationTest, MultiLhsEquivalenceIsRejected) {
+  Assertion multi;
+  multi.lhs = {{"S1", "parent"}, {"S1", "brother"}};
+  multi.rel = SetRel::kEquivalent;
+  multi.rhs = {"S2", "uncle"};
+  EXPECT_EQ(fsm_.AddAssertion(std::move(multi)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(fsm_.assertions().empty());
+}
+
+TEST_F(FsmDeclarationTest, TextConflictingWithADeclaredPairAddsNothing) {
+  ASSERT_OK(fsm_.DeclareAssertions("assert S1.parent == S2.uncle { }"));
+  const std::string before = fsm_.assertions().front().ToString();
+  // The first assertion of the text is fine; the second relates the
+  // declared pair again, so neither is declared.
+  EXPECT_EQ(fsm_.DeclareAssertions("assert S1.brother <= S2.uncle { }\n"
+                                   "assert S2.uncle ! S1.parent { }")
+                .code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_EQ(fsm_.assertions().size(), 1u);
+  EXPECT_EQ(fsm_.assertions().front().ToString(), before);
+}
+
 class ThreeSchemaFsmTest : public ::testing::Test {
  protected:
   // Three genealogy-flavoured schemas: S1 {person_a}, S2 {person_b},

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <set>
 #include <string>
@@ -387,38 +388,45 @@ TEST_F(ServingCursorTest, DeadlineTruncationFlagsEveryPageAndNeverCaches) {
 }
 
 TEST_F(ServingCursorTest, CoalescingSharesOneEvaluationAcrossThreads) {
+  // Every fetch sleeps 20 ms of real time (a 10 ms virtual latency at
+  // scale 2), so a demand miss stays in flight far longer than the
+  // latch below takes to release the other threads into the window.
+  FaultInjector injector;
+  LatencyProfile latency;
+  latency.base_ms = 10;
+  injector.set_latency_profile(latency);
+  FederationOptions options = DemandOptions();
+  options.injector = &injector;
+  options.retry.real_time_scale = 2;
   FsmClient client(&fsm_);
-  ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, DemandOptions()));
+  ASSERT_OK(client.Connect(Fsm::Strategy::kAccumulation, options));
   const Query query = UncleQuery(client);
   const std::multiset<std::string> expected =
       Keys(ValueOrDie(client.Run(query)));
   ASSERT_FALSE(expected.empty());
+  const size_t leaders_before = client.serving_stats().coalesce_leaders;
 
-  // Storm rounds of concurrent cache-missing queries until the
-  // single-flight window demonstrably coalesced at least one joiner;
-  // on a loaded single-core box the first round almost always does.
+  // One storm round: eight cache-missing queries released together.
   constexpr int kThreads = 8;
-  for (int round = 0; round < 50; ++round) {
-    client.InvalidateQueryCache();
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> workers;
-    workers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&] {
-        const Result<std::vector<Bindings>> rows = client.Run(query);
-        if (!rows.ok() || Keys(rows.value()) != expected) {
-          mismatches.fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& worker : workers) worker.join();
-    ASSERT_EQ(mismatches.load(), 0) << "round " << round;
-    if (client.serving_stats().coalesce_hits > 0) break;
+  client.InvalidateQueryCache();
+  std::latch start(kThreads);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&] {
+      start.arrive_and_wait();
+      const Result<std::vector<Bindings>> rows = client.Run(query);
+      if (!rows.ok() || Keys(rows.value()) != expected) {
+        mismatches.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
+  for (std::thread& worker : workers) worker.join();
+  EXPECT_EQ(mismatches.load(), 0);
   const ServingStats stats = client.serving_stats();
-  EXPECT_GT(stats.coalesce_hits, 0u)
-      << "no joiner ever coalesced across 50 storm rounds";
-  EXPECT_GT(stats.coalesce_leaders, 0u);
+  EXPECT_GT(stats.coalesce_hits, 0u);
+  EXPECT_GT(stats.coalesce_leaders, leaders_before);
 }
 
 TEST_F(ServingCursorTest, ServingCountersSurfaceInExplain) {
